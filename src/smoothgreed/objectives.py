@@ -179,9 +179,7 @@ class SeparableObjective:
         """Minimal supergradient of the engine objective, coordinatewise."""
         u = np.asarray(u, dtype=float)
         cs = self.engine_coords
-        if self.smoothed is not None and self._uniform_s:
-            return np.asarray(cs[0].deriv_right(u), dtype=float)
-        if self.smoothed is None and self._uniform:
+        if (self._uniform_s if self.smoothed is not None else self._uniform):
             return np.asarray(cs[0].deriv_right(u), dtype=float)
         return np.array([float(c.deriv_right(ui)) for c, ui in zip(cs, u)])
 
@@ -297,17 +295,12 @@ class PenaltyLPObjective:
         val = self.value(state)
         if val <= 0:
             raise ValueError("alpha_at_realized: nonpositive objective value")
-        y = self.engine_grad_lo_original(state)
-        return self.conj_orig(y) / val
-
-    def engine_grad_lo_original(self, state):
         u = np.asarray(state[1:], dtype=float)
         if self.penalty_kind == "separable_cap":
             g = np.asarray(self.base_pen.deriv_right(u), dtype=float)
         else:
-            _, _, g_hi = lp_ball_distance(u, self.p)
-            g = -self.l * g_hi
-        return np.concatenate(([1.0], g))
+            g = -self.l * lp_ball_distance(u, self.p)[2]
+        return self.conj_orig(np.concatenate(([1.0], g))) / val
 
 
 class LogDetObjective:

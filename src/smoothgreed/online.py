@@ -8,6 +8,9 @@ previous point; the simultaneous engine solves each step's coordinate
 maximization exactly and extracts the consistent saddle dual, so that the
 support value equals the realized inner product to floating precision.
 That exactness is what lets the duality-gap identities be asserted at 1e-9.
+Each cone has one loop serving both engines (the orthant loop covers
+allocation and packing); the engines differ only in how a step's point is
+chosen and whether the loop tracks the saddle residual or the correction.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import numpy as np
 
 from smoothgreed.objectives import (
     DiagMap,
-    FeasibleSet,
     LogDetObjective,
     LogDetState,
     PenaltyLPObjective,
@@ -84,14 +86,11 @@ class RunTrace:
 # ----------------------------------------------------------------------
 
 
-def _inv_vec(coords, uniform, vs, side):
+def _coord_vec(coords, uniform, method, u):
+    """Apply one scalar method coordinatewise; a single call when shared."""
     if uniform:
-        fn = coords[0].deriv_inv_hi if side == "hi" else coords[0].deriv_inv_lo
-        return np.asarray(fn(vs), dtype=float)
-    out = np.empty(len(vs))
-    for j, (f, v) in enumerate(zip(coords, vs)):
-        out[j] = f.deriv_inv_hi(v) if side == "hi" else f.deriv_inv_lo(v)
-    return out
+        return np.asarray(getattr(coords[0], method)(u), dtype=float)
+    return np.array([float(getattr(f, method)(ui)) for f, ui in zip(coords, u)])
 
 
 def _waterfill(coords, uniform, a, w):
@@ -99,44 +98,42 @@ def _waterfill(coords, uniform, a, w):
 
     Equalizes marginals a_j * f_j'(.) at a shared level found by bisection;
     remaining mass at the level is assigned in index order.  Returns
-    (x, y, v_level) with y a supergradient selection making x an exact
+    (x, y) with y a supergradient selection making x an exact
     support-function argmax for a * y.
     """
     k = len(a)
     x = np.zeros(k)
     act = a > 0
     if not act.any():
-        u = w.copy()
-        y = _grad_lo_vec(coords, uniform, u)
-        return x, y, 0.0
+        return x, _coord_vec(coords, uniform, "deriv_right", w)
     aa = a[act]
     ww = w[act]
     sub = [coords[j] for j in range(k) if act[j]] if not uniform else coords
 
-    def fill(v, side):
-        t = _inv_vec(sub, uniform, v / aa, side)
+    def fill(v, inv):
+        t = _coord_vec(sub, uniform, inv, v / aa)
         return np.clip((t - ww) / aa, 0.0, 1.0)
 
     # Strict-gain capacity at level zero decides whether the simplex binds.
-    x0 = fill(0.0, "lo")
+    x0 = fill(0.0, "deriv_inv_lo")
     if x0.sum() <= 1.0 + 1e-15:
         xa = x0
         v_star = 0.0
     else:
-        g0 = np.minimum(_deriv_left_vec(sub, uniform, ww), 1e12)
+        g0 = np.minimum(_coord_vec(sub, uniform, "deriv_left", ww), 1e12)
         vhi = float(np.max(aa * np.maximum(g0, 0.0))) * (1.0 + 1e-9) + 1e-30
         va, vb = 0.0, vhi
         for _ in range(110):
             vm = 0.5 * (va + vb)
-            if fill(vm, "hi").sum() <= 1.0:
+            if fill(vm, "deriv_inv_hi").sum() <= 1.0:
                 vb = vm
             else:
                 va = vm
             if vb - va <= 1e-15 * max(1.0, vb):
                 break
         v_star = vb
-        x_min = fill(vb, "lo")
-        x_max = fill(va, "hi")
+        x_min = fill(vb, "deriv_inv_lo")
+        x_max = fill(va, "deriv_inv_hi")
         xa = x_min.copy()
         deficit = 1.0 - xa.sum()
         if deficit > 0:
@@ -149,24 +146,11 @@ def _waterfill(coords, uniform, a, w):
                     break
     x[act] = xa
     u = w + a * x
-    y = _grad_lo_vec(coords, uniform, u)
+    y = _coord_vec(coords, uniform, "deriv_right", u)
     if v_star > 0.0:
-        lo = y[act]
-        hi = _deriv_left_vec(sub, uniform, u[act])
-        y[act] = np.clip(v_star / aa, lo, hi)
-    return x, y, v_star
-
-
-def _grad_lo_vec(coords, uniform, u):
-    if uniform:
-        return np.asarray(coords[0].deriv_right(u), dtype=float)
-    return np.array([float(f.deriv_right(ui)) for f, ui in zip(coords, u)])
-
-
-def _deriv_left_vec(coords, uniform, u):
-    if uniform:
-        return np.asarray(coords[0].deriv_left(u), dtype=float)
-    return np.array([float(f.deriv_left(ui)) for f, ui in zip(coords, u)])
+        hi = _coord_vec(sub, uniform, "deriv_left", u[act])
+        y[act] = np.clip(v_star / aa, y[act], hi)
+    return x, y
 
 
 def _lp_step_exact(obj: PenaltyLPObjective, st: Step, state):
@@ -204,7 +188,7 @@ def _lp_step_scalar(obj: PenaltyLPObjective, st: Step, state):
         return c0 + float(Bcol @ np.asarray(pen.deriv_right(w + Bcol * x), dtype=float))
 
     def slope_hi(x):
-        return c0 + float(Bcol @ _deriv_left_vec([pen], True, w + Bcol * x))
+        return c0 + float(Bcol @ np.asarray(pen.deriv_left(w + Bcol * x), dtype=float))
 
     if slope(0.0) <= 0.0:
         x = 0.0
@@ -223,7 +207,7 @@ def _lp_step_scalar(obj: PenaltyLPObjective, st: Step, state):
     y = np.asarray(pen.deriv_right(u), dtype=float)
     if 0.0 < x < 1.0:
         # distribute the stationarity residual into interval coordinates
-        hi_v = _deriv_left_vec([pen], True, u)
+        hi_v = np.asarray(pen.deriv_left(u), dtype=float)
         resid = -c0 - float(Bcol @ y)
         for i in range(len(y)):
             if Bcol[i] > 0 and resid > 0:
@@ -274,11 +258,27 @@ def _project_simplex_cap(z):
     return np.maximum(z - mu[rho], 0.0)
 
 
-def _logdet_step(obj: LogDetObjective, st: Step, state: LogDetState, used):
-    """Exact scalar coordinate maximization for a rank-one step."""
-    pen = obj.engine_pen()
-    a = st.A.a
-    q0 = state.quad(a)
+def _sim_step(obj, st: Step, u):
+    """Exact coordinate maximization of one orthant step at the state u.
+
+    Returns (x, z) with z = A^T y for the step's saddle dual y, so that x
+    attains the support value of z.
+    """
+    if isinstance(obj, SeparableObjective):
+        uniform = obj._uniform_s if obj.smoothed is not None else obj._uniform
+        x, y = _waterfill(obj.engine_coords, uniform, st.A.a, u)
+        return x, st.A.a * y
+    if obj.smoothed_penalty is None:
+        x, y_pen = _lp_step_exact(obj, st, u)
+    elif st.A.B.shape[1] == 1:
+        x, y_pen = _lp_step_scalar(obj, st, u)
+    else:
+        x, y_pen = _lp_step_pga(obj, st, u)
+    return x, st.A.c + st.A.B.T @ y_pen
+
+
+def _logdet_step(pen, q0, used):
+    """Exact scalar coordinate maximization for a rank-one step, q0 = a^T Y a."""
 
     def post_quad(x):
         return q0 / (1.0 + q0 * x)
@@ -313,232 +313,113 @@ def _logdet_step(obj: LogDetObjective, st: Step, state: LogDetState, used):
 
 
 def _check_steps(obj, steps):
-    for st in steps:
-        if isinstance(obj, SeparableObjective):
-            if not isinstance(st.A, DiagMap) or st.F.kind != "simplex":
-                raise TypeError("separable objectives take diagonal simplex steps")
-            if np.any(st.A.a < 0):
-                raise ValueError("step map must keep the orthant invariant")
-        elif isinstance(obj, PenaltyLPObjective):
-            if not isinstance(st.A, StackedMap) or st.F.kind != "simplex":
-                raise TypeError("packing objectives take stacked simplex steps")
-            if np.any(st.A.c < 0) or np.any(st.A.B < 0):
-                raise ValueError("step map must keep the orthant invariant")
-        elif isinstance(obj, LogDetObjective):
-            if not isinstance(st.A, RankOneMap) or st.F.kind != "unit_interval":
-                raise TypeError("determinant objectives take rank-one interval steps")
+    """Reject steps the engines cannot run, before any computation starts.
+
+    Errors name the offending step by its record index t (from 1).
+    """
+    if isinstance(obj, SeparableObjective):
+        want, kind, what = DiagMap, "simplex", "separable objectives take diagonal simplex steps"
+    elif isinstance(obj, PenaltyLPObjective):
+        want, kind, what = StackedMap, "simplex", "packing objectives take stacked simplex steps"
+    elif isinstance(obj, LogDetObjective):
+        want, kind, what = (RankOneMap, "unit_interval",
+                            "determinant objectives take rank-one interval steps")
+    else:
+        raise TypeError(f"unsupported objective {type(obj).__name__}")
+    n = obj.n
+    for t, st in enumerate(steps, 1):
+        A = st.A
+        if not isinstance(A, want) or st.F.kind != kind:
+            raise TypeError(f"step {t}: {what}")
+        if want is StackedMap:
+            entries = (A.c, A.B)
+            sized = (np.ndim(A.B) == 2 and np.shape(A.B)[0] == n
+                     and np.shape(A.c) == (np.shape(A.B)[1],) == (st.F.k,))
+        else:
+            entries = (A.a,)
+            sized = np.shape(A.a) == (n,) and (want is RankOneMap or st.F.k == n)
+        if not sized:
+            raise ValueError(f"step {t}: map size does not match the objective (n={n})")
+        if not all(np.isfinite(v).all() for v in entries):
+            raise ValueError(f"step {t}: non-finite map entries")
+        if want is not RankOneMap and any((v < 0).any() for v in entries):
+            raise ValueError(f"step {t}: step map must keep the orthant invariant")
 
 
 def run_simultaneous(obj, steps, keep_records: bool = True) -> RunTrace:
     """Run the simultaneous-update engine; exact per-step saddles."""
     _check_steps(obj, steps)
-    if isinstance(obj, SeparableObjective):
-        return _run_sim_separable(obj, steps, keep_records)
-    if isinstance(obj, PenaltyLPObjective):
-        return _run_sim_lp(obj, steps, keep_records)
-    if isinstance(obj, LogDetObjective):
-        return _run_sim_logdet(obj, steps, keep_records)
-    raise TypeError(f"unsupported objective {type(obj).__name__}")
+    return (_run_psd if obj.cone == "psd" else _run_orthant)(obj, steps, "sim", keep_records)
 
 
 def run_sequential(obj, steps, keep_records: bool = True) -> RunTrace:
     """Run the sequential-update engine (assign, then refresh the dual)."""
     _check_steps(obj, steps)
-    if isinstance(obj, SeparableObjective):
-        return _run_seq_separable(obj, steps, keep_records)
-    if isinstance(obj, PenaltyLPObjective):
-        return _run_seq_lp(obj, steps, keep_records)
-    if isinstance(obj, LogDetObjective):
-        return _run_seq_logdet(obj, steps, keep_records)
-    raise TypeError(f"unsupported objective {type(obj).__name__}")
+    return (_run_psd if obj.cone == "psd" else _run_orthant)(obj, steps, "seq", keep_records)
 
 
-def _run_sim_separable(obj, steps, keep_records):
-    coords = obj.engine_coords
-    uniform = obj._uniform_s if obj.smoothed is not None else obj._uniform
-    n = obj.n
-    u = np.zeros(n)
-    sigma_sum = inner_sum = sqsum = 0.0
-    prev_val = 0.0
-    records = []
-    resid = 0.0
-    for t, st in enumerate(steps, 1):
-        x, y, _ = _waterfill(coords, uniform, st.A.a, u)
-        u = u + st.A.a * x
-        sigma = max(0.0, float(np.max(st.A.a * y)))
-        inner = float((st.A.a * x) @ y)
-        resid = max(resid, abs(sigma * min(float(x.sum()), 1.0) - inner))
-        val = obj.engine_value(u)
-        gain = val - prev_val
-        prev_val = val
-        sigma_sum += sigma
-        inner_sum += inner
-        sqsum += float(np.sum((st.A.a * x) ** 2))
-        if keep_records:
-            records.append(StepRecord(t, x, sigma, inner, gain))
-    y_final = obj.engine_grad_lo(u)
-    return _finish_orthant(obj, "sim", steps, u, y_final, sigma_sum, 0.0, sqsum,
-                           records, False, max(resid, 0.0))
-
-
-def _run_seq_separable(obj, steps, keep_records):
-    n = obj.n
-    u = np.zeros(n)
+def _run_orthant(obj, steps, algo, keep_records):
+    """Allocation and packing: sim solves each step exactly, seq assigns
+    against the previous dual and tracks the dual-movement correction."""
+    u = np.zeros(obj.n + 1 if isinstance(obj, PenaltyLPObjective) else obj.n)
     shift = False
-    y = obj.engine_grad_lo(u)
-    if np.any(y >= 1e11):
-        u = np.full(n, INTERIOR_SHIFT)
+    if algo == "seq":
         y = obj.engine_grad_lo(u)
-        shift = True
-    sigma_sum = corr = sqsum = 0.0
+        if np.any(y >= 1e11):   # unbounded slope at the origin: start inside
+            u = np.full(len(u), INTERIOR_SHIFT)
+            y = obj.engine_grad_lo(u)
+            shift = True
+    sigma_sum = corr = sqsum = resid = 0.0
     prev_val = obj.engine_value(u)
     records = []
     for t, st in enumerate(steps, 1):
-        z = st.A.a * y
-        sigma, x = st.F.support(z)
-        u = u + st.A.a * x
-        y_next = obj.engine_grad_lo(u)
-        corr += float((st.A.a * x) @ (y_next - y))
-        val = obj.engine_value(u)
-        gain = val - prev_val
-        prev_val = val
-        sigma_sum += sigma
-        sqsum += float(np.sum((st.A.a * x) ** 2))
-        if keep_records:
-            records.append(StepRecord(t, x, sigma, float((st.A.a * x) @ y), gain))
-        y = y_next
-    return _finish_orthant(obj, "seq", steps, u, y, sigma_sum, corr, sqsum,
-                           records, shift, 0.0)
-
-
-def _finish_orthant(obj, algo, steps, u, y_final, sigma_sum, corr, sqsum,
-                    records, shift, resid):
-    P_orig = obj.value(u)
-    P_eng = obj.engine_value(u)
-    D_alg = sigma_sum - obj.conj_orig(y_final)
-    D_eng = sigma_sum - obj.conj_engine(y_final)
-    return RunTrace(algo, len(steps), u, y_final, P_orig, P_eng, D_alg, D_eng,
-                    sigma_sum, corr, sqsum, records, shift, resid)
-
-
-def _run_sim_lp(obj, steps, keep_records):
-    n = obj.n
-    state = np.zeros(n + 1)
-    sigma_sum = sqsum = 0.0
-    prev_val = 0.0
-    records = []
-    resid = 0.0
-    for t, st in enumerate(steps, 1):
-        k = st.A.B.shape[1]
-        if obj.smoothed_penalty is None:
-            x, y_pen = _lp_step_exact(obj, st, state)
-        elif k == 1:
-            x, y_pen = _lp_step_scalar(obj, st, state)
+        if algo == "sim":
+            x, z = _sim_step(obj, st, u)
+            sigma = max(0.0, float(np.max(z)))
+            inner = float(x @ z)
+            resid = max(resid, abs(sigma * min(float(x.sum()), 1.0) - inner))
         else:
-            x, y_pen = _lp_step_pga(obj, st, state)
+            sigma, x = st.F.support(st.A.adjoint(y))
         img = st.A.apply(x)
-        state = state + img
-        z = st.A.c + st.A.B.T @ y_pen
-        sigma = max(0.0, float(np.max(z)))
-        inner = float(x @ z)
-        resid = max(resid, abs(sigma * min(float(x.sum()), 1.0) - inner))
-        val = obj.engine_value(state)
+        u = u + img
+        if algo == "seq":
+            y_next = obj.engine_grad_lo(u)
+            corr += float(img @ (y_next - y))
+            inner = float(img @ y)
+            y = y_next
+        val = obj.engine_value(u)
         gain = val - prev_val
         prev_val = val
         sigma_sum += sigma
         sqsum += float(np.sum(img ** 2))
         if keep_records:
             records.append(StepRecord(t, x, sigma, inner, gain))
-    y_final = obj.engine_grad_lo(state)
-    return _finish_lp(obj, "sim", steps, state, y_final, sigma_sum, 0.0, sqsum,
-                      records, resid)
+    if algo == "sim":
+        y = obj.engine_grad_lo(u)
+    return RunTrace(algo, len(steps), u, y, obj.value(u), obj.engine_value(u),
+                    sigma_sum - obj.conj_orig(y), sigma_sum - obj.conj_engine(y),
+                    sigma_sum, corr, sqsum, records, shift, resid)
 
 
-def _run_seq_lp(obj, steps, keep_records):
-    n = obj.n
-    state = np.zeros(n + 1)
-    y = obj.engine_grad_lo(state)
-    sigma_sum = corr = sqsum = 0.0
-    prev_val = 0.0
-    records = []
-    for t, st in enumerate(steps, 1):
-        z = st.A.adjoint(y)
-        sigma, x = st.F.support(z)
-        img = st.A.apply(x)
-        state = state + img
-        y_next = obj.engine_grad_lo(state)
-        corr += float(img @ (y_next - y))
-        val = obj.engine_value(state)
-        gain = val - prev_val
-        prev_val = val
-        sigma_sum += sigma
-        sqsum += float(np.sum(img ** 2))
-        if keep_records:
-            records.append(StepRecord(t, x, sigma, float(img @ y), gain))
-        y = y_next
-    return _finish_lp(obj, "seq", steps, state, y, sigma_sum, corr, sqsum, records, 0.0)
-
-
-def _finish_lp(obj, algo, steps, state, y_final, sigma_sum, corr, sqsum, records, resid):
-    P_orig = obj.value(state)
-    P_eng = obj.engine_value(state)
-    D_alg = sigma_sum - obj.conj_orig(y_final)
-    D_eng = sigma_sum - obj.conj_engine(y_final)
-    return RunTrace(algo, len(steps), state, y_final, P_orig, P_eng, D_alg, D_eng,
-                    sigma_sum, corr, sqsum, records, False, resid)
-
-
-def _run_sim_logdet(obj, steps, keep_records):
+def _run_psd(obj, steps, algo, keep_records):
+    """Log-det with a scalar budget over the product of the PSD cone and R+."""
     state = LogDetState(obj.A0)
     pen = obj.engine_pen()
-    used = 0.0
-    reward = 0.0
-    sigma_sum = sqsum = 0.0
-    records = []
-    prev_pen = float(pen.value(0.0))
-    for t, st in enumerate(steps, 1):
-        x, q_post, yb = _logdet_step(obj, st, state, used)
-        gain_logdet = logdet_step_gain(state, st.A.a, x)
-        if x > 0.0:
-            state.apply(st.A.a, x)
-        used += x
-        reward += gain_logdet
-        pen_now = float(pen.value(used))
-        gain = gain_logdet + pen_now - prev_pen
-        prev_pen = pen_now
-        z = q_post + yb
-        sigma = max(0.0, z)
-        sqsum += (float(st.A.a @ st.A.a) ** 2 + 1.0) * x * x
-        sigma_sum += sigma
-        if keep_records:
-            records.append(StepRecord(t, np.array([x]), sigma, x * z, gain))
-    Y_final = np.linalg.inv(state.Asum)
-    yb_final = float(pen.deriv_right(used))
-    y_final = (Y_final, yb_final)
-    P_orig = reward + float(obj.base_pen.value(used))
-    P_eng = reward + float(pen.value(used))
-    D_alg = sigma_sum - obj.conj_orig(y_final)
-    D_eng = sigma_sum - obj.conj_engine(y_final)
-    return RunTrace("sim", len(steps), (state.U, used), y_final, P_orig, P_eng,
-                    D_alg, D_eng, sigma_sum, 0.0, sqsum, records, False, 0.0)
-
-
-def _run_seq_logdet(obj, steps, keep_records):
-    state = LogDetState(obj.A0)
-    pen = obj.engine_pen()
-    used = 0.0
-    reward = 0.0
-    sigma_sum = corr = sqsum = 0.0
-    records = []
+    used = reward = sigma_sum = corr = sqsum = resid = 0.0
     prev_pen = float(pen.value(0.0))
     yb = float(pen.deriv_right(0.0))
+    records = []
     for t, st in enumerate(steps, 1):
         a = st.A.a
-        z = state.quad(a) + yb
-        x = 1.0 if z > 0.0 else 0.0
+        q = state.quad(a)
+        if algo == "sim":
+            x, q_post, yb = _logdet_step(pen, q, used)
+            z = q_post + yb
+        else:
+            z = q + yb
+            x = 1.0 if z > 0.0 else 0.0
         sigma = max(0.0, z)
         gain_logdet = logdet_step_gain(state, a, x)
-        quad_pre = state.quad(a)
         if x > 0.0:
             state.apply(a, x)
         used += x
@@ -546,22 +427,22 @@ def _run_seq_logdet(obj, steps, keep_records):
         pen_now = float(pen.value(used))
         gain = gain_logdet + pen_now - prev_pen
         prev_pen = pen_now
-        yb_next = float(pen.deriv_right(used))
-        # <A_t x, y_next - y_t> over the product cone
-        corr += x * (state.quad(a) - quad_pre) + x * (yb_next - yb)
-        yb = yb_next
+        if algo == "sim":
+            resid = max(resid, abs(sigma * min(x, 1.0) - x * z))
+        else:
+            yb_next = float(pen.deriv_right(used))
+            # <A_t x, y_next - y_t> over the product cone
+            corr += x * (state.quad(a) - q) + x * (yb_next - yb)
+            yb = yb_next
         sigma_sum += sigma
         sqsum += (float(a @ a) ** 2 + 1.0) * x * x
         if keep_records:
             records.append(StepRecord(t, np.array([x]), sigma, x * z, gain))
-    Y_final = np.linalg.inv(state.Asum)
-    y_final = (Y_final, float(pen.deriv_right(used)))
-    P_orig = reward + float(obj.base_pen.value(used))
-    P_eng = reward + float(pen.value(used))
-    D_alg = sigma_sum - obj.conj_orig(y_final)
-    D_eng = sigma_sum - obj.conj_engine(y_final)
-    return RunTrace("seq", len(steps), (state.U, used), y_final, P_orig, P_eng,
-                    D_alg, D_eng, sigma_sum, corr, sqsum, records, False, 0.0)
+    y_final = (np.linalg.inv(state.Asum), float(pen.deriv_right(used)))
+    return RunTrace(algo, len(steps), (state.U, used), y_final,
+                    reward + float(obj.base_pen.value(used)), reward + float(pen.value(used)),
+                    sigma_sum - obj.conj_orig(y_final), sigma_sum - obj.conj_engine(y_final),
+                    sigma_sum, corr, sqsum, records, False, resid)
 
 
 # ----------------------------------------------------------------------

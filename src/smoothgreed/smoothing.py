@@ -203,60 +203,14 @@ def from_base(base: ScalarConcave, u_end: float, d: int, tail_mode="hold_last"):
 # Closed-form entropy smoothings of budget penalties
 # ----------------------------------------------------------------------
 
-def nesterov_penalty_smoothing(l: float, theta: float, budget: float = 1.0,
-                               d: int = 2048) -> SmoothedScalar:
-    """Smooth the penalty u -> -l*(u - budget)_+ with the entropy smoother.
+def _clipped_exp_smoothing(l, theta, gamma, b, u_clip, d, label):
+    """Entropy smoothing of u -> -l*(u - b)_+ shared by the penalty forms.
 
-    The smoothed derivative follows the first-order inversion
-    y(u) = (theta/(e-1)) * (1 - exp(gamma*u/budget)) clipped to [-l, 0],
-    with gamma = log(1 + l*(e-1)/theta); it reaches -l exactly at
-    u = budget, after which the grid holds the last slope.
+    The derivative is y(u) = (theta/(e-1)) * (1 - exp(gamma*u/b)) clipped
+    to [-l, 0]; it reaches -l at ``u_clip``, where the grid ends and the
+    last slope is held.
     """
-    if l <= 0 or theta <= 0 or budget <= 0:
-        raise ValueError("nesterov_penalty_smoothing: l, theta, budget must be positive")
-    gamma = math.log1p(l * (_E - 1.0) / theta)
     scale = theta / (_E - 1.0)
-
-    def y_of(u):
-        u = np.asarray(u, dtype=float)
-        return np.clip(scale * (1.0 - np.exp(gamma * u / budget)), -l, 0.0)
-
-    def cumint_of(u):
-        u = np.asarray(u, dtype=float)
-        uc = np.minimum(u, budget)
-        inner = scale * (uc - (np.expm1(gamma * uc / budget)) * budget / gamma)
-        return inner - l * np.maximum(u - budget, 0.0)
-
-    def y_inv(v, side):
-        v = np.asarray(v, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            core = budget / gamma * np.log(np.maximum(1.0 - v / scale, 1.0))
-        if side == "hi":
-            return np.where(v > 0, 0.0, np.where(v <= -l, np.inf, core))
-        return np.where(v >= 0, 0.0, np.where(v < -l, np.inf, np.minimum(core, budget)))
-
-    h = budget / d
-    grid = y_of(h * np.arange(d + 1))
-    sm = SmoothedScalar(h, grid, tail_mode="hold_last", exact_y=y_of,
-                        exact_cumint=cumint_of, exact_y_inv=y_inv,
-                        require_nonneg=False, label=f"nesterov_penalty(l={l:.3g})")
-    sm.gamma = gamma
-    return sm
-
-
-def nesterov_logdet_smoothing(n: int, l: float, b: float, d: int = 2048) -> SmoothedScalar:
-    """Entropy smoothing of the budget penalty for determinant maximization.
-
-    Uses theta = log(1 + 1/n) and gamma = log(1 + l/theta); the associated
-    certified ratio is 1 / (1 + (1 + 1/(e-1)) * gamma).
-    """
-    if n < 1 or l <= 0 or b <= 0:
-        raise ValueError("nesterov_logdet_smoothing: need n >= 1, l > 0, b > 0")
-    theta = math.log1p(1.0 / n)
-    gamma = math.log1p(l / theta)
-    scale = theta / (_E - 1.0)
-    # The derivative hits -l strictly past the budget; cover that point.
-    u_clip = b * math.log1p(l * (_E - 1.0) / theta) / gamma
 
     def y_of(u):
         u = np.asarray(u, dtype=float)
@@ -279,8 +233,40 @@ def nesterov_logdet_smoothing(n: int, l: float, b: float, d: int = 2048) -> Smoo
     h = u_clip / d
     sm = SmoothedScalar(h, y_of(h * np.arange(d + 1)), tail_mode="hold_last",
                         exact_y=y_of, exact_cumint=cumint_of, exact_y_inv=y_inv,
-                        require_nonneg=False, label=f"nesterov_logdet(n={n})")
+                        require_nonneg=False, label=label)
     sm.gamma = gamma
+    return sm
+
+
+def nesterov_penalty_smoothing(l: float, theta: float, budget: float = 1.0,
+                               d: int = 2048) -> SmoothedScalar:
+    """Smooth the penalty u -> -l*(u - budget)_+ with the entropy smoother.
+
+    The smoothed derivative follows the first-order inversion
+    y(u) = (theta/(e-1)) * (1 - exp(gamma*u/budget)) clipped to [-l, 0],
+    with gamma = log(1 + l*(e-1)/theta); it reaches -l exactly at
+    u = budget, after which the grid holds the last slope.
+    """
+    if l <= 0 or theta <= 0 or budget <= 0:
+        raise ValueError("nesterov_penalty_smoothing: l, theta, budget must be positive")
+    gamma = math.log1p(l * (_E - 1.0) / theta)
+    return _clipped_exp_smoothing(l, theta, gamma, budget, budget, d,
+                                  f"nesterov_penalty(l={l:.3g})")
+
+
+def nesterov_logdet_smoothing(n: int, l: float, b: float, d: int = 2048) -> SmoothedScalar:
+    """Entropy smoothing of the budget penalty for determinant maximization.
+
+    Uses theta = log(1 + 1/n) and gamma = log(1 + l/theta); the associated
+    certified ratio is 1 / (1 + (1 + 1/(e-1)) * gamma).
+    """
+    if n < 1 or l <= 0 or b <= 0:
+        raise ValueError("nesterov_logdet_smoothing: need n >= 1, l > 0, b > 0")
+    theta = math.log1p(1.0 / n)
+    gamma = math.log1p(l / theta)
+    # The derivative hits -l strictly past the budget; cover that point.
+    u_clip = b * math.log1p(l * (_E - 1.0) / theta) / gamma
+    sm = _clipped_exp_smoothing(l, theta, gamma, b, u_clip, d, f"nesterov_logdet(n={n})")
     sm.theta = theta
     sm.ratio_bound = 1.0 / (1.0 + (1.0 + 1.0 / (_E - 1.0)) * gamma)
     return sm
@@ -627,7 +613,7 @@ def design_sequential(spec: DesignSpec) -> DesignResult:
 # ----------------------------------------------------------------------
 
 @dataclass
-class CertificateReport:
+class AdwordsCheckReport:
     mass_residual: float
     stationarity_residual: float
     slackness_residual: float
@@ -635,7 +621,7 @@ class CertificateReport:
     passed: bool
 
 
-def adwords_certificate_check(tol: float = 1e-6) -> CertificateReport:
+def adwords_certificate_check(tol: float = 1e-6) -> AdwordsCheckReport:
     """Numerically verify the optimality system of the cap smoothing.
 
     The dual density f(u) = exp(1-u)/(e-1) must integrate the cap to one,
@@ -665,4 +651,4 @@ def adwords_certificate_check(tol: float = 1e-6) -> CertificateReport:
                 for u in np.linspace(1e-9, 1.0, 201))
 
     ok = mass_res <= tol and stat_res <= 10 * tol and slack <= 10 * tol
-    return CertificateReport(mass_res, stat_res, slack, True, ok)
+    return AdwordsCheckReport(mass_res, stat_res, slack, True, ok)

@@ -135,10 +135,22 @@ class TestRunCertify:
         assert run_cli(["certify", "--instance", inst]) == cli.EXIT_CERT_BREACH
         assert run_cli(["run", "--instance", inst]) == 0  # run only reports
 
-    def test_bad_instance_exit_code(self, tmp_path):
+    def test_bad_instance_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run_cli(["certify", "--instance", str(bad)]) == cli.EXIT_BAD_INPUT
+        # a NaN bid and a map shorter than the objective are rejected before
+        # any computation, without printing a summary
+        inst = tmp_path / "inst.json"
+        run_cli(["gen", "--family", "adwords_triangular", "--n", "3",
+                 "--phase-len", "2", "--out", str(inst)])
+        for edit in (lambda a: a.__setitem__(0, math.nan), lambda a: a.pop()):
+            d = json.loads(inst.read_text())
+            edit(d["steps"][1]["A"]["a"])
+            bad.write_text(json.dumps(d))
+            capsys.readouterr()
+            assert run_cli(["certify", "--instance", str(bad)]) == cli.EXIT_BAD_INPUT
+            assert capsys.readouterr().out == ""
 
 
 class TestSweep:

@@ -138,6 +138,11 @@ class TestEngineInvariants:
         inst = gen_adwords_triangular(8, 5)
         tr = run_simultaneous(adwords_obj(8, True), inst.steps)
         assert tr.saddle_residual <= 1e-10
+        inst = gen_logdet_stream(4, 20, 2.0, seed=3)
+        A0, l = np.asarray(inst.extras["A0"]), inst.extras["l"]
+        for pen in (None, nesterov_logdet_smoothing(4, l, 2.0)):
+            obj = LogDetObjective(A0, 2.0, l=l, smoothed_budget=pen)
+            assert run_simultaneous(obj, inst.steps).saddle_residual <= 1e-10
 
     def test_waterfill_matches_brute_maximization(self):
         # non-uniform bids: every simultaneous step must attain the exact
