@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from smoothgreed.scalar import NegPlusPenalty
-from smoothgreed.smoothing import SmoothedScalar
 
 # ----------------------------------------------------------------------
 # Feasible sets and step maps
@@ -302,6 +301,10 @@ class PenaltyLPObjective:
             g = -self.l * lp_ball_distance(u, self.p)[2]
         return self.conj_orig(np.concatenate(([1.0], g))) / val
 
+    def ratio_bound(self) -> float:
+        """Certified competitive-ratio lower bound for the simultaneous engine."""
+        return 1.0 / (1.0 + self.l / self.theta)
+
 
 class LogDetObjective:
     """Shifted determinant objective with a budget penalty on the PSD cone.
@@ -365,10 +368,7 @@ class LogDetObjective:
 
     def conj_engine(self, dual):
         Y, yb = dual
-        pen = self.engine_pen()
-        if isinstance(pen, SmoothedScalar):
-            return self.hstar(Y) + float(pen.conjugate(float(yb)))
-        return self.conj_orig(dual)
+        return self.hstar(Y) + float(self.engine_pen().conjugate(float(yb)))
 
     def ratio_bound(self) -> float:
         if self.smoothed_budget is not None and hasattr(self.smoothed_budget, "ratio_bound"):
@@ -482,19 +482,22 @@ def l_bound_lp(steps, eps: float = 1e-6) -> float:
 # ----------------------------------------------------------------------
 
 
+REFACTOR_EVERY = 128   # accepted updates between refactorizations
+DRIFT_TOL = 1e-6       # max |Y @ Asum - I| entry before an early refactorization
+
+
 class LogDetState:
     """Maintains (A0 + sum_t x_t a_t a_t^T)^{-1} through rank-one updates.
 
-    Refactorizes every ``refactor_every`` accepted updates or when the
-    inverse drifts; keeps the dense accumulator for drift checks.
+    Refactorizes every ``REFACTOR_EVERY`` accepted updates or when the
+    inverse drifts past ``DRIFT_TOL``; keeps the dense accumulator for
+    drift checks.
     """
 
-    def __init__(self, A0, refactor_every: int = 128, drift_tol: float = 1e-6):
+    def __init__(self, A0):
         self.A0 = np.asarray(A0, dtype=float)
         self.Asum = self.A0.copy()
         self.Y = np.linalg.inv(self.A0)
-        self.refactor_every = refactor_every
-        self.drift_tol = drift_tol
         self.updates_since_refactor = 0
 
     def quad(self, a) -> float:
@@ -513,8 +516,7 @@ class LogDetState:
         self.Y -= np.outer(Ya, Ya) * (x / (1.0 + x * q))
         self.Asum += x * np.outer(a, a)
         self.updates_since_refactor += 1
-        if (self.updates_since_refactor >= self.refactor_every
-                or self.drift() > self.drift_tol):
+        if self.updates_since_refactor >= REFACTOR_EVERY or self.drift() > DRIFT_TOL:
             self.Y = np.linalg.inv(self.Asum)
             self.updates_since_refactor = 0
 

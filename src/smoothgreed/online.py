@@ -330,7 +330,7 @@ def _check_steps(obj, steps):
     for t, st in enumerate(steps, 1):
         A = st.A
         if not isinstance(A, want) or st.F.kind != kind:
-            raise TypeError(f"step {t}: {what}")
+            raise ValueError(f"step {t}: {what}")
         if want is StackedMap:
             entries = (A.c, A.B)
             sized = (np.ndim(A.B) == 2 and np.shape(A.B)[0] == n
@@ -348,6 +348,10 @@ def _check_steps(obj, steps):
 
 def run_simultaneous(obj, steps, keep_records: bool = True) -> RunTrace:
     """Run the simultaneous-update engine; exact per-step saddles."""
+    if isinstance(obj, PenaltyLPObjective) and obj.penalty_kind == "lp_ball":
+        # the exact packing step solves the separable-hinge LP, not this penalty
+        raise ValueError("run_simultaneous: no exact step solver for the lp_ball "
+                         "penalty; use run_sequential")
     _check_steps(obj, steps)
     return (_run_psd if obj.cone == "psd" else _run_orthant)(obj, steps, "sim", keep_records)
 
@@ -474,20 +478,6 @@ def _is_smoothed(obj) -> bool:
             or getattr(obj, "smoothed_budget", None) is not None)
 
 
-def _is_monotone_objective(obj) -> bool:
-    return isinstance(obj, SeparableObjective)
-
-
-def _structural_bound(obj) -> float:
-    if isinstance(obj, SeparableObjective):
-        return obj.ratio_bound()
-    if isinstance(obj, PenaltyLPObjective):
-        return 1.0 / (1.0 + obj.l / obj.theta)
-    if isinstance(obj, LogDetObjective):
-        return obj.ratio_bound()
-    raise TypeError(type(obj).__name__)
-
-
 def certify(trace: RunTrace, obj, steps, tol: float = 1e-9) -> CertificateReport:
     """Check the run's certified ratio against what the theory guarantees.
 
@@ -516,8 +506,8 @@ def certify(trace: RunTrace, obj, steps, tol: float = 1e-9) -> CertificateReport
     alpha_real = None
     if P > 0 and not _is_smoothed(obj):   # the classical realized parameter
         alpha_real = conj_at_final / P
-    applicable = trace.algo == "sim" or _is_monotone_objective(obj)
-    structural = _structural_bound(obj) if applicable else None
+    applicable = trace.algo == "sim" or isinstance(obj, SeparableObjective)
+    structural = obj.ratio_bound() if applicable else None
     structural_ok = True
     if applicable:
         if trace.algo == "seq" and D > 0:

@@ -121,75 +121,24 @@ class ScalarConcave:
         return f"{type(self).__name__}({ps})"
 
 
-class Cap(ScalarConcave):
-    """u -> scale * min(u, 1), the budgeted linear reward."""
-
-    kind = "cap"
-
-    def __init__(self, scale: float = 1.0):
-        if scale <= 0:
-            raise ValueError("cap: scale must be positive")
-        self.scale = float(scale)
-
-    def value(self, u):
-        a = _nonneg(u)
-        return _maybe_scalar(u, self.scale * np.minimum(a, 1.0))
-
-    def conjugate(self, y):
-        a = _as_array(y)
-        out = np.where(a < 0, -np.inf, np.minimum(a, self.scale) - self.scale)
-        return _maybe_scalar(y, out)
-
-    def conj1(self, y):
-        if y < 0:
-            return -math.inf
-        return min(y, self.scale) - self.scale
-
-    def deriv_right(self, u):
-        a = _as_array(u)
-        return _maybe_scalar(u, np.where(a < 1.0, self.scale, 0.0))
-
-    def deriv_left(self, u):
-        a = _as_array(u)
-        return _maybe_scalar(u, np.where(a <= 1.0, self.scale, 0.0))
-
-    def slope0(self):
-        return self.scale
-
-    def conj_dom_lo(self):
-        return 0.0
-
-    def plateau_u(self):
-        return 1.0
-
-    def deriv_inv_hi(self, v):
-        a = _as_array(v)
-        out = np.where(a <= 0, np.inf, np.where(a <= self.scale, 1.0, 0.0))
-        return _maybe_scalar(v, out)
-
-    def deriv_inv_lo(self, v):
-        a = _as_array(v)
-        out = np.where(a < self.scale, 1.0, 0.0)
-        return _maybe_scalar(v, out)
-
-    def alpha_exact(self):
-        return -1.0
-
-    def params(self):
-        return {"scale": self.scale}
-
-
 class PiecewiseLinear(ScalarConcave):
     """Concave piecewise-linear function from breakpoints and slopes.
 
     ``slopes`` has one entry per piece (non-increasing, nonnegative);
     ``breakpoints`` are the interior knots, so len(slopes) ==
-    len(breakpoints) + 1.  The final piece extends to infinity.
+    len(breakpoints) + 1.  The final piece extends to infinity.  ``Cap``,
+    ``Linear`` and ``NegPlusPenalty`` are parameterizations; the penalty's
+    last slope is negative, so it builds its pieces past the sign check.
     """
 
     kind = "piecewise_linear"
 
     def __init__(self, breakpoints, slopes):
+        if np.any(np.asarray(slopes, dtype=float) < 0):
+            raise ValueError("piecewise_linear: slopes must be nonnegative")
+        self._set_pieces(breakpoints, slopes)
+
+    def _set_pieces(self, breakpoints, slopes):
         b = np.asarray(breakpoints, dtype=float)
         s = np.asarray(slopes, dtype=float)
         if s.ndim != 1 or b.ndim != 1 or len(s) != len(b) + 1:
@@ -198,14 +147,16 @@ class PiecewiseLinear(ScalarConcave):
             raise ValueError("piecewise_linear: breakpoints must be increasing and > 0")
         if np.any(np.diff(s) > 1e-15):
             raise ValueError("piecewise_linear: slopes must be non-increasing (concavity)")
-        if np.any(s < 0):
-            raise ValueError("piecewise_linear: slopes must be nonnegative")
         # Merge consecutive equal slopes so the conjugate swap is clean.
         keep = np.concatenate(([True], np.diff(s) < -1e-15))
         self.s = s[keep]
         self.b = b[keep[1:]]
+        self.monotone = bool(self.s[-1] >= 0)
         self._knots = np.concatenate(([0.0], self.b))          # piece start points
         self._vals = np.concatenate(([0.0], np.cumsum(self.s[:-1] * np.diff(self._knots))))
+        self._ends = np.concatenate((self._knots, [np.inf]))   # [k]: end of the first k pieces
+        # (slope, start, value at start) as Python floats for conj1
+        self._pieces = list(zip(self.s.tolist(), self._knots.tolist(), self._vals.tolist()))
 
     def value(self, u):
         a = _nonneg(u)
@@ -217,20 +168,18 @@ class PiecewiseLinear(ScalarConcave):
         a = _as_array(y)
         # j counts pieces with slope strictly above y; the infimum is
         # attained at the knot where the slope crosses y.
-        j = np.searchsorted(-self.s, -a, side="left")
-        j = np.clip(j, 0, len(self.b))
+        j = np.minimum(np.searchsorted(-self.s, -a, side="left"), len(self.b))
         out = a * self._knots[j] - self._vals[j]
         out = np.where(a < self.s[-1], -np.inf, out)
         return _maybe_scalar(y, out)
 
     def conj1(self, y):
-        if y < self.s[-1]:
+        if y < self._pieces[-1][0]:
             return -math.inf
-        j = 0
-        s = self.s
-        while j < len(self.b) and s[j] > y:
-            j += 1
-        return y * self._knots[j] - self._vals[j]
+        for s, knot, val in self._pieces:
+            if s <= y:
+                break
+        return y * knot - val
 
     def deriv_right(self, u):
         a = _as_array(u)
@@ -247,25 +196,73 @@ class PiecewiseLinear(ScalarConcave):
         return float(self.s[-1])
 
     def plateau_u(self):
-        return float(self.b[-1]) if self.s[-1] == 0.0 else None
+        return float(self._knots[-1]) if self.s[-1] == 0.0 else None
 
     def deriv_inv_hi(self, v):
         a = _as_array(v)
         cnt = np.searchsorted(-self.s, -a, side="right")   # pieces with slope >= v
-        ends = np.concatenate(([0.0], self.b, [np.inf]))
-        return _maybe_scalar(v, ends[cnt])
+        return _maybe_scalar(v, self._ends[cnt])
 
     def deriv_inv_lo(self, v):
         a = _as_array(v)
         cnt = np.searchsorted(-self.s, -a, side="left")    # pieces with slope > v
-        ends = np.concatenate(([0.0], self.b, [np.inf]))
-        return _maybe_scalar(v, ends[cnt])
+        return _maybe_scalar(v, self._ends[cnt])
 
     def alpha_exact(self):
+        if not len(self.b):
+            return 0.0
         return -1.0 if self.s[-1] == 0.0 else None
 
     def params(self):
         return {"breakpoints": self.b.tolist(), "slopes": self.s.tolist()}
+
+
+class Cap(PiecewiseLinear):
+    """u -> scale * min(u, 1), the budgeted linear reward."""
+
+    kind = "cap"
+
+    def __init__(self, scale: float = 1.0):
+        if scale <= 0:
+            raise ValueError("cap: scale must be positive")
+        self.scale = float(scale)
+        super().__init__([1.0], [self.scale, 0.0])
+
+    def params(self):
+        return {"scale": self.scale}
+
+
+class Linear(PiecewiseLinear):
+    """u -> slope * u; the neutral element of the ratio calculus."""
+
+    kind = "linear"
+
+    def __init__(self, slope: float = 1.0):
+        if slope <= 0:
+            raise ValueError("linear: slope must be positive")
+        self.slope = float(slope)
+        super().__init__([], [self.slope])
+
+    def params(self):
+        return {"slope": self.slope}
+
+
+class NegPlusPenalty(PiecewiseLinear):
+    """u -> -l * (u - b)_+, the exact budget penalty (non-monotone).
+
+    The budget is the single breakpoint, ``self.b[0]``.
+    """
+
+    kind = "neg_plus_penalty"
+
+    def __init__(self, l: float, b: float = 1.0):
+        if l <= 0 or b <= 0:
+            raise ValueError("neg_plus_penalty: l and b must be positive")
+        self.l = float(l)
+        self._set_pieces([b], [0.0, -self.l])
+
+    def params(self):
+        return {"l": self.l, "b": float(self.b[0])}
 
 
 class Log1p(ScalarConcave):
@@ -405,104 +402,6 @@ class Power(ScalarConcave):
 
     def params(self):
         return {"p": self.p}
-
-
-class Linear(ScalarConcave):
-    """u -> slope * u; the neutral element of the ratio calculus."""
-
-    kind = "linear"
-
-    def __init__(self, slope: float = 1.0):
-        if slope <= 0:
-            raise ValueError("linear: slope must be positive")
-        self.slope = float(slope)
-
-    def value(self, u):
-        return _maybe_scalar(u, self.slope * _nonneg(u))
-
-    def conjugate(self, y):
-        a = _as_array(y)
-        return _maybe_scalar(y, np.where(a >= self.slope, 0.0, -np.inf))
-
-    def conj1(self, y):
-        return 0.0 if y >= self.slope else -math.inf
-
-    def deriv_right(self, u):
-        return _maybe_scalar(u, np.full_like(_as_array(u), self.slope))
-
-    deriv_left = deriv_right
-
-    def slope0(self):
-        return self.slope
-
-    def conj_dom_lo(self):
-        return self.slope
-
-    def deriv_inv_hi(self, v):
-        a = _as_array(v)
-        return _maybe_scalar(v, np.where(a <= self.slope, np.inf, 0.0))
-
-    def deriv_inv_lo(self, v):
-        a = _as_array(v)
-        return _maybe_scalar(v, np.where(a < self.slope, np.inf, 0.0))
-
-    def alpha_exact(self):
-        return 0.0
-
-    def params(self):
-        return {"slope": self.slope}
-
-
-class NegPlusPenalty(ScalarConcave):
-    """u -> -l * (u - b)_+, the exact budget penalty (non-monotone)."""
-
-    kind = "neg_plus_penalty"
-    monotone = False
-
-    def __init__(self, l: float, b: float = 1.0):
-        if l <= 0 or b <= 0:
-            raise ValueError("neg_plus_penalty: l and b must be positive")
-        self.l = float(l)
-        self.b = float(b)
-
-    def value(self, u):
-        a = _nonneg(u)
-        return _maybe_scalar(u, -self.l * np.maximum(a - self.b, 0.0))
-
-    def conjugate(self, y):
-        a = _as_array(y)
-        out = np.where(a < -self.l, -np.inf, self.b * np.minimum(a, 0.0))
-        return _maybe_scalar(y, out)
-
-    def conj1(self, y):
-        return -math.inf if y < -self.l else self.b * min(y, 0.0)
-
-    def deriv_right(self, u):
-        a = _as_array(u)
-        return _maybe_scalar(u, np.where(a >= self.b, -self.l, 0.0))
-
-    def deriv_left(self, u):
-        a = _as_array(u)
-        return _maybe_scalar(u, np.where(a > self.b, -self.l, 0.0))
-
-    def slope0(self):
-        return 0.0
-
-    def conj_dom_lo(self):
-        return -self.l
-
-    def deriv_inv_hi(self, v):
-        a = _as_array(v)
-        out = np.where(a <= -self.l, np.inf, np.where(a <= 0, self.b, 0.0))
-        return _maybe_scalar(v, out)
-
-    def deriv_inv_lo(self, v):
-        a = _as_array(v)
-        out = np.where(a < -self.l, np.inf, np.where(a < 0, self.b, 0.0))
-        return _maybe_scalar(v, out)
-
-    def params(self):
-        return {"l": self.l, "b": self.b}
 
 
 _KINDS = {

@@ -315,18 +315,15 @@ def nesterov_pl_smoothing(base, theta: float, d: int = 2000) -> SmoothedScalar:
     theta, and sums the derivatives.  For the single-kink cap this recovers
     the classical optimal smoothing at theta equal to the drop size.
     """
-    from smoothgreed.scalar import Cap, PiecewiseLinear
+    from smoothgreed.scalar import PiecewiseLinear
 
-    if isinstance(base, Cap):
-        drops = [(1.0, base.scale)]
-        s0, u_end = base.scale, 1.0
-    elif isinstance(base, PiecewiseLinear):
-        drops = [(float(b), float(base.s[j] - base.s[j + 1]))
-                 for j, b in enumerate(base.b)]
-        s0 = float(base.s[0])
-        u_end = float(base.b[-1])
-    else:
+    # linear functions have no drop and the budget penalty is not monotone
+    if not (isinstance(base, PiecewiseLinear) and len(base.b) and base.monotone):
         raise TypeError("nesterov_pl_smoothing: base must be cap or piecewise_linear")
+    drops = [(float(b), float(base.s[j] - base.s[j + 1]))
+             for j, b in enumerate(base.b)]
+    s0 = float(base.s[0])
+    u_end = float(base.b[-1])
 
     parts = [(bj, dj, math.log1p(dj * (_E - 1.0) / theta)) for bj, dj in drops]
     scale = theta / (_E - 1.0)

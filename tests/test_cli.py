@@ -151,6 +151,15 @@ class TestRunCertify:
             capsys.readouterr()
             assert run_cli(["certify", "--instance", str(bad)]) == cli.EXIT_BAD_INPUT
             assert capsys.readouterr().out == ""
+        # diagonal allocation steps in a packing instance: wrong map kind
+        lp = tmp_path / "lp.json"
+        run_cli(["gen", "--family", "lp_random", "--n", "3", "--out", str(lp)])
+        d = json.loads(lp.read_text())
+        d["steps"] = json.loads(inst.read_text())["steps"]
+        bad.write_text(json.dumps(d))
+        capsys.readouterr()
+        assert run_cli(["certify", "--instance", str(bad)]) == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().out == ""
 
 
 class TestSweep:

@@ -224,6 +224,15 @@ class TestPackingRuns:
         rep = certify(tr, obj, inst.steps)
         assert rep.identity_ok
 
+    def test_lp_ball_sim_rejected(self):
+        # the exact packing step solves the separable-hinge LP, so a sim run
+        # would decide against a penalty its certificate does not use
+        inst = gen_lp_random(3, 12, 2, 0.8, seed=11)
+        obj = PenaltyLPObjective(3, inst.extras["l"], inst.extras["theta"],
+                                 penalty_kind="lp_ball", p=2.0)
+        with pytest.raises(ValueError, match="lp_ball"):
+            run_simultaneous(obj, inst.steps)
+
 
 class TestDeterminantRuns:
     def test_identical_vectors_match_grid_enumeration(self):

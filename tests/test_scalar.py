@@ -143,6 +143,33 @@ class TestSupergradients:
         assert hi_later <= lo_earlier + 1e-12
 
 
+class TestDerivativeInverses:
+    def test_sup_definitions_over_catalog(self):
+        # deriv_inv_hi(v) = sup{u >= 0 : deriv_right(u) >= v} and
+        # deriv_inv_lo(v) = sup{u >= 0 : deriv_left(u) > v}, with sup {} = 0:
+        # the derivative keeps the relation just below the returned point
+        # and loses it just above
+        eps = 1e-9
+        for f in CATALOG:
+            slopes = list(getattr(f, "s", [0.5, 1.0]))
+            vs = [-3.0, -0.5, 0.0] + slopes + [0.5 * (a + b) for a, b in zip(slopes, slopes[1:])]
+            if math.isfinite(f.slope0()):
+                vs.append(f.slope0() + 1.0)
+            for inv, deriv, keeps in (
+                    (f.deriv_inv_hi, f.deriv_right, lambda g, v: g >= v),
+                    (f.deriv_inv_lo, f.deriv_left, lambda g, v: g > v)):
+                for v in vs:
+                    # the unused v <= 0 branch of sqrt and power overflows
+                    with np.errstate(over="ignore", divide="ignore"):
+                        u = float(inv(v))
+                    if u == math.inf:
+                        assert keeps(float(deriv(1e6)), v), (f, inv.__name__, v)
+                        continue
+                    if u > 0:
+                        assert keeps(float(deriv(u * (1 - eps))), v), (f, inv.__name__, v, u)
+                    assert not keeps(float(deriv(u * (1 + eps) + eps)), v), (f, inv.__name__, v, u)
+
+
 class TestAlpha:
     def test_linear_is_zero(self):
         for u in (0.1, 1.0, 7.0):
