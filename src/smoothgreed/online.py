@@ -8,6 +8,9 @@ previous point; the simultaneous engine solves each step's coordinate
 maximization exactly and extracts the consistent saddle dual, so that the
 support value equals the realized inner product to floating precision.
 That exactness is what lets the duality-gap identities be asserted at 1e-9.
+Every simultaneous step solver is exact: water-filling over sorted breaks
+for separable allocation, an LP for unsmoothed packing, a scalar bisection
+for smoothed packing with one column and projected Newton with more.
 Each cone has one loop serving both engines (the orthant loop covers
 allocation and packing); the engines differ only in how a step's point is
 chosen and whether the loop tracks the saddle residual or the correction.
@@ -31,6 +34,8 @@ from smoothgreed.objectives import (
     Step,
     logdet_step_gain,
 )
+from smoothgreed.scalar import PiecewiseLinear
+
 INTERIOR_SHIFT = 1e-8
 
 
@@ -93,13 +98,116 @@ def _coord_vec(coords, uniform, method, u):
     return np.array([float(getattr(f, method)(ui)) for f, ui in zip(coords, u)])
 
 
+# Relative offset that puts a level strictly on one side of a jump of the
+# fill: a jump of a piecewise-linear coordinate sits at a_j * s_i only up to
+# the rounding of v / a_j, so the strict fill is taken a little above it
+# and the full fill a little below.  Continuous levels are solved to it.
+_LEVEL_WIN = 2e-15
+
+
+def _breaks(f, a, w):
+    """Levels at which the fill of coordinates sharing f changes regime.
+
+    A piecewise-linear fill is a step function that jumps at a * slope; any
+    other fill is continuous and strictly between 0 and 1 only for levels
+    between a * f'(w + a) and a * f'(w).
+    """
+    if isinstance(f, PiecewiseLinear):
+        return np.outer(a, f.s[f.s > 0]).ravel()
+    ends = np.concatenate((w, w + a))
+    return np.concatenate((a, a)) * np.asarray(f.deriv_right(ends), dtype=float)
+
+
+def _solve_level(total, lo, f_lo, hi, f_hi, v):
+    """Root of the continuous, nonincreasing total(v) - 1 on (lo, hi].
+
+    f_lo = total(lo+) - 1 > 0 >= f_hi = total(hi) - 1.  Safeguarded secant
+    (Illinois) from the first iterate v, when it is inside the bracket;
+    returns the upper end, so that total <= 1 at the returned level.
+    """
+    w_lo, w_hi, side = f_lo, f_hi, 0
+    for _ in range(200):
+        tol = _LEVEL_WIN * hi
+        if hi - lo <= tol or f_hi >= -1e-15:
+            break
+        if not lo < v < hi:
+            v = lo + w_lo * (hi - lo) / (w_lo - w_hi)
+        v = min(max(v, lo + 0.5 * tol), hi - 0.5 * tol)
+        f = total(v) - 1.0
+        if f > 0.0:
+            lo, f_lo, w_lo = v, f, f
+            w_hi *= 0.5 if side < 0 else 1.0
+            side = -1
+        else:
+            hi, f_hi, w_hi = v, f, f
+            w_lo *= 0.5 if side > 0 else 1.0
+            side = 1
+        v = math.nan
+    return hi
+
+
+def _shared_level(f, br, a, w, lo, hi):
+    """Closed-form level on the bracket (lo, hi] for a shared smooth f, or nan.
+
+    When the coordinates partially filled on the bracket share their bid a0,
+    they all end at one point u, where sum(u - w_j) = a0 * (1 - full count),
+    and the level is a0 * f'(u).
+    """
+    top, bottom = br[:len(a)], br[len(a):]       # a * f'(w) and a * f'(w + a)
+    part = (bottom < hi) & (top > lo)
+    if not part.any() or np.any(a[part] != a[part][0]):
+        return math.nan
+    a0 = a[part][0]
+    u = (a0 * (1.0 - np.sum(bottom >= hi)) + float(w[part].sum())) / int(part.sum())
+    return a0 * float(f.deriv_right(u))
+
+
+def _level(coords, uniform, a, w, total, s0, jumps):
+    """Smallest level v whose strict fill total(v) is at most 1; total(0) = s0 > 1.
+
+    A binary search over the sorted regime breaks of all coordinates
+    (_breaks) brackets the level.  When some fill jumps (``jumps``: a
+    piecewise-linear coordinate) and the full fill just below the bracket's
+    upper end is still above 1, that end is the level.  Otherwise the fill
+    is continuous on the bracket and the level solves total = 1
+    (_solve_level), started in closed form when the coordinates share a
+    smooth f (_shared_level).
+    """
+    if uniform:
+        br = _breaks(coords[0], a, w)
+    else:
+        br = np.concatenate([_breaks(f, a[j:j + 1], w[j:j + 1]) for j, f in enumerate(coords)])
+    g0 = np.minimum(_coord_vec(coords, uniform, "deriv_left", w), 1e12)
+    vhi = float(np.max(a * np.maximum(g0, 0.0))) * (1.0 + 1e-9) + 1e-30
+    cand = np.append(np.unique(br[(br > 0.0) & (br < vhi)]) * (1.0 + _LEVEL_WIN), vhi)
+    i, j = 0, len(cand) - 1
+    lo, s_lo, s_hi = 0.0, s0, None
+    while i < j:
+        mid = (i + j) // 2
+        s = total(cand[mid])
+        if s <= 1.0:
+            j, s_hi = mid, s
+        else:
+            i, lo, s_lo = mid + 1, cand[mid], s
+    if jumps:
+        hi = cand[j] * (1.0 - 2.0 * _LEVEL_WIN)
+        s_hi = total(hi, "deriv_inv_hi")
+        if s_hi > 1.0:
+            return cand[j]
+    else:
+        hi = cand[j]
+        s_hi = total(hi) if s_hi is None else s_hi
+    guess = _shared_level(coords[0], br, a, w, lo, hi) if uniform and not jumps else math.nan
+    return _solve_level(total, lo, s_lo - 1.0, hi, s_hi - 1.0, guess)
+
+
 def _waterfill(coords, uniform, a, w):
     """Exact coordinate maximization of sum_j f_j(w_j + a_j x_j) over the simplex.
 
-    Equalizes marginals a_j * f_j'(.) at a shared level found by bisection;
-    remaining mass at the level is assigned in index order.  Returns
-    (x, y) with y a supergradient selection making x an exact
-    support-function argmax for a * y.
+    Equalizes marginals a_j * f_j'(.) at a shared level (_level); remaining
+    mass at the level is assigned in index order.  Returns (x, y) with y a
+    supergradient selection making x an exact support-function argmax for
+    a * y.
     """
     k = len(a)
     x = np.zeros(k)
@@ -108,11 +216,28 @@ def _waterfill(coords, uniform, a, w):
         return x, _coord_vec(coords, uniform, "deriv_right", w)
     aa = a[act]
     ww = w[act]
-    sub = [coords[j] for j in range(k) if act[j]] if not uniform else coords
+    if uniform:
+        sub = coords
+        pl = np.full(len(aa), isinstance(coords[0], PiecewiseLinear))
+    else:
+        sub = [coords[j] for j in range(k) if act[j]]
+        pl = np.array([isinstance(f, PiecewiseLinear) for f in sub])
+    snap = bool(pl.any())
 
     def fill(v, inv):
         t = _coord_vec(sub, uniform, inv, v / aa)
-        return np.clip((t - ww) / aa, 0.0, 1.0)
+        x = np.clip((t - ww) / aa, 0.0, 1.0)
+        # a fill that ends at a breakpoint t must reach it in the engine's
+        # w + a*x, or the supergradient there misses the level
+        short = pl & (ww + aa * x < t) & (x < 1.0) if snap else pl
+        while short.any():
+            step = np.maximum((t - (ww + aa * x)) / aa, 0.0)
+            x[short] = np.minimum(np.maximum(x + step, np.nextafter(x, 2.0)), 1.0)[short]
+            short &= (ww + aa * x < t) & (x < 1.0)
+        return x
+
+    def total(v, inv="deriv_inv_lo"):
+        return float(fill(v, inv).sum())
 
     # Strict-gain capacity at level zero decides whether the simplex binds.
     x0 = fill(0.0, "deriv_inv_lo")
@@ -120,27 +245,16 @@ def _waterfill(coords, uniform, a, w):
         xa = x0
         v_star = 0.0
     else:
-        g0 = np.minimum(_coord_vec(sub, uniform, "deriv_left", ww), 1e12)
-        vhi = float(np.max(aa * np.maximum(g0, 0.0))) * (1.0 + 1e-9) + 1e-30
-        va, vb = 0.0, vhi
-        for _ in range(110):
-            vm = 0.5 * (va + vb)
-            if fill(vm, "deriv_inv_hi").sum() <= 1.0:
-                vb = vm
-            else:
-                va = vm
-            if vb - va <= 1e-15 * max(1.0, vb):
-                break
-        v_star = vb
-        x_min = fill(vb, "deriv_inv_lo")
-        x_max = fill(va, "deriv_inv_hi")
+        v_star = _level(sub, uniform, aa, ww, total, float(x0.sum()), snap)
+        x_min = fill(v_star, "deriv_inv_lo")
+        x_max = fill(v_star * (1.0 - 2.0 * _LEVEL_WIN), "deriv_inv_hi")
         xa = x_min.copy()
         deficit = 1.0 - xa.sum()
         if deficit > 0:
             room = np.maximum(x_max - x_min, 0.0)
-            for j in range(len(xa)):
+            for j in np.flatnonzero(room > 0.0):
                 take = min(room[j], deficit)
-                xa[j] += take
+                xa[j] = x_max[j] if take == room[j] > 0.0 else xa[j] + take
                 deficit -= take
                 if deficit <= 1e-16:
                     break
@@ -148,8 +262,9 @@ def _waterfill(coords, uniform, a, w):
     u = w + a * x
     y = _coord_vec(coords, uniform, "deriv_right", u)
     if v_star > 0.0:
-        hi = _coord_vec(sub, uniform, "deriv_left", u[act])
-        y[act] = np.clip(v_star / aa, y[act], hi)
+        # left of u by the rounding of w + a*x, which can pass a breakpoint
+        upper = _coord_vec(sub, uniform, "deriv_left", u[act] * (1.0 - _LEVEL_WIN))
+        y[act] = np.clip(v_star / aa, y[act], upper)
     return x, y
 
 
@@ -217,52 +332,94 @@ def _lp_step_scalar(obj: PenaltyLPObjective, st: Step, state):
     return np.array([x]), y
 
 
-def _lp_step_pga(obj: PenaltyLPObjective, st: Step, state, iters=4000):
-    """Projected supergradient ascent fallback for smoothed multi-column steps.
+def _lp_step_newton(obj: PenaltyLPObjective, st: Step, state):
+    """Exact step for a smoothed penalty and k > 1: projected Newton.
 
-    Approximate: the returned dual keeps certificates valid but the saddle
-    residual is only driven small, not to floating precision.
+    Maximizes c.x + sum_i G(w_i + (Bx)_i) over {x >= 0, sum(x) <= 1}, where
+    G is the smoothed penalty (concave, C^1, piecewise C^2).  An active set
+    holds the coordinates fixed at 0 and whether sum(x) = 1 binds; on its
+    face, Newton steps with the k x k Hessian B^T diag(G'') B, slightly
+    regularized where G is linear, run to the boundary or to an Armijo
+    step.  At the face's optimum the most violated constraint is released,
+    until the multipliers certify the optimum (Bertsekas 1982).  Returns
+    (x, G'(w + Bx)).
     """
     pen = obj.engine_pen()
     c, B = st.A.c, st.A.B
-    k = B.shape[1]
+    k = len(c)
     w = state[1:]
 
-    def val(x):
+    def value(x):
         return float(c @ x) + float(np.sum(pen.value(w + B @ x)))
 
-    best_x, best_v = np.zeros(k), val(np.zeros(k))
-    for j in range(k):
-        e = np.zeros(k)
-        e[j] = 1.0
-        v = val(e)
-        if v > best_v:
-            best_x, best_v = e, v
-    x = best_x.copy()
-    for it in range(iters):
-        g = c + B.T @ np.asarray(pen.deriv_right(w + B @ x), dtype=float)
-        step = 0.5 / (it + 1.0)
-        x = _project_simplex_cap(x + step * g)
+    x = np.zeros(k)
+    free = np.zeros(k, dtype=bool)     # coordinates not fixed at 0
+    tight = False                      # sum(x) = 1 binds
+    for _ in range(100):
+        u = w + B @ x
+        g = c + B.T @ np.asarray(pen.deriv_right(u), dtype=float)
+        tol = 1e-14 * (1.0 + float(np.max(np.abs(g))))
+        F = np.flatnonzero(free)
+        lam = float(np.mean(g[F])) if tight else 0.0
+        r = g[F] - lam
+        d = np.zeros(len(F))
+        if len(F) > tight:          # else the face is a point
+            BF = B[:, F]
+            M = -BF.T @ (np.asarray(pen.deriv2(u), dtype=float)[:, None] * BF)
+            M[np.diag_indices_from(M)] += 1e-10 * (1.0 + float(np.max(np.diag(M))))
+            if tight:   # d = M^-1 (r - nu 1) with sum(d) = 0
+                p, q = np.linalg.solve(M, np.column_stack((r, np.ones(len(F))))).T
+                d = p - (p.sum() / q.sum()) * q
+            else:
+                d = np.linalg.solve(M, r)
+        if np.max(np.abs(r), initial=0.0) > tol and np.max(np.abs(d), initial=0.0) > 1e-16:
+            # longest step keeping x >= 0 and sum(x) <= 1, then Armijo; below
+            # the resolution of the value the Newton step is taken whole
+            neg = d < 0
+            ends = -x[F][neg] / d[neg]
+            amax = min(ends, default=math.inf)
+            if not tight and d.sum() > 0:
+                amax = min(amax, max(1.0 - x.sum(), 0.0) / d.sum())
+            alpha, v0, slope = min(1.0, amax), value(x), float(r @ d)
+            xn = x.copy()
+            while alpha * float(np.max(np.abs(d))) > 1e-16:
+                xn[F] = np.maximum(x[F] + alpha * d, 0.0)
+                if slope <= 1e-13 * (1.0 + abs(v0)) or value(xn) >= v0 + 1e-4 * alpha * slope:
+                    break
+                alpha *= 0.5
+            else:
+                alpha, xn = 0.0, x.copy()
+            blocked = F[neg][ends <= amax] if alpha == amax else F[:0]
+            xn[blocked] = 0.0
+            while xn.sum() > 1.0:
+                xn /= np.nextafter(xn.sum(), 2.0)
+            if len(blocked) or not np.array_equal(xn, x):
+                free[blocked] = False
+                tight = tight or (alpha == amax and len(blocked) == 0) or xn.sum() >= 1.0
+                x = xn
+                continue
+        # optimum on the face: release the most violated constraint, if any
+        viol = np.where(free, -math.inf, g - lam)
+        j = int(np.argmax(viol))
+        if tight and -lam > max(viol[j], tol):
+            tight = False
+        elif viol[j] > tol:
+            free[j] = True
+        else:
+            break
     u = w + B @ x
-    y = np.asarray(pen.deriv_right(u), dtype=float)
-    return x, y
-
-
-def _project_simplex_cap(z):
-    z = np.maximum(z, 0.0)
-    s = z.sum()
-    if s <= 1.0:
-        return z
-    mu = (np.sort(z)[::-1].cumsum() - 1.0) / np.arange(1, len(z) + 1)
-    rho = np.max(np.nonzero(np.sort(z)[::-1] > mu)[0])
-    return np.maximum(z - mu[rho], 0.0)
+    return x, np.asarray(pen.deriv_right(u), dtype=float)
 
 
 def _sim_step(obj, st: Step, u):
     """Exact coordinate maximization of one orthant step at the state u.
 
-    Returns (x, z) with z = A^T y for the step's saddle dual y, so that x
-    attains the support value of z.
+    Separable allocation steps are water-filled (_waterfill); packing steps
+    solve the epigraph LP when unsmoothed (_lp_step_exact), and otherwise
+    bisect the scalar slope at k == 1 (_lp_step_scalar) or run projected
+    Newton on the simplex (_lp_step_newton).  Returns (x, z) with z = A^T y
+    for the step's saddle dual y, so that x attains the support value of z
+    up to floating-point rounding.
     """
     if isinstance(obj, SeparableObjective):
         uniform = obj._uniform_s if obj.smoothed is not None else obj._uniform
@@ -273,7 +430,7 @@ def _sim_step(obj, st: Step, u):
     elif st.A.B.shape[1] == 1:
         x, y_pen = _lp_step_scalar(obj, st, u)
     else:
-        x, y_pen = _lp_step_pga(obj, st, u)
+        x, y_pen = _lp_step_newton(obj, st, u)
     return x, st.A.c + st.A.B.T @ y_pen
 
 
@@ -348,10 +505,14 @@ def _check_steps(obj, steps):
 
 def run_simultaneous(obj, steps, keep_records: bool = True) -> RunTrace:
     """Run the simultaneous-update engine; exact per-step saddles."""
-    if isinstance(obj, PenaltyLPObjective) and obj.penalty_kind == "lp_ball":
-        # the exact packing step solves the separable-hinge LP, not this penalty
-        raise ValueError("run_simultaneous: no exact step solver for the lp_ball "
-                         "penalty; use run_sequential")
+    if isinstance(obj, PenaltyLPObjective):
+        if obj.penalty_kind == "lp_ball":
+            # the exact packing step solves the separable-hinge LP, not this penalty
+            raise ValueError("run_simultaneous: no exact step solver for the lp_ball "
+                             "penalty; use run_sequential")
+        if obj.smoothed_penalty is not None and not hasattr(obj.smoothed_penalty, "deriv2"):
+            # projected Newton needs the penalty's second derivative
+            raise ValueError("run_simultaneous: a smoothed penalty must be a SmoothedScalar")
     _check_steps(obj, steps)
     return (_run_psd if obj.cone == "psd" else _run_orthant)(obj, steps, "sim", keep_records)
 

@@ -340,7 +340,8 @@ class Sqrt(ScalarConcave):
 
     def deriv_inv_hi(self, v):
         a = _as_array(v)
-        out = np.where(a <= 0, np.inf, 0.25 / np.maximum(a, 1e-300) ** 2)
+        with np.errstate(divide="ignore", over="ignore"):
+            out = np.where(a <= 0, np.inf, 0.25 / np.maximum(a, 1e-300) ** 2)
         return _maybe_scalar(v, out)
 
     deriv_inv_lo = deriv_inv_hi
@@ -392,7 +393,8 @@ class Power(ScalarConcave):
 
     def deriv_inv_hi(self, v):
         a = _as_array(v)
-        out = np.where(a <= 0, np.inf, (self.p / np.maximum(a, 1e-300)) ** (1.0 / (1.0 - self.p)))
+        with np.errstate(over="ignore"):
+            out = np.where(a <= 0, np.inf, (self.p / np.maximum(a, 1e-300)) ** (1.0 / (1.0 - self.p)))
         return _maybe_scalar(v, out)
 
     deriv_inv_lo = deriv_inv_hi

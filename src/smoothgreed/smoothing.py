@@ -71,6 +71,7 @@ class SmoothedScalar:
         self.exact_y = exact_y
         self.exact_cumint = exact_cumint
         self.exact_y_inv = exact_y_inv
+        self.exact_dy = None    # closed-form second derivative, set by the penalty smoothings
         self.monotone = bool(y[-1] >= -1e-12)
         self.label = label
 
@@ -103,6 +104,17 @@ class SmoothedScalar:
     # scalar-concave protocol compatibility
     deriv_right = deriv
     deriv_left = deriv
+
+    def deriv2(self, u):
+        """Right second derivative: the slope of the interpolated derivative,
+        or its closed form when the smoothing carries one (``exact_dy``)."""
+        u = np.asarray(u, dtype=float)
+        if self.exact_dy is not None:
+            out = self.exact_dy(u)
+        else:
+            idx = np.clip((u / self.h).astype(int), 0, self.d - 1)
+            out = np.where(u < self.u_end, (self.y[idx + 1] - self.y[idx]) / self.h, 0.0)
+        return out if out.ndim else float(out)
 
     def supergrad(self, u):
         g = float(self.deriv(float(u)))
@@ -222,6 +234,10 @@ def _clipped_exp_smoothing(l, theta, gamma, b, u_clip, d, label):
         inner = scale * (uc - np.expm1(gamma * uc / b) * b / gamma)
         return inner - l * np.maximum(u - u_clip, 0.0)
 
+    def dy_of(u):
+        u = np.asarray(u, dtype=float)
+        return np.where(u < u_clip, -scale * gamma / b * np.exp(gamma * np.minimum(u, u_clip) / b), 0.0)
+
     def y_inv(v, side):
         v = np.asarray(v, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -234,6 +250,7 @@ def _clipped_exp_smoothing(l, theta, gamma, b, u_clip, d, label):
     sm = SmoothedScalar(h, y_of(h * np.arange(d + 1)), tail_mode="hold_last",
                         exact_y=y_of, exact_cumint=cumint_of, exact_y_inv=y_inv,
                         require_nonneg=False, label=label)
+    sm.exact_dy = dy_of
     sm.gamma = gamma
     return sm
 

@@ -29,6 +29,7 @@ from smoothgreed.smoothing import (
     design_optimal,
     design_sequential,
     nesterov_logdet_smoothing,
+    nesterov_penalty_smoothing,
     nesterov_pl_smoothing,
     verify_beta,
 )
@@ -172,7 +173,23 @@ def test_criterion_4_certificate_soundness():
                 assert rep.passed, (seed, algo, rep)
                 assert duality_gap_diagnostics(tr, obj, tol=tol).passed
             count += 1
-        assert count >= 200, count
+
+        # smoothed packing: scalar bisection at k = 1, projected Newton at k > 1
+        for seed in range(60):
+            k = 1 + seed % 3
+            inst = gen_lp_random(3 + seed % 3, 12, k, 0.6 + 0.2 * (seed % 2), seed=seed)
+            l, theta = inst.extras["l"], inst.extras["theta"]
+            obj = PenaltyLPObjective(inst.params["n"], l, theta,
+                                     smoothed_penalty=nesterov_penalty_smoothing(l, theta))
+            for algo, run in (("sim", run_simultaneous), ("seq", run_sequential)):
+                tr = run(obj, inst.steps)
+                rep = certify(tr, obj, inst.steps, tol=tol)
+                assert rep.passed, (seed, algo, rep)
+                assert duality_gap_diagnostics(tr, obj, tol=tol).passed
+                if algo == "sim":
+                    assert tr.saddle_residual <= 1e-10, (seed, tr.saddle_residual)
+            count += 1
+        assert count >= 260, count
     _report(f"criterion 4: certificate soundness on {count} instances", tm)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from smoothgreed.instances import gen_adwords_triangular, gen_logdet_stream, gen_lp_random
 from smoothgreed.objectives import (
@@ -16,16 +18,18 @@ from smoothgreed.objectives import (
     dual_objective,
 )
 from smoothgreed.online import (
+    _waterfill,
     certify,
     duality_gap_diagnostics,
     run_sequential,
     run_simultaneous,
 )
-from smoothgreed.scalar import Cap, Linear, Sqrt
+from smoothgreed.scalar import Cap, Linear, Log1p, NegPlusPenalty, PiecewiseLinear, Sqrt
 from smoothgreed.smoothing import (
     adwords_closed_form_smoothing,
     nesterov_logdet_smoothing,
     nesterov_penalty_smoothing,
+    nesterov_pl_smoothing,
 )
 
 from oracles import enumerate_offline_best, logdet_relaxation_grid
@@ -38,6 +42,34 @@ def adwords_obj(n, smoothed=False):
         s = adwords_closed_form_smoothing()
         return SeparableObjective([Cap(1.0)] * n, smoothed=s, certified_beta=s.beta_exact)
     return SeparableObjective([Cap(1.0)] * n)
+
+
+# coordinate functions for the water-filling properties: name -> (coords, shared)
+_CAP = Cap(1.0)
+_WATERFILL_KINDS = {
+    "cap": ([_CAP], True),
+    "pl3": ([PiecewiseLinear([0.5, 1.0], [1.0, 0.5, 0.0])], True),
+    "closed_form": ([adwords_closed_form_smoothing()], True),
+    "nesterov_grid": ([nesterov_pl_smoothing(_CAP, 1.0)], True),
+    "mixed": ([_CAP, Log1p(), Sqrt()], False),
+}
+
+
+def simplex_lattice(k, steps):
+    """Points of {x >= 0, sum(x) <= 1} in R^k with coordinates in multiples of 1/steps."""
+    axes = np.meshgrid(*[np.arange(steps + 1)] * k, indexing="ij")
+    pts = np.stack([ax.ravel() for ax in axes], axis=1)
+    return pts[pts.sum(axis=1) <= steps] / steps
+
+
+def packing_state(steps, xs):
+    """Consumption before each step, from the recorded x."""
+    u = np.zeros(steps[0].A.B.shape[0])
+    out = []
+    for st, x in zip(steps, xs):
+        out.append(u.copy())
+        u = u + st.A.B @ x
+    return out
 
 
 def replay_states(obj, steps, trace):
@@ -138,6 +170,11 @@ class TestEngineInvariants:
         inst = gen_adwords_triangular(8, 5)
         tr = run_simultaneous(adwords_obj(8, True), inst.steps)
         assert tr.saddle_residual <= 1e-10
+        for k in (2, 3):    # smoothed packing: the projected Newton step
+            inst = gen_lp_random(5, 30, k, 0.7, seed=4)
+            l, theta = inst.extras["l"], inst.extras["theta"]
+            obj = PenaltyLPObjective(5, l, theta, smoothed_penalty=nesterov_penalty_smoothing(l, theta))
+            assert run_simultaneous(obj, inst.steps).saddle_residual <= 1e-10, k
         inst = gen_logdet_stream(4, 20, 2.0, seed=3)
         A0, l = np.asarray(inst.extras["A0"]), inst.extras["l"]
         for pen in (None, nesterov_logdet_smoothing(4, l, 2.0)):
@@ -173,6 +210,67 @@ class TestEngineInvariants:
                 assert achieved >= brute - 1e-8, (smoothed, trial, achieved, brute)
                 assert tr.saddle_residual <= 1e-10
 
+    @settings(max_examples=150, deadline=None)
+    @given(hs.sampled_from(sorted(_WATERFILL_KINDS)), hs.integers(1, 3),
+           hs.lists(hs.floats(0.05, 1.5), min_size=3, max_size=3),
+           hs.lists(hs.floats(0.0, 1.2), min_size=3, max_size=3),
+           hs.booleans(), hs.booleans(), hs.integers(0, 3))
+    # w + a*x rounds to just below (first) or above (second) the cap's
+    # breakpoint for the coordinate filled to capacity
+    @example("cap", 3, [1.016911391860672, 0.01734076558027651, 1.1450118271178562],
+             [0.1333687723294408] * 3, False, True, 3)
+    @example("cap", 3, [1.0, 1.2359826283109372, 0.27680340449866],
+             [0.24260171277058154] * 3, False, True, 0)
+    def test_waterfill_exact_saddle(self, kind, k, a, w, equal_bids, equal_w, zero_bid):
+        funcs, shared = _WATERFILL_KINDS[kind]
+        coords = [funcs[j % len(funcs)] for j in range(k)]
+        a = np.full(k, a[0]) if equal_bids else np.array(a[:k])
+        w = np.full(k, w[0]) if equal_w else np.array(w[:k])
+        if zero_bid < k:
+            a[zero_bid] = 0.0
+        x, y = _waterfill(coords, shared, a, w)
+        assert np.all(x >= 0.0) and x.sum() <= 1.0 + 1e-15, x
+        u = w + a * x
+        lo = np.array([float(f.deriv_right(ui)) for f, ui in zip(coords, u)])
+        # the realized w + a*x can pass a breakpoint by its rounding, so the
+        # upper end of the supergradient interval is read just left of it
+        hi = np.array([float(f.deriv_left(ui * (1.0 - 2e-15))) for f, ui in zip(coords, u)])
+        assert np.all(y >= lo) and np.all(y <= hi), (y, lo, hi)
+        z = a * y
+        assert abs(max(0.0, float(z.max())) * min(float(x.sum()), 1.0) - float(x @ z)) <= 1e-12
+        lattice = simplex_lattice(k, {1: 400, 2: 200, 3: 60}[k])
+        vals = sum(np.asarray(f.value(wj + aj * lattice[:, j]), dtype=float)
+                   for j, (f, aj, wj) in enumerate(zip(coords, a, w)))
+        achieved = sum(float(f.value(uj)) for f, uj in zip(coords, u))
+        assert achieved >= float(np.max(vals)) - 1e-8, (achieved, float(np.max(vals)))
+
+    def test_waterfill_plain_cap_adversary_is_index_greedy(self):
+        # with equal bids b the level is b and every simultaneous record is
+        # the index-order fill of the capacities clip((1 - w)/b, 0, 1),
+        # computed with the same floating-point operations, bit for bit
+        for n, phase_len in ((12, 7), (30, 3)):
+            inst = gen_adwords_triangular(n, phase_len)
+            tr = run_simultaneous(adwords_obj(n), inst.steps)
+            w = np.zeros(n)
+            for st, rec in zip(inst.steps, tr.records):
+                act = st.A.a > 0
+                b = st.A.a[act]
+                room = np.clip((1.0 - w[act]) / b, 0.0, 1.0)
+                if room.sum() <= 1.0 + 1e-15:
+                    xa = room
+                else:
+                    xa, deficit = np.zeros(len(b)), 1.0
+                    for j in range(len(xa)):
+                        take = min(room[j], deficit)
+                        xa[j] += take
+                        deficit -= take
+                        if deficit <= 1e-16:
+                            break
+                x = np.zeros(n)
+                x[act] = xa
+                np.testing.assert_array_equal(rec.x, x)
+                w = w + st.A.a * x
+
 
 class TestPackingRuns:
     def test_unsmoothed_certificates(self):
@@ -206,6 +304,23 @@ class TestPackingRuns:
             rep = certify(tr, obj, inst.steps)
             assert rep.identity_ok
 
+    def test_smoothed_step_matches_brute_maximization(self):
+        # k = 2: every simultaneous step attains the maximum of the smoothed
+        # step objective, checked against a dense simplex grid
+        lattice = simplex_lattice(2, 400)
+        for seed in range(3):
+            inst = gen_lp_random(4, 25, 2, 0.8, seed=seed)
+            l, theta = inst.extras["l"], inst.extras["theta"]
+            pen = nesterov_penalty_smoothing(l, theta)
+            obj = PenaltyLPObjective(4, l, theta, smoothed_penalty=pen)
+            tr = run_simultaneous(obj, inst.steps)
+            xs = [rec.x for rec in tr.records]
+            for st, x, w in zip(inst.steps, xs, packing_state(inst.steps, xs)):
+                c, B = st.A.c, st.A.B
+                step_val = lambda pts: pts @ c + np.sum(pen.value(w[None, :] + pts @ B.T), axis=1)
+                achieved = float(step_val(x[None, :])[0])
+                assert achieved >= float(np.max(step_val(lattice))) - 1e-8, (seed, x)
+
     def test_sequential_packing_runs(self):
         inst = gen_lp_random(4, 15, 2, 0.8, seed=7)
         obj = PenaltyLPObjective(4, inst.extras["l"], inst.extras["theta"])
@@ -231,6 +346,11 @@ class TestPackingRuns:
         obj = PenaltyLPObjective(3, inst.extras["l"], inst.extras["theta"],
                                  penalty_kind="lp_ball", p=2.0)
         with pytest.raises(ValueError, match="lp_ball"):
+            run_simultaneous(obj, inst.steps)
+        # a catalog function in place of a smoothing has no second derivative
+        obj = PenaltyLPObjective(3, inst.extras["l"], inst.extras["theta"],
+                                 smoothed_penalty=NegPlusPenalty(inst.extras["l"], 1.0))
+        with pytest.raises(ValueError, match="SmoothedScalar"):
             run_simultaneous(obj, inst.steps)
 
 

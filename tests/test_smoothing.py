@@ -93,6 +93,23 @@ class TestNesterovClosedForms:
         total = 1.0 + np.asarray(pen.deriv(us))
         np.testing.assert_allclose(total, (E - np.exp(us)) / (E - 1), atol=1e-12)
 
+    def test_second_derivative_matches_difference_quotient(self):
+        # closed forms and the grid's own interpolation, away from the kinks
+        grid = nesterov_pl_smoothing(Cap(1.0), 1.0, d=200)
+        cases = ((nesterov_penalty_smoothing(2.0, 1.0), 1.0),
+                 (nesterov_logdet_smoothing(3, 2.0, 1.5), None),
+                 (grid, grid.u_end))
+        for sm, end in cases:
+            end = sm.u_end if end is None else end
+            us = np.linspace(0.013, 0.97 * end, 37)
+            if sm is grid:      # midpoints of grid cells: the slope there is exact
+                us = (np.floor(us / sm.h) + 0.5) * sm.h
+            eps = 1e-6 * sm.h if sm is grid else 1e-6
+            fd = (np.asarray(sm.deriv(us + eps)) - np.asarray(sm.deriv(us - eps))) / (2 * eps)
+            np.testing.assert_allclose(np.asarray(sm.deriv2(us)), fd, rtol=1e-6, atol=1e-8)
+            # constant past the clip or the end of the grid
+            assert sm.deriv2(end * 1.5 + 0.1) == 0.0
+
     def test_penalty_inactive_at_origin(self):
         assert nesterov_penalty_smoothing(2.0, 1.0).deriv(0.0) == 0.0
 
