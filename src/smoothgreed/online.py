@@ -201,6 +201,34 @@ def _level(coords, uniform, a, w, total, s0, jumps):
     return _solve_level(total, lo, s_lo - 1.0, hi, s_hi - 1.0, guess)
 
 
+def _fill_deficit(x, idx, x_min, x_max):
+    """Assign 1 - sum(x) within the rooms x_max - x_min, in index order.
+
+    ``x`` is the full vector, holding x_min at the positions ``idx``.  The
+    running deficit rounds differently from the sum of x, so what the sum
+    still exceeds 1 by is taken back from the filled coordinates, last
+    first; any point of a room keeps the level's marginal.
+    """
+    deficit = 1.0 - x.sum()
+    filled = []
+    if deficit > 0:
+        room = np.maximum(x_max - x_min, 0.0)
+        for j in np.flatnonzero(room > 0.0):
+            take = min(room[j], deficit)
+            x[idx[j]] = x_max[j] if take == room[j] else x[idx[j]] + take
+            filled.append(j)
+            deficit -= take
+            if deficit <= 1e-16:
+                break
+    for j in reversed(filled):
+        over = x.sum() - 1.0
+        while over > 0.0 and x[idx[j]] > x_min[j]:
+            x[idx[j]] = max(min(x[idx[j]] - over, np.nextafter(x[idx[j]], 0.0)), x_min[j])
+            over = x.sum() - 1.0
+        if over <= 0.0:
+            break
+
+
 def _waterfill(coords, uniform, a, w):
     """Exact coordinate maximization of sum_j f_j(w_j + a_j x_j) over the simplex.
 
@@ -236,29 +264,22 @@ def _waterfill(coords, uniform, a, w):
             short &= (ww + aa * x < t) & (x < 1.0)
         return x
 
+    # Sums are taken over the full x, as callers take them: with inactive
+    # zeros in between, pairwise summation can round differently.
     def total(v, inv="deriv_inv_lo"):
-        return float(fill(v, inv).sum())
+        x[act] = fill(v, inv)
+        return float(x.sum())
 
     # Strict-gain capacity at level zero decides whether the simplex binds.
-    x0 = fill(0.0, "deriv_inv_lo")
-    if x0.sum() <= 1.0 + 1e-15:
-        xa = x0
+    s0 = total(0.0)
+    if s0 <= 1.0:
         v_star = 0.0
     else:
-        v_star = _level(sub, uniform, aa, ww, total, float(x0.sum()), snap)
+        v_star = _level(sub, uniform, aa, ww, total, s0, snap)
         x_min = fill(v_star, "deriv_inv_lo")
         x_max = fill(v_star * (1.0 - 2.0 * _LEVEL_WIN), "deriv_inv_hi")
-        xa = x_min.copy()
-        deficit = 1.0 - xa.sum()
-        if deficit > 0:
-            room = np.maximum(x_max - x_min, 0.0)
-            for j in np.flatnonzero(room > 0.0):
-                take = min(room[j], deficit)
-                xa[j] = x_max[j] if take == room[j] > 0.0 else xa[j] + take
-                deficit -= take
-                if deficit <= 1e-16:
-                    break
-    x[act] = xa
+        x[act] = x_min
+        _fill_deficit(x, np.flatnonzero(act), x_min, x_max)
     u = w + a * x
     y = _coord_vec(coords, uniform, "deriv_right", u)
     if v_star > 0.0:

@@ -66,6 +66,10 @@ class ScalarConcave:
         """Scalar conjugate on the fast path (root finds hit this a lot)."""
         return float(self.conjugate(y))
 
+    def conj1_slope(self, y: float) -> float:
+        """Right derivative of the conjugate at y, deriv_inv_lo(y), as a float."""
+        return float(self.deriv_inv_lo(y))
+
     def deriv_right(self, u):
         """Right derivative (lower end of the supergradient interval)."""
         raise NotImplementedError
@@ -181,6 +185,12 @@ class PiecewiseLinear(ScalarConcave):
                 break
         return y * knot - val
 
+    def conj1_slope(self, y):
+        for s, knot, _ in self._pieces:
+            if s <= y:
+                return knot
+        return math.inf
+
     def deriv_right(self, u):
         a = _as_array(u)
         return _maybe_scalar(u, self.s[np.searchsorted(self.b, a, side="right")])
@@ -287,6 +297,9 @@ class Log1p(ScalarConcave):
             return -math.inf
         return 1.0 - y + math.log(y)
 
+    def conj1_slope(self, y):
+        return max(1.0 / max(y, 1e-300) - 1.0, 0.0) if y > 0 else math.inf
+
     def deriv_right(self, u):
         return _maybe_scalar(u, 1.0 / (1.0 + _as_array(u)))
 
@@ -323,6 +336,10 @@ class Sqrt(ScalarConcave):
 
     def conj1(self, y):
         return -0.25 / y if y > 0 else -math.inf
+
+    def conj1_slope(self, y):
+        yy = y * y
+        return 0.25 / yy if y > 0 and yy > 0 else math.inf
 
     def deriv_right(self, u):
         a = _as_array(u)
@@ -376,6 +393,14 @@ class Power(ScalarConcave):
             return -math.inf
         ustar = (self.p / y) ** (1.0 / (1.0 - self.p))
         return y * ustar - ustar ** self.p
+
+    def conj1_slope(self, y):
+        if y <= 0:
+            return math.inf
+        try:
+            return (self.p / max(y, 1e-300)) ** (1.0 / (1.0 - self.p))
+        except OverflowError:
+            return math.inf
 
     def deriv_right(self, u):
         a = _as_array(u)

@@ -438,8 +438,11 @@ class DesignSpec:
     feas_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.d < 10:
-            raise ValueError("DesignSpec: d must be >= 10")
+        for name in ("u_end", "c", "beta_tol", "feas_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"DesignSpec: {name} must be finite, got {getattr(self, name)!r}")
+        if not isinstance(self.d, (int, np.integer)) or self.d < 10:
+            raise ValueError(f"DesignSpec: d must be an integer >= 10, got {self.d!r}")
         if self.beta_tol <= 0 or self.feas_tol <= 0:
             raise ValueError("DesignSpec: tolerances must be positive")
         if self.u_end <= 0:
@@ -499,53 +502,68 @@ class DesignResult:
             json.dump(self.summary(), fh, indent=1)
 
 
-def _min_feasible_y(conj, lin_coeff, const, target, y_hi, y_argmin, tol=1e-12):
-    """Smallest y in [0, y_hi] with const + lin_coeff*y - conj(y) <= target.
+def _min_feasible_y(base, lin_coeff, const, target, y_hi, y_argmin, tol=1e-12):
+    """Smallest y in [0, y_hi] with g(y) = const + lin_coeff*y - conj(y) - target <= 0.
 
-    The left side is convex in y and minimized at ``y_argmin`` (a
-    supergradient of the base at u = lin_coeff, precomputed by the caller).
-    Returns None when no feasible y exists in the range.
+    g is convex in y and minimized at ``y_argmin`` (a supergradient of the
+    base at u = lin_coeff, precomputed by the caller); its right derivative
+    is lin_coeff - conj'(y+), with conj'(y+) the base's ``conj1_slope``.
+    Safeguarded Newton on the bracket [lo, hi], g(lo) > 0 >= g(hi): on a
+    convex g a Newton step never passes the root, so steps are taken from
+    lo (from hi while g(lo) is infinite), kept one tolerance inside the
+    bracket, and replaced by the midpoint when they leave it or the slope
+    is not finite and negative.  Returns hi
+    once hi - tol*max(1, hi) <= lo: feasible and within tol of the smallest
+    feasible y.  Returns None when no feasible y exists in the range.
     """
-    ystar = min(y_argmin, y_hi)
-    gstar = const + lin_coeff * ystar - conj(ystar) - target
-    if not gstar <= 1e-11:
+    conj, slope = base.conj1, base.conj1_slope
+    hi = min(y_argmin, y_hi)
+    ghi = const + lin_coeff * hi - conj(hi) - target
+    if not ghi <= 1e-11:
         return None
-    if const - conj(0.0) - target <= 0.0:
-        return 0.0
-    lo, hi = 0.0, ystar
+    # below the conjugate's domain g is +inf; start at its edge
+    lo = max(0.0, base.conj_dom_lo())
+    glo = const + lin_coeff * lo - conj(lo) - target
+    if glo <= 0.0:
+        return lo
+    if ghi > 0.0:
+        return hi      # the minimum misses by rounding only
     while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if const + lin_coeff * mid - conj(mid) - target <= 0.0:
-            hi = mid
+        y0, g0 = (lo, glo) if glo < math.inf else (hi, ghi)
+        dg = lin_coeff - slope(y0)
+        y = y0 - g0 / dg if -math.inf < dg < 0.0 else math.nan
+        if lo <= y <= hi:
+            y = min(max(y, lo + tol * max(1.0, lo)), hi - tol * max(1.0, hi))
+        if not lo < y < hi:
+            y = 0.5 * (lo + hi)
+        gy = const + lin_coeff * y - conj(y) - target
+        if gy <= 0.0:
+            hi, ghi = y, gy
         else:
-            lo = mid
+            lo, glo = y, gy
     return hi
 
 
-def _greedy_construct(spec: DesignSpec, beta: float):
+def _greedy_construct(spec: DesignSpec, beta: float, psis: list):
     """Forward minimal-derivative construction for a candidate beta.
 
     Chooses at each knot the smallest feasible derivative sample, which
     keeps the accumulated integral (the only coupling across knots) as
-    small as possible.  Returns the grid or None when construction fails.
+    small as possible.  ``psis`` lists the base at the knots.  Returns the
+    grid or None when construction fails.
     """
     base, d, c = spec.base, spec.d, spec.c
     h = spec.u_end / d
-    psis = np.asarray(base.value(h * np.arange(d + 1)), dtype=float)
-    if np.any(psis[1:] <= 0):
-        raise ValueError("design: base must be positive on the grid interior")
     s0 = base.slope0()
     inf_slope = not math.isfinite(s0)
     ycap = SLOPE_CAP if inf_slope else s0
-    conj = base.conj1
     # Convexity in y makes g minimal at a supergradient of the base taken
     # at the linear coefficient; hoisted, since it is shared by all knots.
     lin = 0.5 * h - c
     y_argmin = float(base.supergrad(lin).hi) if lin > 0 else SLOPE_CAP
     lin1 = h - c
     y_argmin1 = float(base.supergrad(lin1).hi) if lin1 > 0 else SLOPE_CAP
-    y = np.zeros(d + 1)
-    y[0] = ycap
+    y = [ycap] * (d + 1)
     cum = 0.0
     for t in range(1, d + 1):
         first_free = t == 1 and inf_slope
@@ -557,7 +575,7 @@ def _greedy_construct(spec: DesignSpec, beta: float):
         if c:
             const += c * s0
         target = beta * psis[t]
-        yt = _min_feasible_y(conj, lc, const, target, min(y[t - 1], ycap), am)
+        yt = _min_feasible_y(base, lc, const, target, min(y[t - 1], ycap), am)
         if yt is None:
             return None
         y[t] = yt
@@ -570,7 +588,7 @@ def _greedy_construct(spec: DesignSpec, beta: float):
         return None
     if spec.plateau:
         y[d] = 0.0
-    return y
+    return np.array(y)
 
 
 def _design(spec: DesignSpec) -> DesignResult:
@@ -584,17 +602,21 @@ def _design(spec: DesignSpec) -> DesignResult:
     beta_hi = max(1.0, 1.0 - alpha_bar(spec.base, spec.u_end)) + 0.05
     if spec.c > 0:
         beta_hi += spec.c * spec.base.slope0() / max(spec.base.value(spec.u_end), 1e-12) + spec.c
+    h = spec.u_end / spec.d
+    psis = np.asarray(spec.base.value(h * np.arange(spec.d + 1)), dtype=float)
+    if np.any(psis[1:] <= 0):
+        raise ValueError("design: base must be positive on the grid interior")
+    psis = psis.tolist()
     tries = 0
-    while _greedy_construct(spec, beta_hi) is None:
+    while (y_best := _greedy_construct(spec, beta_hi, psis)) is None:
         beta_hi *= 1.5
         tries += 1
         if tries > 60:
             raise RuntimeError("design: could not bracket a feasible beta")
     lo, hi = 1.0, beta_hi
-    y_best = _greedy_construct(spec, hi)
     while hi - lo > spec.beta_tol:
         mid = 0.5 * (lo + hi)
-        y_mid = _greedy_construct(spec, mid)
+        y_mid = _greedy_construct(spec, mid, psis)
         if y_mid is None:
             lo = mid
         else:

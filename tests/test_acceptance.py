@@ -8,6 +8,7 @@ import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,7 +215,7 @@ def test_criterion_6_figure_shapes(tmp_path):
                              ("2a", ["--points", "6", "--d-plateau", "500"]),
                              ("2b", ["--points", "6", "--grid-h", "0.1"])):
             assert cli.main(["figures", "--which", which, "--out", out] + extra) == 0
-            lines = open(os.path.join(out, f"figure_{which}.csv")).read().strip().splitlines()
+            lines = Path(os.path.join(out, f"figure_{which}.csv")).read_text().strip().splitlines()
             assert lines[0].startswith("# smoothgreed")
             curves[which] = [(float(r.split(",")[0]), float(r.split(",")[2]))
                              for r in lines[2:]]

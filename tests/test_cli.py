@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ class TestDesignCommand:
         rc = run_cli(["design", "--objective", cap_descriptor, "--horizon", "1.0",
                       "--grid", "500", "--plateau", "--out", out])
         assert rc == 0
-        summary = json.loads(open(out + ".json").read())
+        summary = json.loads(Path(out + ".json").read_text())
         assert summary["beta"] == pytest.approx(math.e / (math.e - 1), abs=2e-3)
         with open(out + ".csv") as fh:
             first = fh.readline()
@@ -43,7 +44,7 @@ class TestDesignCommand:
         rc = run_cli(["design", "--objective", str(p), "--horizon", "2.0",
                       "--grid", "100", "--out", out])
         assert rc == 0
-        assert json.loads(open(out + ".json").read())["beta"] == pytest.approx(1.0, abs=1e-6)
+        assert json.loads(Path(out + ".json").read_text())["beta"] == pytest.approx(1.0, abs=1e-6)
 
     def test_bad_objective_file(self, tmp_path):
         rc = run_cli(["design", "--objective", str(tmp_path / "missing.json"),
@@ -56,11 +57,30 @@ class TestDesignCommand:
         out = str(tmp_path / "cfg_design")
         assert run_cli(["design", "--config", str(cfg), "--objective",
                         cap_descriptor, "--out", out]) == 0
-        assert json.loads(open(out + ".json").read())["d"] == 300
+        assert json.loads(Path(out + ".json").read_text())["d"] == 300
         out2 = str(tmp_path / "cfg_design2")
         assert run_cli(["design", "--config", str(cfg), "--objective",
                         cap_descriptor, "--grid", "150", "--out", out2]) == 0
-        assert json.loads(open(out2 + ".json").read())["d"] == 150
+        assert json.loads(Path(out2 + ".json").read_text())["d"] == 150
+
+
+    def test_invalid_spec_exit_code(self, tmp_path, cap_descriptor, capsys):
+        # rejected before any greedy pass, naming the field, with no output
+        base = ["design", "--objective", cap_descriptor, "--horizon", "1.0",
+                "--grid", "100", "--out", str(tmp_path / "x")]
+        for extra, field in ((["--horizon", "inf"], "u_end"), (["--horizon", "nan"], "u_end"),
+                             (["--c", "nan", "--variant", "seq"], "c"),
+                             (["--beta-tol", "inf"], "beta_tol")):
+            capsys.readouterr()
+            assert run_cli(base + extra) == cli.EXIT_BAD_INPUT, extra
+            captured = capsys.readouterr()
+            assert captured.out == "" and field in captured.err, (extra, captured.err)
+        # a fractional grid from a config file (argparse types only the flags)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": 100.5}))
+        assert run_cli(["design", "--config", str(cfg), "--objective", cap_descriptor,
+                        "--horizon", "1.0", "--out", str(tmp_path / "x")]) == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().out == ""
 
 
 class TestRunCertify:
@@ -71,10 +91,10 @@ class TestRunCertify:
         out = str(tmp_path / "run")
         assert run_cli(["certify", "--instance", inst, "--algo", "sim",
                         "--out", out]) == 0
-        summary = json.loads(open(out + ".json").read())
+        summary = json.loads(Path(out + ".json").read_text())
         assert summary["certificate_ok"] and summary["gap_ok"]
         assert summary["true_ratio"] == pytest.approx(0.5, abs=1e-12)
-        lines = open(out + ".jsonl").read().strip().splitlines()
+        lines = Path(out + ".jsonl").read_text().strip().splitlines()
         assert len(lines) == 8
         rec = json.loads(lines[0])
         assert set(rec) == {"t", "x", "sigma", "inner", "gain"}
@@ -86,7 +106,7 @@ class TestRunCertify:
         out = str(tmp_path / "smoothed")
         assert run_cli(["certify", "--instance", inst, "--algo", "sim",
                         "--smoothing", "closed_form", "--out", out]) == 0
-        summary = json.loads(open(out + ".json").read())
+        summary = json.loads(Path(out + ".json").read_text())
         assert summary["true_ratio"] >= 0.6
 
     def test_design_file_feeds_run(self, tmp_path, cap_descriptor):
@@ -108,7 +128,7 @@ class TestRunCertify:
         out = str(tmp_path / "custom")
         assert run_cli(["certify", "--instance", inst, "--algo", "sim",
                         "--objective", str(coord), "--out", out]) == 0
-        assert json.loads(open(out + ".json").read())["gap_ok"]
+        assert json.loads(Path(out + ".json").read_text())["gap_ok"]
 
     def test_lp_and_logdet_families(self, tmp_path):
         lp = str(tmp_path / "lp.json")
@@ -172,7 +192,7 @@ class TestSweep:
         finally:
             del os.environ["SMOOTHGREED_THREADS"]
         assert rc == 0
-        lines = open(out).read().strip().splitlines()
+        lines = Path(out).read_text().strip().splitlines()
         assert lines[0].startswith("# smoothgreed")
         assert lines[1] == "n,phase_len,true_ratio,ratio_lb"
         rows = {tuple(map(int, ln.split(",")[:2])): float(ln.split(",")[2])
@@ -196,7 +216,7 @@ class TestFigures:
                              ("2a", ["--points", "4", "--d-plateau", "300"])):
             rc = run_cli(["figures", "--which", which, "--out", out] + quick)
             assert rc == 0
-            lines = open(os.path.join(out, f"figure_{which}.csv")).read().strip().splitlines()
+            lines = Path(os.path.join(out, f"figure_{which}.csv")).read_text().strip().splitlines()
             ratios = [float(ln.split(",")[2]) for ln in lines[2:]]
             assert all(0.0 < r <= 1.0 for r in ratios)
             for a, b in zip(ratios, ratios[1:]):

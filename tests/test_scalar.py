@@ -155,6 +155,10 @@ class TestDerivativeInverses:
             vs = [-3.0, -0.5, 0.0] + slopes + [0.5 * (a + b) for a, b in zip(slopes, slopes[1:])]
             if math.isfinite(f.slope0()):
                 vs.append(f.slope0() + 1.0)
+            for v in vs:
+                # the designer's scalar fast path for deriv_inv_lo
+                slope = f.conj1_slope(v)
+                assert type(slope) is float and slope == float(f.deriv_inv_lo(v)), (f, v, slope)
             for inv, deriv, keeps in (
                     (f.deriv_inv_hi, f.deriv_right, lambda g, v: g >= v),
                     (f.deriv_inv_lo, f.deriv_left, lambda g, v: g > v)):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothgreed.scalar import Cap, Linear, Log1p, PiecewiseLinear, Power, Sqrt
+from smoothgreed.scalar import SLOPE_CAP, Cap, Linear, Log1p, PiecewiseLinear, Power, Sqrt
 from smoothgreed.smoothing import (
     DesignSpec,
     SmoothedScalar,
+    _min_feasible_y,
     adwords_certificate_check,
     adwords_closed_form_smoothing,
     design_optimal,
@@ -202,6 +203,16 @@ class TestDesigner:
         with pytest.raises(ValueError):
             design_optimal(DesignSpec(NegPlusPenalty(1.0, 1.0), 2.0, d=50))
 
+    def test_invalid_spec_rejected(self):
+        for field in ("u_end", "c", "beta_tol", "feas_tol"):
+            for bad in (math.nan, math.inf, -math.inf):
+                kwargs = {"u_end": 1.0, field: bad}
+                with pytest.raises(ValueError, match=field):
+                    DesignSpec(Cap(1.0), **kwargs)
+        for d in (100.5, math.nan, 5):
+            with pytest.raises(ValueError, match="d must be"):
+                DesignSpec(Cap(1.0), 1.0, d=d)
+
     def test_horizon_designs_finite_slope_start(self):
         res = design_optimal(DesignSpec(Log1p(), 100.0, d=1000))
         assert res.smoothed.y[0] <= 1.0 + 1e-12
@@ -210,6 +221,60 @@ class TestDesigner:
     def test_unbounded_slope_base(self):
         res = design_optimal(DesignSpec(Sqrt(), 100.0, d=1000))
         assert res.certified and 1.0 <= res.beta <= 1.5 + 0.06
+
+
+KNOT_BASES = [Cap(1.0), FIG_PL, Linear(1.0), Log1p(), Sqrt(), Power(0.3)]
+
+
+def _bisect_min_feasible_y(base, lc, const, target, y_hi, y_argmin, tol=1e-12):
+    """The knot solve by plain bisection, as the designer first did it."""
+    g = lambda y: const + lc * y - base.conj1(y) - target
+    ystar = min(y_argmin, y_hi)
+    if not g(ystar) <= 1e-11:
+        return None
+    if g(0.0) <= 0.0:
+        return 0.0
+    lo, hi = 0.0, ystar
+    while hi - lo > tol * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if g(mid) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class TestKnotSolver:
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, len(KNOT_BASES) - 1), st.floats(-1.0, 1.0), st.floats(0.0, 3.0),
+           st.floats(0.0, 3.0), st.one_of(st.floats(1e-6, 10.0), st.just(SLOPE_CAP)))
+    def test_newton_matches_bisection_contract(self, idx, lc, const, target, y_hi):
+        base = KNOT_BASES[idx]
+        y_argmin = float(base.supergrad(lc).hi) if lc > 0 else SLOPE_CAP
+        g = lambda y: const + lc * y - base.conj1(y) - target
+        tol = 1e-12
+        y = _min_feasible_y(base, lc, const, target, y_hi, y_argmin, tol)
+        ref = _bisect_min_feasible_y(base, lc, const, target, y_hi, y_argmin, tol)
+        assert (y is None) == (ref is None), (y, ref)
+        if y is None:
+            return
+        ystar = min(y_argmin, y_hi)
+        assert 0.0 <= y <= ystar
+        assert g(y) <= 0.0 or (y == ystar and g(y) <= 1e-11), (y, g(y))
+        below = y - tol * max(1.0, y)
+        assert below < max(0.0, base.conj_dom_lo()) or g(below) > 0.0, (y, below, g(below))
+
+    def test_betas_pinned(self):
+        # betas of the bisection-based knot solve; the Newton solve returns
+        # the same smallest feasible derivatives to 1e-12
+        for spec, beta in (
+                (DesignSpec(Cap(1.0), 1.0, d=1000, plateau=True), 1.5823285173391923),
+                (DesignSpec(Cap(1.0), 1.0, d=1000, plateau=True, c=0.5), 2.055506253578642),
+                (DesignSpec(FIG_PL, 1.0, d=1000, plateau=True), 1.5421406513050897),
+                (DesignSpec(Log1p(), 100.0, d=2000), 1.4236483024486812),
+                (DesignSpec(Sqrt(), 100.0, d=1000), 1.272247314453109)):
+            res = design_sequential(spec) if spec.c > 0 else design_optimal(spec)
+            assert res.beta == pytest.approx(beta, rel=1e-8), (spec.base, spec.c)
 
 
 class TestSequentialDesigner:
