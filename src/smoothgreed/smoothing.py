@@ -512,9 +512,13 @@ def _min_feasible_y(base, lin_coeff, const, target, y_hi, y_argmin, tol=1e-12):
     convex g a Newton step never passes the root, so steps are taken from
     lo (from hi while g(lo) is infinite), kept one tolerance inside the
     bracket, and replaced by the midpoint when they leave it or the slope
-    is not finite and negative.  Returns hi
-    once hi - tol*max(1, hi) <= lo: feasible and within tol of the smallest
-    feasible y.  Returns None when no feasible y exists in the range.
+    is not finite and negative.  A midpoint is also taken whenever the last
+    two steps did not halve the bracket: Newton stalls where g is flat at
+    zero (from hi it then moves one tolerance per step) and crawls at
+    multiple roots, and this bounds the solve at three steps per halving.
+    Returns hi once hi - tol*max(1, hi) <= lo: feasible and within tol of
+    the smallest feasible y.  Returns None when no feasible y exists in the
+    range.
     """
     conj, slope = base.conj1, base.conj1_slope
     hi = min(y_argmin, y_hi)
@@ -528,14 +532,19 @@ def _min_feasible_y(base, lin_coeff, const, target, y_hi, y_argmin, tol=1e-12):
         return lo
     if ghi > 0.0:
         return hi      # the minimum misses by rounding only
+    w1 = w2 = math.inf     # bracket widths before the last two steps
     while hi - lo > tol * max(1.0, hi):
-        y0, g0 = (lo, glo) if glo < math.inf else (hi, ghi)
-        dg = lin_coeff - slope(y0)
-        y = y0 - g0 / dg if -math.inf < dg < 0.0 else math.nan
-        if lo <= y <= hi:
-            y = min(max(y, lo + tol * max(1.0, lo)), hi - tol * max(1.0, hi))
+        y = math.nan
+        if hi - lo <= 0.5 * w2:
+            y0, g0 = (lo, glo) if glo < math.inf else (hi, ghi)
+            dg = lin_coeff - slope(y0)
+            if -math.inf < dg < 0.0:
+                y = y0 - g0 / dg
+            if lo <= y <= hi:
+                y = min(max(y, lo + tol * max(1.0, lo)), hi - tol * max(1.0, hi))
         if not lo < y < hi:
             y = 0.5 * (lo + hi)
+        w1, w2 = hi - lo, w1
         gy = const + lin_coeff * y - conj(y) - target
         if gy <= 0.0:
             hi, ghi = y, gy

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smoothgreed.scalar import SLOPE_CAP, Cap, Linear, Log1p, PiecewiseLinear, Power, Sqrt
@@ -248,6 +248,9 @@ class TestKnotSolver:
     @settings(max_examples=400, deadline=None)
     @given(st.integers(0, len(KNOT_BASES) - 1), st.floats(-1.0, 1.0), st.floats(0.0, 3.0),
            st.floats(0.0, 3.0), st.one_of(st.floats(1e-6, 10.0), st.just(SLOPE_CAP)))
+    # g is exactly 0 on [1, y_hi]: Newton from hi moved one tolerance per step
+    @example(3, -5e-324, 3.0, 3.0, 1.5)
+    @example(3, -5e-324, 0.1, 0.1, SLOPE_CAP)
     def test_newton_matches_bisection_contract(self, idx, lc, const, target, y_hi):
         base = KNOT_BASES[idx]
         y_argmin = float(base.supergrad(lc).hi) if lc > 0 else SLOPE_CAP
