@@ -338,10 +338,16 @@ def main(argv=None) -> int:
             cfg = _load_json(cfg_path)
             for subparser in parser.sub_choices.values():
                 subparser.set_defaults(**cfg)
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on a usage error, the breach code here
+            if exc.code in (0, None):
+                raise
+            return EXIT_BAD_INPUT
         return args.func(args)
-    except (ValueError, KeyError, IndexError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, IndexError, FileNotFoundError, json.JSONDecodeError,
+            FloatingPointError, RuntimeError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from smoothgreed.scalar import NegPlusPenalty
+from smoothgreed.scalar import NegPlusPenalty, check_positive
 
 # ----------------------------------------------------------------------
 # Feasible sets and step maps
@@ -222,8 +222,7 @@ class PenaltyLPObjective:
 
     def __init__(self, n, l, theta, penalty_kind="separable_cap", p=None,
                  smoothed_penalty=None):
-        if l <= 0 or theta <= 0:
-            raise ValueError("PenaltyLPObjective: l and theta must be positive")
+        check_positive("PenaltyLPObjective", l=l, theta=theta)
         self.n = int(n)
         self.l = float(l)
         self.theta = float(theta)
@@ -321,6 +320,11 @@ class LogDetObjective:
         A0 = np.asarray(A0, dtype=float)
         if A0.ndim != 2 or A0.shape[0] != A0.shape[1]:
             raise ValueError("LogDetObjective: A0 must be square")
+        if not np.isfinite(A0).all():
+            raise ValueError("LogDetObjective: A0 entries must be finite")
+        check_positive("LogDetObjective", b=b)
+        if l is not None:
+            check_positive("LogDetObjective", l=l)
         if not np.allclose(A0, A0.T, atol=1e-10):
             raise ValueError("LogDetObjective: A0 must be symmetric")
         lam_min = float(np.linalg.eigvalsh(A0)[0])
@@ -506,10 +510,12 @@ class LogDetState:
     def drift(self) -> float:
         return float(np.max(np.abs(self.Y @ self.Asum - np.eye(len(self.A0)))))
 
-    def apply(self, a, x: float):
+    def apply(self, a, x: float, q: float | None = None):
+        """Add x * a a^T; ``q`` is the step's a^T Y a when the caller has it."""
         if x == 0.0:
             return
-        q = self.quad(a)
+        if q is None:
+            q = self.quad(a)
         if 1.0 + x * q <= 0:
             raise FloatingPointError("LogDetState: update would leave the PSD cone")
         Ya = self.Y @ a
@@ -525,11 +531,14 @@ class LogDetState:
         return self.Asum - self.A0
 
 
-def logdet_step_gain(state: LogDetState, a, x: float) -> float:
-    """log-determinant gain of adding x * a a^T, via the rank-one identity."""
+def logdet_step_gain(state: LogDetState, a, x: float, q: float | None = None) -> float:
+    """log-determinant gain of adding x * a a^T, via the rank-one identity.
+
+    ``q`` is the step's a^T Y a when the caller has it.
+    """
     if not 0.0 <= x <= 1.0:
         raise ValueError("logdet_step_gain: x must lie in [0, 1]")
-    return math.log1p(state.quad(a) * x)
+    return math.log1p((state.quad(a) if q is None else q) * x)
 
 
 # ----------------------------------------------------------------------

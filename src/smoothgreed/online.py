@@ -9,8 +9,10 @@ maximization exactly and extracts the consistent saddle dual, so that the
 support value equals the realized inner product to floating precision.
 That exactness is what lets the duality-gap identities be asserted at 1e-9.
 Every simultaneous step solver is exact: water-filling over sorted breaks
-for separable allocation, an LP for unsmoothed packing, a scalar bisection
-for smoothed packing with one column and projected Newton with more.
+for separable allocation, an LP for unsmoothed packing, safeguarded scalar
+Newton for smoothed packing with one column and projected Newton with more,
+and on the PSD cone a closed-form root for the piecewise-linear budget
+penalty and safeguarded scalar Newton for a smoothed one.
 Each cone has one loop serving both engines (the orthant loop covers
 allocation and packing); the engines differ only in how a step's point is
 chosen and whether the loop tracks the saddle residual or the correction.
@@ -96,6 +98,47 @@ def _coord_vec(coords, uniform, method, u):
     if uniform:
         return np.asarray(getattr(coords[0], method)(u), dtype=float)
     return np.array([float(getattr(f, method)(ui)) for f, ui in zip(coords, u)])
+
+
+# Bracket width at which _newton_root stops (one ulp at 1: its roots lie in
+# [0, 1]), and the Newton step length below which it accepts a point.
+_ROOT_TOL = 2.0 ** -52
+_NEWTON_STEP_TOL = 1e-12
+
+
+def _newton_root(g, dg, lo, g_lo, hi):
+    """Root of a nonincreasing g on [lo, hi], with g(lo) = g_lo > 0 >= g(hi).
+
+    Safeguarded Newton with the derivative dg (rtsafe in Numerical
+    Recipes): each step starts at the last iterate and is kept half a
+    tolerance inside the bracket.  The midpoint replaces a step that leaves
+    the bracket, whose slope is not finite and negative, or that is longer
+    than both _NEWTON_STEP_TOL and half the previous step, so that Newton
+    cannot stall where g is flat or crawl at a multiple root.  Returns the
+    first point with g <= 0 reached by a step of at most _NEWTON_STEP_TOL
+    (on a simple root its error is of the order of the step's square, at
+    the resolution of g), or hi once hi - lo <= _ROOT_TOL.
+    """
+    x, gx = lo, g_lo
+    last = math.inf     # length of the previous step
+    while hi - lo > _ROOT_TOL:
+        y = math.nan
+        d = dg(x)
+        if -math.inf < d < 0.0:
+            y = x - gx / d
+        if lo <= y <= hi:
+            y = min(max(y, lo + 0.5 * _ROOT_TOL), hi - 0.5 * _ROOT_TOL)
+        if not (lo < y < hi and abs(y - x) <= max(0.5 * last, _NEWTON_STEP_TOL)):
+            y = 0.5 * (lo + hi)
+        last = abs(y - x)
+        x, gx = y, g(y)
+        if gx > 0.0:
+            lo = x
+        elif last <= _NEWTON_STEP_TOL:
+            return x
+        else:
+            hi = x
+    return hi
 
 
 # Relative offset that puts a level strictly on one side of a jump of the
@@ -314,7 +357,12 @@ def _lp_step_exact(obj: PenaltyLPObjective, st: Step, state):
 
 
 def _lp_step_scalar(obj: PenaltyLPObjective, st: Step, state):
-    """Exact scalar step for k == 1 with a (possibly smoothed) penalty."""
+    """Exact step for k == 1 with a smoothed penalty: the root of the slope.
+
+    The slope c0 + B^T G'(w + B x) of the step objective is nonincreasing
+    in x; its root on [0, 1] is found by _newton_root with the derivative
+    B^T diag(G'') B.  Returns (x, G'(w + Bx)).
+    """
     pen = obj.engine_pen()
     c0 = float(st.A.c[0])
     Bcol = st.A.B[:, 0]
@@ -323,34 +371,17 @@ def _lp_step_scalar(obj: PenaltyLPObjective, st: Step, state):
     def slope(x):
         return c0 + float(Bcol @ np.asarray(pen.deriv_right(w + Bcol * x), dtype=float))
 
-    def slope_hi(x):
-        return c0 + float(Bcol @ np.asarray(pen.deriv_left(w + Bcol * x), dtype=float))
+    def curvature(x):
+        return float((Bcol * Bcol) @ np.asarray(pen.deriv2(w + Bcol * x), dtype=float))
 
-    if slope(0.0) <= 0.0:
+    s0 = slope(0.0)
+    if s0 <= 0.0:
         x = 0.0
-    elif slope_hi(1.0) >= 0.0:
+    elif slope(1.0) >= 0.0:
         x = 1.0
     else:
-        lo, hi = 0.0, 1.0
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            if slope(mid) <= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        x = hi
-    u = w + Bcol * x
-    y = np.asarray(pen.deriv_right(u), dtype=float)
-    if 0.0 < x < 1.0:
-        # distribute the stationarity residual into interval coordinates
-        hi_v = np.asarray(pen.deriv_left(u), dtype=float)
-        resid = -c0 - float(Bcol @ y)
-        for i in range(len(y)):
-            if Bcol[i] > 0 and resid > 0:
-                bump = min(resid / Bcol[i], hi_v[i] - y[i])
-                y[i] += bump
-                resid -= bump * Bcol[i]
-    return np.array([x]), y
+        x = _newton_root(slope, curvature, 0.0, s0, 1.0)
+    return np.array([x]), np.asarray(pen.deriv_right(w + Bcol * x), dtype=float)
 
 
 def _lp_step_newton(obj: PenaltyLPObjective, st: Step, state):
@@ -437,10 +468,11 @@ def _sim_step(obj, st: Step, u):
 
     Separable allocation steps are water-filled (_waterfill); packing steps
     solve the epigraph LP when unsmoothed (_lp_step_exact), and otherwise
-    bisect the scalar slope at k == 1 (_lp_step_scalar) or run projected
-    Newton on the simplex (_lp_step_newton).  Returns (x, z) with z = A^T y
-    for the step's saddle dual y, so that x attains the support value of z
-    up to floating-point rounding.
+    find the root of the scalar slope by safeguarded Newton at k == 1
+    (_lp_step_scalar) or run projected Newton on the simplex
+    (_lp_step_newton).  Returns (x, z) with z = A^T y for the step's saddle
+    dual y, so that x attains the support value of z up to floating-point
+    rounding.
     """
     if isinstance(obj, SeparableObjective):
         uniform = obj._uniform_s if obj.smoothed is not None else obj._uniform
@@ -456,7 +488,22 @@ def _sim_step(obj, st: Step, u):
 
 
 def _logdet_step(pen, q0, used):
-    """Exact scalar coordinate maximization for a rank-one step, q0 = a^T Y a."""
+    """Exact coordinate maximization of a rank-one step, q0 = a^T Y a.
+
+    Maximizes log(1 + q0 x) + pen(used + x) over [0, 1] at the root of the
+    nonincreasing slope g(x) = q0/(1 + q0 x) + pen'(used + x).  For a
+    piecewise-linear penalty the root is closed form: on a piece of slope
+    s < 0, g vanishes at 1/(-s) - 1/q0 = (q0 + s)/(-s q0), and the first
+    piece where that point falls before the piece's end holds the root,
+    at that point or, when it falls before the piece's start, at the kink
+    there.  A kink root is rounded up until used + x takes the post-kink
+    slope, and yb is taken from the kink's interval, which used + x may
+    pass by its rounding; with a spent budget the root is exactly 0.  A
+    smoothed penalty is solved by safeguarded Newton on its second
+    derivative (_newton_root).  Returns (x, q_post, yb): q_post =
+    q0/(1 + q0 x) and yb the supergradient of the penalty closest to
+    -q_post.
+    """
 
     def post_quad(x):
         return q0 / (1.0 + q0 * x)
@@ -464,24 +511,31 @@ def _logdet_step(pen, q0, used):
     def g_lo(x):
         return post_quad(x) + float(pen.deriv_right(used + x))
 
-    def g_hi(x):
-        return post_quad(x) + float(pen.deriv_left(used + x))
-
-    if g_hi(0.0) <= 0.0:
+    if post_quad(0.0) + float(pen.deriv_left(used)) <= 0.0:
         x = 0.0
     elif g_lo(1.0) >= 0.0:
         x = 1.0
+    elif isinstance(pen, PiecewiseLinear):
+        s_before = math.inf
+        for (s, knot, _), end in zip(pen._pieces, pen._ends[1:].tolist()):
+            root = (q0 + s) / -s / q0 if s < 0.0 else math.inf
+            if root < end - used:
+                break
+            s_before = s
+        if root <= knot - used:
+            x = max(knot - used, 0.0)
+            while used + x < knot and x < 1.0:
+                x = min(max(x + (knot - (used + x)), math.nextafter(x, 2.0)), 1.0)
+            q_post = post_quad(x)
+            return x, q_post, min(max(-q_post, s), s_before)
+        x = min(max(root, 0.0), 1.0)
     else:
-        lo, hi = 0.0, 1.0
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            if g_lo(mid) <= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        x = hi
+        def g_slope(x):
+            return -post_quad(x) ** 2 + float(pen.deriv2(used + x))
+
+        x = _newton_root(g_lo, g_slope, 0.0, g_lo(0.0), 1.0)
     q_post = post_quad(x)
-    yb = float(np.clip(-q_post, pen.deriv_right(used + x), pen.deriv_left(used + x)))
+    yb = min(max(-q_post, float(pen.deriv_right(used + x))), float(pen.deriv_left(used + x)))
     return x, q_post, yb
 
 
@@ -534,6 +588,11 @@ def run_simultaneous(obj, steps, keep_records: bool = True) -> RunTrace:
         if obj.smoothed_penalty is not None and not hasattr(obj.smoothed_penalty, "deriv2"):
             # projected Newton needs the penalty's second derivative
             raise ValueError("run_simultaneous: a smoothed penalty must be a SmoothedScalar")
+    if isinstance(obj, LogDetObjective):
+        pen = obj.engine_pen()
+        if not (isinstance(pen, PiecewiseLinear) or hasattr(pen, "deriv2")):
+            # the exact step is closed form or Newton on the second derivative
+            raise ValueError("run_simultaneous: a smoothed budget must be a SmoothedScalar")
     _check_steps(obj, steps)
     return (_run_psd if obj.cone == "psd" else _run_orthant)(obj, steps, "sim", keep_records)
 
@@ -605,9 +664,9 @@ def _run_psd(obj, steps, algo, keep_records):
             z = q + yb
             x = 1.0 if z > 0.0 else 0.0
         sigma = max(0.0, z)
-        gain_logdet = logdet_step_gain(state, a, x)
+        gain_logdet = logdet_step_gain(state, a, x, q)
         if x > 0.0:
-            state.apply(a, x)
+            state.apply(a, x, q)
         used += x
         reward += gain_logdet
         pen_now = float(pen.value(used))

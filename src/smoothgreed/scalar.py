@@ -12,6 +12,7 @@ so conj is concave and non-decreasing in y, with -inf outside its domain.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,13 @@ class SupergradInterval:
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError(f"empty supergradient interval: {self.lo} > {self.hi}")
+
+
+def check_positive(owner, **fields):
+    """Reject a parameter that is not a finite positive number, naming it."""
+    for name, v in fields.items():
+        if not (isinstance(v, numbers.Real) and math.isfinite(v) and v > 0):
+            raise ValueError(f"{owner}: {name} must be finite and positive, got {v!r}")
 
 
 def _as_array(u):
@@ -266,8 +274,7 @@ class NegPlusPenalty(PiecewiseLinear):
     kind = "neg_plus_penalty"
 
     def __init__(self, l: float, b: float = 1.0):
-        if l <= 0 or b <= 0:
-            raise ValueError("neg_plus_penalty: l and b must be positive")
+        check_positive("neg_plus_penalty", l=l, b=b)
         self.l = float(l)
         self._set_pieces([b], [0.0, -self.l])
 

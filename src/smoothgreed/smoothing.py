@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from smoothgreed.scalar import SLOPE_CAP, ScalarConcave, SupergradInterval
+from smoothgreed.scalar import SLOPE_CAP, ScalarConcave, SupergradInterval, check_positive
 
 _E = math.e
 
@@ -264,8 +264,7 @@ def nesterov_penalty_smoothing(l: float, theta: float, budget: float = 1.0,
     with gamma = log(1 + l*(e-1)/theta); it reaches -l exactly at
     u = budget, after which the grid holds the last slope.
     """
-    if l <= 0 or theta <= 0 or budget <= 0:
-        raise ValueError("nesterov_penalty_smoothing: l, theta, budget must be positive")
+    check_positive("nesterov_penalty_smoothing", l=l, theta=theta, budget=budget)
     gamma = math.log1p(l * (_E - 1.0) / theta)
     return _clipped_exp_smoothing(l, theta, gamma, budget, budget, d,
                                   f"nesterov_penalty(l={l:.3g})")
@@ -277,8 +276,9 @@ def nesterov_logdet_smoothing(n: int, l: float, b: float, d: int = 2048) -> Smoo
     Uses theta = log(1 + 1/n) and gamma = log(1 + l/theta); the associated
     certified ratio is 1 / (1 + (1 + 1/(e-1)) * gamma).
     """
-    if n < 1 or l <= 0 or b <= 0:
-        raise ValueError("nesterov_logdet_smoothing: need n >= 1, l > 0, b > 0")
+    if n < 1:
+        raise ValueError("nesterov_logdet_smoothing: need n >= 1")
+    check_positive("nesterov_logdet_smoothing", l=l, b=b)
     theta = math.log1p(1.0 / n)
     gamma = math.log1p(l / theta)
     # The derivative hits -l strictly past the budget; cover that point.

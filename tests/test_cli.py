@@ -83,6 +83,20 @@ class TestDesignCommand:
         assert capsys.readouterr().out == ""
 
 
+    def test_usage_error_exit_code(self, tmp_path, cap_descriptor, capsys):
+        # argparse's own exit code 2 is the breach code; usage errors are bad input
+        argv = ["design", "--objective", cap_descriptor, "--horizon", "1.0",
+                "--out", str(tmp_path / "x")]
+        for extra in (["--grid", "abc"], ["--variant", "both"], ["--no-such-flag"]):
+            capsys.readouterr()
+            assert run_cli(argv + extra) == cli.EXIT_BAD_INPUT, extra
+            assert capsys.readouterr().out == ""
+        assert run_cli([]) == cli.EXIT_BAD_INPUT
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["design", "--help"])
+        assert exc.value.code == 0
+
+
 class TestRunCertify:
     def test_adwords_run_and_certify(self, tmp_path):
         inst = str(tmp_path / "inst.json")
@@ -180,6 +194,54 @@ class TestRunCertify:
         capsys.readouterr()
         assert run_cli(["certify", "--instance", str(bad)]) == cli.EXIT_BAD_INPUT
         assert capsys.readouterr().out == ""
+
+
+    def test_nonfinite_objective_parameters_exit_code(self, tmp_path, capsys):
+        # a NaN slope passes a plain comparison (nan <= l_floor is False), so the
+        # fields are checked for finiteness by name, with or without smoothing
+        ld, lp, bad = tmp_path / "ld.json", tmp_path / "lp.json", tmp_path / "bad.json"
+        run_cli(["gen", "--family", "logdet_stream", "--n", "3", "--m", "8",
+                 "--b", "2.0", "--seed", "1", "--out", str(ld)])
+        run_cli(["gen", "--family", "lp_random", "--n", "3", "--m", "10", "--k", "1",
+                 "--seed", "1", "--out", str(lp)])
+        cases = ((ld, ("extras", "l"), math.nan, "l"), (ld, ("extras", "l"), math.inf, "l"),
+                 (ld, ("params", "b"), math.nan, "b"), (ld, ("params", "b"), -1.0, "b"),
+                 (lp, ("extras", "l"), math.nan, "l"), (lp, ("extras", "theta"), math.inf, "theta"),
+                 (lp, ("extras", "theta"), 0.0, "theta"))
+        for src, (part, key), value, field in cases:
+            for smoothing in ([], ["--smoothing", "nesterov"]):
+                d = json.loads(src.read_text())
+                d[part][key] = value
+                bad.write_text(json.dumps(d))
+                capsys.readouterr()
+                rc = run_cli(["certify", "--instance", str(bad), "--algo", "sim"] + smoothing)
+                captured = capsys.readouterr()
+                assert rc == cli.EXIT_BAD_INPUT, (key, value, smoothing)
+                assert captured.out == "" and f"{field} must be finite" in captured.err
+        d = json.loads(ld.read_text())
+        d["extras"]["A0"][0][1] = math.nan
+        bad.write_text(json.dumps(d))
+        capsys.readouterr()
+        assert run_cli(["certify", "--instance", str(bad)]) == cli.EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and "A0 entries must be finite" in captured.err
+
+    def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a rank-one update leaving the cone or a failed step LP is bad input,
+        # reported without a traceback or a summary
+        inst = str(tmp_path / "inst.json")
+        run_cli(["gen", "--family", "adwords_triangular", "--n", "2",
+                 "--phase-len", "1", "--out", inst])
+        for error in (FloatingPointError("LogDetState: update would leave the PSD cone"),
+                      RuntimeError("packing step LP failed: infeasible")):
+            def failing_run(obj, steps, keep_records=True, error=error):
+                raise error
+
+            monkeypatch.setattr(cli, "run_simultaneous", failing_run)
+            capsys.readouterr()
+            assert run_cli(["certify", "--instance", inst]) == cli.EXIT_BAD_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == "" and str(error) in captured.err
 
 
 class TestSweep:

@@ -213,6 +213,15 @@ class TestLogDetMachinery:
         with pytest.raises(ValueError):
             LogDetObjective(np.eye(2), b=1.0, l=1.0)  # needs > 2
 
+    def test_nonfinite_parameters_rejected(self):
+        for kwargs, field in ((dict(b=math.nan), "b"), (dict(b=math.inf), "b"),
+                              (dict(b=0.0), "b"), (dict(b=2.0, l=math.nan), "l"),
+                              (dict(b=2.0, l=math.inf), "l")):
+            with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+                LogDetObjective(np.eye(2), **kwargs)
+        with pytest.raises(ValueError, match="A0 entries must be finite"):
+            LogDetObjective(np.array([[1.0, math.nan], [math.nan, 1.0]]), b=2.0)
+
     def test_hstar_fenchel_young(self):
         rng = np.random.default_rng(2)
         obj = LogDetObjective(np.eye(3), b=2.0)
@@ -248,6 +257,13 @@ class TestPenaltyLPObjective:
         obj = PenaltyLPObjective(2, l=2.0, theta=1.0)
         state = np.array([3.0, 1.5, 0.5])
         assert obj.value(state) == pytest.approx(3.0 - 2.0 * 0.5)
+
+    def test_nonfinite_parameters_rejected(self):
+        for l, theta, field in ((math.nan, 1.0, "l"), (math.inf, 1.0, "l"), (-1.0, 1.0, "l"),
+                                (2.0, math.nan, "theta"), (2.0, math.inf, "theta"),
+                                (2.0, 0.0, "theta")):
+            with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+                PenaltyLPObjective(2, l=l, theta=theta)
 
     def test_conjugate_requires_unit_reward_dual(self):
         obj = PenaltyLPObjective(2, l=2.0, theta=1.0)

@@ -10,6 +10,7 @@ from smoothgreed.objectives import (
     DiagMap,
     FeasibleSet,
     LogDetObjective,
+    LogDetState,
     PenaltyLPObjective,
     RankOneMap,
     SeparableObjective,
@@ -18,6 +19,8 @@ from smoothgreed.objectives import (
     dual_objective,
 )
 from smoothgreed.online import (
+    _logdet_step,
+    _lp_step_scalar,
     _waterfill,
     certify,
     duality_gap_diagnostics,
@@ -389,6 +392,17 @@ class TestDeterminantRuns:
                 gap = duality_gap_diagnostics(tr, obj)
                 assert rep.passed and gap.passed, (seed, run, rep)
 
+    def test_smoothed_budget_needs_second_derivative(self):
+        # the exact step is closed form on a piecewise-linear budget penalty
+        # and Newton on a smoothing's second derivative; a catalog function
+        # in place of a smoothing has neither
+        a = np.array([1.0, 0.0])
+        steps = [Step(RankOneMap(a), FeasibleSet("unit_interval"))]
+        obj = LogDetObjective(np.eye(2), b=1.0, smoothed_budget=Log1p())
+        with pytest.raises(ValueError, match="SmoothedScalar"):
+            run_simultaneous(obj, steps)
+        run_sequential(obj, steps)
+
     def test_unsmoothed_stream_gap(self):
         inst = gen_logdet_stream(4, 20, 3.0, seed=2)
         obj = LogDetObjective(np.asarray(inst.extras["A0"]), 3.0, l=inst.extras["l"])
@@ -396,6 +410,97 @@ class TestDeterminantRuns:
         gap = duality_gap_diagnostics(tr, obj)
         assert gap.passed
         assert certify(tr, obj, inst.steps).identity_ok
+
+
+class TestExactScalarSteps:
+    """The scalar step solvers meet the step's optimality conditions.
+
+    x maximizes a concave objective over [0, 1] exactly when its slope at x,
+    read with the returned supergradient, is >= 0 unless x = 0 and <= 0
+    unless x = 1.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(hs.booleans(), hs.floats(0.0, 20.0), hs.floats(0.0, 15.0),
+           hs.floats(0.2, 5.0), hs.floats(0.5, 50.0), hs.booleans())
+    # a spent budget: the root sits on the kink at x = 0
+    @example(False, 0.5, 0.0, 2.0, 1.0, True)
+    # -s * q0 underflows to 0 on the sloped piece
+    @example(False, 5e-324, 0.0, 1.0, 0.5, False)
+    # a kink root whose used + x passes the kink by its rounding
+    @example(False, 1.0, 0.307817517446283, 0.8726385915342262, 10.0, False)
+    def test_logdet_step_optimal(self, smoothed, q0, used, b, l, on_kink):
+        used = b if on_kink else used
+        pen = nesterov_logdet_smoothing(3, l, b) if smoothed else NegPlusPenalty(l, b)
+        x, q_post, yb = _logdet_step(pen, q0, used)
+        assert 0.0 <= x <= 1.0
+        assert q_post == q0 / (1.0 + q0 * x)
+        u = used + x
+        lo, hi = float(pen.deriv_right(u)), float(pen.deriv_left(u))
+        if not smoothed and used < b < u:
+            hi = 0.0    # the kink's interval: u may pass the kink by its rounding
+        assert lo <= yb <= hi, (x, yb, lo, hi)
+        tol = 1e-12 * (1.0 + q0 ** 2 + l / b)
+        if x > 0.0:
+            assert q_post + yb >= -tol, (x, q_post + yb)
+        if x < 1.0:
+            assert q_post + yb <= tol, (x, q_post + yb)
+
+    def test_logdet_step_spent_budget(self):
+        # at used == b the root is the kink at x = 0, exactly
+        for l, q0 in ((1.0, 0.5), (4.0, 3.999), (2.5, 1e-9)):
+            x, q_post, yb = _logdet_step(NegPlusPenalty(l, 2.0), q0, 2.0)
+            assert x == 0.0 and q_post == q0 and yb == -q0
+
+    def test_logdet_step_kink_rounding(self):
+        # no x puts used + x exactly on b: the rounded-up x passes the kink,
+        # and yb = -q_post is read from the kink's interval [-l, 0]
+        b, used = 0.8726385915342262, 0.307817517446283
+        x, q_post, yb = _logdet_step(NegPlusPenalty(10.0, b), 1.0, used)
+        assert used + (b - used) < b and used + x > b
+        assert x == math.nextafter(b - used, 2.0)
+        assert yb == -q_post
+
+    @settings(max_examples=200, deadline=None)
+    @given(hs.floats(0.01, 2.0), hs.lists(hs.floats(0.0, 1.0), min_size=3, max_size=3),
+           hs.lists(hs.floats(0.0, 1.5), min_size=3, max_size=3),
+           hs.floats(0.5, 20.0), hs.floats(0.1, 2.0))
+    def test_packing_scalar_step_optimal(self, c0, B, w, l, theta):
+        pen = nesterov_penalty_smoothing(l, theta)
+        obj = PenaltyLPObjective(3, l, theta, smoothed_penalty=pen)
+        B = np.array(B)
+        st = Step(StackedMap(np.array([c0]), B[:, None]), FeasibleSet("simplex", 1))
+        x, y = _lp_step_scalar(obj, st, np.concatenate(([0.0], w)))
+        assert x.shape == (1,) and 0.0 <= x[0] <= 1.0
+        np.testing.assert_array_equal(y, pen.deriv_right(np.array(w) + B * x[0]))
+        slope = c0 + float(B @ y)
+        tol = 1e-12 * (1.0 + c0 + l * float(B @ B))
+        if x[0] > 0.0:
+            assert slope >= -tol, (x, slope)
+        if x[0] < 1.0:
+            assert slope <= tol, (x, slope)
+
+    def test_no_update_after_budget_spent(self, monkeypatch):
+        # once the budget is spent every plain step is exactly 0, and only
+        # steps with x > 0 pay a rank-one update
+        applied = []
+        apply = LogDetState.apply
+
+        def counting_apply(self, a, x, q=None):
+            applied.append(x)
+            return apply(self, a, x, q)
+
+        monkeypatch.setattr(LogDetState, "apply", counting_apply)
+        for seed in range(3):
+            applied.clear()
+            inst = gen_logdet_stream(5, 60, 3.0, seed=seed)
+            obj = LogDetObjective(np.asarray(inst.extras["A0"]), 3.0, l=inst.extras["l"])
+            tr = run_simultaneous(obj, inst.steps)
+            xs = np.array([float(r.x[0]) for r in tr.records])
+            spent = int(np.argmax(np.cumsum(xs) >= 3.0))
+            assert tr.u_final[1] == 3.0 and spent < len(xs) - 1, seed
+            assert np.all(xs[spent + 1:] == 0.0), seed
+            assert applied == [x for x in xs if x > 0.0], seed
 
 
 class TestCertificates:
