@@ -19,7 +19,8 @@ from smoothgreed import __version__
 from smoothgreed import scalar as sc
 from smoothgreed import smoothing as sm
 from smoothgreed.instances import Instance, gen_adwords_triangular, gen_logdet_stream, gen_lp_random
-from smoothgreed.objectives import LogDetObjective, PenaltyLPObjective, SeparableObjective
+from smoothgreed.objectives import (LogDetObjective, PenaltyLPObjective, SeparableObjective,
+                                    theta_of_instance)
 from smoothgreed.online import certify, duality_gap_diagnostics, run_sequential, run_simultaneous
 
 EXIT_OK = 0
@@ -97,12 +98,15 @@ def _objective_for(inst: Instance, smoothing_arg, objective_arg=None):
         return SeparableObjective([coord] * n, smoothed=smoothed, certified_beta=beta)
     if fam == "lp_random":
         n, l, theta = inst.params["n"], inst.extras["l"], inst.extras["theta"]
-        if smoothing_arg is None:
-            return PenaltyLPObjective(n, l, theta)
-        if smoothing_arg == "nesterov":
-            pen = sm.nesterov_penalty_smoothing(l, theta)
-            return PenaltyLPObjective(n, l, theta, smoothed_penalty=pen)
-        raise ValueError("lp_random supports only the closed-form penalty smoothing")
+        if smoothing_arg not in (None, "nesterov"):
+            raise ValueError("lp_random supports only the closed-form penalty smoothing")
+        pen = sm.nesterov_penalty_smoothing(l, theta) if smoothing_arg else None
+        obj = PenaltyLPObjective(n, l, theta, smoothed_penalty=pen)
+        # theta sets the certified floor 1/(1 + l/theta), so it must be the steps' own
+        want = theta_of_instance(inst.steps)
+        if abs(obj.theta - want) > 1e-12 * want:
+            raise ValueError(f"extras.theta = {theta!r} differs from the steps' theta {want!r}")
+        return obj
     if fam == "logdet_stream":
         A0 = np.asarray(inst.extras["A0"], dtype=float)
         b, l = inst.params["b"], inst.extras["l"]

@@ -8,6 +8,7 @@ the online engines.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -22,13 +23,13 @@ from smoothgreed.scalar import NegPlusPenalty, check_positive
 
 @dataclass(frozen=True)
 class FeasibleSet:
-    """Compact convex set containing 0: simplex, unit interval, or box."""
+    """Compact convex set containing 0: simplex or unit interval."""
 
     kind: str
     k: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("simplex", "unit_interval", "box"):
+        if self.kind not in ("simplex", "unit_interval"):
             raise ValueError(f"unknown feasible set kind {self.kind!r}")
         if self.kind == "unit_interval" and self.k != 1:
             raise ValueError("unit_interval is one-dimensional")
@@ -49,13 +50,9 @@ class FeasibleSet:
                 x[j] = 1.0
                 return float(z[j]), x
             return 0.0, x
-        if self.kind == "unit_interval":
-            if z[0] > 0.0:
-                return float(z[0]), np.ones(1)
-            return 0.0, x
-        pos = z > 0.0
-        x[pos] = 1.0
-        return float(z[pos].sum()), x
+        if z[0] > 0.0:
+            return float(z[0]), np.ones(1)
+        return 0.0, x
 
     def to_descriptor(self):
         return {"kind": self.kind, "k": self.k}
@@ -139,8 +136,10 @@ def step_from_descriptor(d: dict) -> Step:
 class SeparableObjective:
     """Coordinatewise sum of scalar concave functions on the orthant.
 
-    ``smoothed`` optionally supplies the surrogate the engines run on; the
-    original coordinates still define primal values and dual certificates.
+    ``smoothed`` optionally supplies surrogate coordinates.  ``engine`` is
+    the objective the engines decide on: the same class over the surrogate,
+    or ``self`` when nothing is smoothed.  The object itself defines primal
+    values and dual certificates.
     """
 
     cone = "orthant"
@@ -148,17 +147,11 @@ class SeparableObjective:
     def __init__(self, coords, smoothed=None, certified_beta=None):
         self.coords = list(coords)
         self.n = len(self.coords)
-        if smoothed is not None and not isinstance(smoothed, (list, tuple)):
-            smoothed = [smoothed] * self.n
-        self.smoothed = list(smoothed) if smoothed is not None else None
         self.certified_beta = certified_beta
         self._uniform = all(c is self.coords[0] for c in self.coords)
-        self._uniform_s = self.smoothed is not None and all(
-            s is self.smoothed[0] for s in self.smoothed)
-
-    @property
-    def engine_coords(self):
-        return self.smoothed if self.smoothed is not None else self.coords
+        if smoothed is not None and not isinstance(smoothed, (list, tuple)):
+            smoothed = [smoothed] * self.n
+        self.engine = self if smoothed is None else SeparableObjective(smoothed)
 
     def value(self, u):
         u = np.asarray(u, dtype=float)
@@ -166,35 +159,18 @@ class SeparableObjective:
             return float(np.sum(self.coords[0].value(u)))
         return float(sum(c.value(ui) for c, ui in zip(self.coords, u)))
 
-    def engine_value(self, u):
-        if self.smoothed is None:
-            return self.value(u)
+    def grad_lo(self, u):
+        """Minimal supergradient, coordinatewise."""
         u = np.asarray(u, dtype=float)
-        if self._uniform_s:
-            return float(np.sum(self.smoothed[0].value(u)))
-        return float(sum(s.value(ui) for s, ui in zip(self.smoothed, u)))
+        if self._uniform:
+            return np.asarray(self.coords[0].deriv_right(u), dtype=float)
+        return np.array([float(c.deriv_right(ui)) for c, ui in zip(self.coords, u)])
 
-    def engine_grad_lo(self, u):
-        """Minimal supergradient of the engine objective, coordinatewise."""
-        u = np.asarray(u, dtype=float)
-        cs = self.engine_coords
-        if (self._uniform_s if self.smoothed is not None else self._uniform):
-            return np.asarray(cs[0].deriv_right(u), dtype=float)
-        return np.array([float(c.deriv_right(ui)) for c, ui in zip(cs, u)])
-
-    def conj_orig(self, y):
+    def conj(self, y):
         y = np.asarray(y, dtype=float)
         if self._uniform:
             return float(np.sum(self.coords[0].conjugate(y)))
-        return float(sum(c.conj1(float(yi)) for c, yi in zip(self.coords, y)))
-
-    def conj_engine(self, y):
-        if self.smoothed is None:
-            return self.conj_orig(y)
-        y = np.asarray(y, dtype=float)
-        if self._uniform_s:
-            return float(np.sum(self.smoothed[0].conjugate(y)))
-        return float(sum(s.conjugate(float(yi)) for s, yi in zip(self.smoothed, y)))
+        return float(sum(c.conjugate(float(yi)) for c, yi in zip(self.coords, y)))
 
     def alpha_bar(self, u_max: float = 1e4) -> float:
         from smoothgreed.scalar import alpha_bar as ab
@@ -202,11 +178,19 @@ class SeparableObjective:
 
     def ratio_bound(self) -> float:
         """Certified competitive-ratio lower bound for the simultaneous engine."""
-        if self.smoothed is not None:
+        if self.engine is not self:
             if self.certified_beta is None:
                 raise ValueError("smoothed objective without a certified beta")
             return 1.0 / self.certified_beta
         return 1.0 / (1.0 - self.alpha_bar())
+
+
+def _twin(obj, pen):
+    """Shallow copy of ``obj`` with the penalty ``pen``, its own engine."""
+    twin = copy.copy(obj)
+    twin.pen = pen
+    twin.engine = twin
+    return twin
 
 
 class PenaltyLPObjective:
@@ -215,7 +199,8 @@ class PenaltyLPObjective:
     State vectors are laid out as (v, u_1..u_n): the accumulated reward
     followed by the consumption coordinates.  ``penalty_kind`` is either
     "separable_cap" (one hinge per coordinate) or "lp_ball" (the l1
-    distance from the p-norm ball).
+    distance from the p-norm ball).  ``pen`` is the hinge; ``engine`` swaps
+    in ``smoothed_penalty`` when one is given.
     """
 
     cone = "orthant"
@@ -235,44 +220,35 @@ class PenaltyLPObjective:
         elif penalty_kind != "separable_cap":
             raise ValueError(f"unknown penalty kind {penalty_kind!r}")
         self.p = p
-        self.base_pen = NegPlusPenalty(self.l, 1.0)
+        self.pen = NegPlusPenalty(self.l, 1.0)
         self.smoothed_penalty = smoothed_penalty
+        self.engine = self if smoothed_penalty is None else _twin(self, smoothed_penalty)
 
     def penalty_value(self, u):
         u = np.asarray(u, dtype=float)
         if self.penalty_kind == "separable_cap":
-            return float(np.sum(self.base_pen.value(u)))
+            return float(np.sum(self.pen.value(u)))
         return -self.l * lp_ball_distance(u, self.p)[0]
 
     def value(self, state):
         return float(state[0]) + self.penalty_value(state[1:])
 
-    def engine_pen(self):
-        return self.smoothed_penalty if self.smoothed_penalty is not None else self.base_pen
-
-    def engine_value(self, state):
-        if self.smoothed_penalty is None:
-            return self.value(state)
-        return float(state[0]) + float(np.sum(self.smoothed_penalty.value(state[1:])))
-
-    def engine_grad_lo(self, state):
-        """Minimal supergradient (1, dG) of the engine objective."""
+    def grad_lo(self, state):
+        """Minimal supergradient (1, dG)."""
         u = np.asarray(state[1:], dtype=float)
         if self.penalty_kind == "separable_cap":
-            pen = self.engine_pen()
-            g = np.asarray(pen.deriv_right(u), dtype=float)
+            g = np.asarray(self.pen.deriv_right(u), dtype=float)
         else:
-            _, g_lo, g_hi = lp_ball_distance(u, self.p)
-            g = -self.l * g_hi
+            g = -self.l * lp_ball_distance(u, self.p)[2]
         return np.concatenate(([1.0], g))
 
-    def conj_orig(self, y):
+    def conj(self, y):
         y = np.asarray(y, dtype=float)
         if y[0] < 1.0 - 1e-12:
             return -math.inf
         pen = y[1:]
         if self.penalty_kind == "separable_cap":
-            return float(np.sum(self.base_pen.conjugate(pen)))
+            return float(np.sum(self.pen.conjugate(pen)))
         if np.min(pen) < -self.l - 1e-12:
             return -math.inf
         q = math.inf if self.p == 1 else (self.p / (self.p - 1.0) if self.p != math.inf else 1.0)
@@ -280,25 +256,12 @@ class PenaltyLPObjective:
         nrm = float(np.max(neg)) if q == math.inf else float(np.sum(neg ** q) ** (1.0 / q))
         return -nrm
 
-    def conj_engine(self, y):
-        if self.smoothed_penalty is None:
-            return self.conj_orig(y)
-        y = np.asarray(y, dtype=float)
-        if y[0] < 1.0 - 1e-12:
-            return -math.inf
-        return float(np.sum(self.smoothed_penalty.conjugate(y[1:])))
-
     def alpha_at_realized(self, state) -> float:
         """Ratio parameter at the realized point; lower-bounded by -l/theta."""
         val = self.value(state)
         if val <= 0:
             raise ValueError("alpha_at_realized: nonpositive objective value")
-        u = np.asarray(state[1:], dtype=float)
-        if self.penalty_kind == "separable_cap":
-            g = np.asarray(self.base_pen.deriv_right(u), dtype=float)
-        else:
-            g = -self.l * lp_ball_distance(u, self.p)[2]
-        return self.conj_orig(np.concatenate(([1.0], g))) / val
+        return self.conj(self.grad_lo(state)) / val
 
     def ratio_bound(self) -> float:
         """Certified competitive-ratio lower bound for the simultaneous engine."""
@@ -309,7 +272,8 @@ class LogDetObjective:
     """Shifted determinant objective with a budget penalty on the PSD cone.
 
     The reward part is logdet(A0 + U) - logdet(A0); the budget consumption
-    is scalar and carries the penalty -l*(u - b)_+, optionally smoothed.
+    is scalar and carries the penalty ``pen`` = -l*(u - b)_+; ``engine``
+    swaps in ``smoothed_budget`` when one is given.
     The penalty slope must dominate the dual variable, which holds when
     l > 2 / lambda_min(A0).
     """
@@ -337,15 +301,12 @@ class LogDetObjective:
         self.l = float(l) if l is not None else self.l_floor * (1.0 + 1e-6)
         if self.l <= self.l_floor:
             raise ValueError(f"LogDetObjective: need l > {self.l_floor:.6g}")
-        self.base_pen = NegPlusPenalty(self.l, self.b)
-        self.smoothed_budget = smoothed_budget
+        self.pen = NegPlusPenalty(self.l, self.b)
         self.theta = math.log1p(1.0 / self.n)
         sign, self._logdet_A0 = np.linalg.slogdet(A0)
         if sign <= 0:
             raise ValueError("LogDetObjective: A0 has nonpositive determinant")
-
-    def engine_pen(self):
-        return self.smoothed_budget if self.smoothed_budget is not None else self.base_pen
+        self.engine = self if smoothed_budget is None else _twin(self, smoothed_budget)
 
     def reward(self, U):
         sign, ld = np.linalg.slogdet(self.A0 + U)
@@ -354,10 +315,7 @@ class LogDetObjective:
         return float(ld - self._logdet_A0)
 
     def value(self, U, used):
-        return self.reward(U) + float(self.base_pen.value(used))
-
-    def engine_value(self, U, used):
-        return self.reward(U) + float(self.engine_pen().value(used))
+        return self.reward(U) + float(self.pen.value(used))
 
     def hstar(self, Y):
         """Conjugate of the shifted reward at a dual matrix 0 < Y <= A0^-1."""
@@ -366,18 +324,13 @@ class LogDetObjective:
             return -math.inf
         return float(self.n - np.trace(Y @ self.A0) + ld + self._logdet_A0)
 
-    def conj_orig(self, dual):
+    def conj(self, dual):
         Y, yb = dual
-        return self.hstar(Y) + float(self.base_pen.conj1(float(yb)))
-
-    def conj_engine(self, dual):
-        Y, yb = dual
-        return self.hstar(Y) + float(self.engine_pen().conjugate(float(yb)))
+        return self.hstar(Y) + float(self.pen.conjugate(float(yb)))
 
     def ratio_bound(self) -> float:
-        if self.smoothed_budget is not None and hasattr(self.smoothed_budget, "ratio_bound"):
-            return self.smoothed_budget.ratio_bound
-        return 0.5  # unsmoothed determinant reward has ratio parameter -1
+        # unsmoothed, 0.5: the determinant reward has ratio parameter -1
+        return getattr(self.engine.pen, "ratio_bound", 0.5)
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +340,7 @@ class LogDetObjective:
 
 def dual_objective(obj, steps, y) -> float:
     """sum_t support(F_t, A_t^T y) - conj(y); upper-bounds the offline optimum."""
-    conj = obj.conj_orig(y)
+    conj = obj.conj(y)
     if conj == -math.inf:
         return math.inf
     total = 0.0
@@ -457,7 +410,7 @@ def theta_of_instance(steps) -> float:
             if np.any(st.A.a > 0):
                 best = min(best, 1.0)
         else:
-            raise TypeError("theta_of_instance: expects orthant steps")
+            raise ValueError("theta_of_instance: expects orthant steps")
     if best is math.inf:
         raise ValueError("theta_of_instance: no step consumes anything")
     return best
@@ -539,56 +492,3 @@ def logdet_step_gain(state: LogDetState, a, x: float, q: float | None = None) ->
     if not 0.0 <= x <= 1.0:
         raise ValueError("logdet_step_gain: x must lie in [0, 1]")
     return math.log1p((state.quad(a) if q is None else q) * x)
-
-
-# ----------------------------------------------------------------------
-# Order-reversing gradient check
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class AntitoneReport:
-    passed: bool
-    max_violation: float
-    trials: int
-    detail: str = ""
-
-
-def antitone_check(obj, trials: int = 50, seed: int = 0, tol: float = 1e-8) -> AntitoneReport:
-    """Sample cone-ordered pairs and test the order-reversing gradient law.
-
-    For orthant objectives compares supergradient intervals coordinatewise;
-    for the PSD objective checks grad(V) - grad(U) against -tol * I in the
-    eigenvalue order.  Anything with scalar deriv_left/deriv_right methods
-    is accepted, so convex negative controls can be probed too.
-    """
-    rng = np.random.default_rng(np.random.Philox(key=seed))
-    worst = 0.0
-    if isinstance(obj, LogDetObjective):
-        n = obj.n
-        for _ in range(trials):
-            M1 = rng.normal(size=(n, n))
-            M2 = rng.normal(size=(n, n))
-            V = M1 @ M1.T * 0.5
-            U = V + M2 @ M2.T * 0.5
-            GV = np.linalg.inv(V + obj.A0)
-            GU = np.linalg.inv(U + obj.A0)
-            lam = float(np.linalg.eigvalsh(GV - GU)[0])
-            worst = max(worst, -lam)
-        return AntitoneReport(worst <= tol, worst, trials, "psd pairs")
-    if isinstance(obj, SeparableObjective):
-        coords = obj.coords
-        for _ in range(trials):
-            v = rng.uniform(0.0, 3.0, size=obj.n)
-            u = v + rng.uniform(0.0, 3.0, size=obj.n)
-            for f, ui, vi in zip(coords, u, v):
-                hi_u = min(float(f.deriv_left(ui)), 1e15)
-                lo_v = float(f.deriv_right(vi))
-                worst = max(worst, hi_u - lo_v)
-        return AntitoneReport(worst <= tol, worst, trials, "orthant pairs")
-    # scalar path: any object exposing one-sided derivatives
-    for _ in range(trials):
-        v = float(rng.uniform(0.0, 3.0))
-        u = v + float(rng.uniform(1e-6, 3.0))
-        worst = max(worst, float(obj.deriv_left(u)) - float(obj.deriv_right(v)))
-    return AntitoneReport(worst <= tol, worst, trials, "scalar pairs")

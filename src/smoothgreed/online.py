@@ -1,9 +1,9 @@
 """The two online engines and their per-run dual certificates.
 
-Both engines consume a stream of (map, feasible set) steps and an objective,
-which may carry a smoothed surrogate: decisions are made against the
-surrogate, while primal values and certificates are reported against the
-original objective.  The sequential engine assigns against the dual at the
+Both engines consume a stream of (map, feasible set) steps and an objective
+whose ``engine`` may be a smoothed surrogate: decisions are made through
+``obj.engine``, while primal values and certificates are reported through
+``obj`` itself.  The sequential engine assigns against the dual at the
 previous point; the simultaneous engine solves each step's coordinate
 maximization exactly and extracts the consistent saddle dual, so that the
 support value equals the realized inner product to floating precision.
@@ -363,7 +363,7 @@ def _lp_step_scalar(obj: PenaltyLPObjective, st: Step, state):
     in x; its root on [0, 1] is found by _newton_root with the derivative
     B^T diag(G'') B.  Returns (x, G'(w + Bx)).
     """
-    pen = obj.engine_pen()
+    pen = obj.pen
     c0 = float(st.A.c[0])
     Bcol = st.A.B[:, 0]
     w = state[1:]
@@ -396,7 +396,7 @@ def _lp_step_newton(obj: PenaltyLPObjective, st: Step, state):
     until the multipliers certify the optimum (Bertsekas 1982).  Returns
     (x, G'(w + Bx)).
     """
-    pen = obj.engine_pen()
+    pen = obj.pen
     c, B = st.A.c, st.A.B
     k = len(c)
     w = state[1:]
@@ -466,6 +466,8 @@ def _lp_step_newton(obj: PenaltyLPObjective, st: Step, state):
 def _sim_step(obj, st: Step, u):
     """Exact coordinate maximization of one orthant step at the state u.
 
+    ``obj`` is the engine objective (``engine`` of the caller's objective).
+
     Separable allocation steps are water-filled (_waterfill); packing steps
     solve the epigraph LP when unsmoothed (_lp_step_exact), and otherwise
     find the root of the scalar slope by safeguarded Newton at k == 1
@@ -475,8 +477,7 @@ def _sim_step(obj, st: Step, u):
     rounding.
     """
     if isinstance(obj, SeparableObjective):
-        uniform = obj._uniform_s if obj.smoothed is not None else obj._uniform
-        x, y = _waterfill(obj.engine_coords, uniform, st.A.a, u)
+        x, y = _waterfill(obj.coords, obj._uniform, st.A.a, u)
         return x, st.A.a * y
     if obj.smoothed_penalty is None:
         x, y_pen = _lp_step_exact(obj, st, u)
@@ -589,7 +590,7 @@ def run_simultaneous(obj, steps, keep_records: bool = True) -> RunTrace:
             # projected Newton needs the penalty's second derivative
             raise ValueError("run_simultaneous: a smoothed penalty must be a SmoothedScalar")
     if isinstance(obj, LogDetObjective):
-        pen = obj.engine_pen()
+        pen = obj.engine.pen
         if not (isinstance(pen, PiecewiseLinear) or hasattr(pen, "deriv2")):
             # the exact step is closed form or Newton on the second derivative
             raise ValueError("run_simultaneous: a smoothed budget must be a SmoothedScalar")
@@ -606,20 +607,21 @@ def run_sequential(obj, steps, keep_records: bool = True) -> RunTrace:
 def _run_orthant(obj, steps, algo, keep_records):
     """Allocation and packing: sim solves each step exactly, seq assigns
     against the previous dual and tracks the dual-movement correction."""
+    eng = obj.engine
     u = np.zeros(obj.n + 1 if isinstance(obj, PenaltyLPObjective) else obj.n)
     shift = False
     if algo == "seq":
-        y = obj.engine_grad_lo(u)
+        y = eng.grad_lo(u)
         if np.any(y >= 1e11):   # unbounded slope at the origin: start inside
             u = np.full(len(u), INTERIOR_SHIFT)
-            y = obj.engine_grad_lo(u)
+            y = eng.grad_lo(u)
             shift = True
     sigma_sum = corr = sqsum = resid = 0.0
-    prev_val = obj.engine_value(u)
+    prev_val = eng.value(u)
     records = []
     for t, st in enumerate(steps, 1):
         if algo == "sim":
-            x, z = _sim_step(obj, st, u)
+            x, z = _sim_step(eng, st, u)
             sigma = max(0.0, float(np.max(z)))
             inner = float(x @ z)
             resid = max(resid, abs(sigma * min(float(x.sum()), 1.0) - inner))
@@ -628,11 +630,11 @@ def _run_orthant(obj, steps, algo, keep_records):
         img = st.A.apply(x)
         u = u + img
         if algo == "seq":
-            y_next = obj.engine_grad_lo(u)
+            y_next = eng.grad_lo(u)
             corr += float(img @ (y_next - y))
             inner = float(img @ y)
             y = y_next
-        val = obj.engine_value(u)
+        val = eng.value(u)
         gain = val - prev_val
         prev_val = val
         sigma_sum += sigma
@@ -640,16 +642,16 @@ def _run_orthant(obj, steps, algo, keep_records):
         if keep_records:
             records.append(StepRecord(t, x, sigma, inner, gain))
     if algo == "sim":
-        y = obj.engine_grad_lo(u)
-    return RunTrace(algo, len(steps), u, y, obj.value(u), obj.engine_value(u),
-                    sigma_sum - obj.conj_orig(y), sigma_sum - obj.conj_engine(y),
+        y = eng.grad_lo(u)
+    return RunTrace(algo, len(steps), u, y, obj.value(u), eng.value(u),
+                    sigma_sum - obj.conj(y), sigma_sum - eng.conj(y),
                     sigma_sum, corr, sqsum, records, shift, resid)
 
 
 def _run_psd(obj, steps, algo, keep_records):
     """Log-det with a scalar budget over the product of the PSD cone and R+."""
     state = LogDetState(obj.A0)
-    pen = obj.engine_pen()
+    pen = obj.engine.pen
     used = reward = sigma_sum = corr = sqsum = resid = 0.0
     prev_pen = float(pen.value(0.0))
     yb = float(pen.deriv_right(0.0))
@@ -685,8 +687,8 @@ def _run_psd(obj, steps, algo, keep_records):
             records.append(StepRecord(t, np.array([x]), sigma, x * z, gain))
     y_final = (np.linalg.inv(state.Asum), float(pen.deriv_right(used)))
     return RunTrace(algo, len(steps), (state.U, used), y_final,
-                    reward + float(obj.base_pen.value(used)), reward + float(pen.value(used)),
-                    sigma_sum - obj.conj_orig(y_final), sigma_sum - obj.conj_engine(y_final),
+                    reward + float(obj.pen.value(used)), reward + float(pen.value(used)),
+                    sigma_sum - obj.conj(y_final), sigma_sum - obj.engine.conj(y_final),
                     sigma_sum, corr, sqsum, records, False, resid)
 
 
@@ -713,12 +715,6 @@ class CertificateReport:
         return self.identity_ok and self.structural_ok
 
 
-def _is_smoothed(obj) -> bool:
-    return (getattr(obj, "smoothed", None) is not None
-            or getattr(obj, "smoothed_penalty", None) is not None
-            or getattr(obj, "smoothed_budget", None) is not None)
-
-
 def certify(trace: RunTrace, obj, steps, tol: float = 1e-9) -> CertificateReport:
     """Check the run's certified ratio against what the theory guarantees.
 
@@ -740,12 +736,12 @@ def certify(trace: RunTrace, obj, steps, tol: float = 1e-9) -> CertificateReport
     P, D, corr = trace.P_orig, trace.D_alg, trace.corr
     ratio_lb = trace.ratio_lb
     corr_term = corr if trace.algo == "seq" else 0.0
-    conj_at_final = obj.conj_orig(trace.y_final)
+    conj_at_final = obj.conj(trace.y_final)
     denom = trace.P_engine - conj_at_final - corr_term
     identity_ok = D <= denom + tol * max(1.0, abs(denom))
     realized = P / denom if (P > 0 and denom > 0) else None
     alpha_real = None
-    if P > 0 and not _is_smoothed(obj):   # the classical realized parameter
+    if P > 0 and obj.engine is obj:   # the classical realized parameter
         alpha_real = conj_at_final / P
     applicable = trace.algo == "sim" or isinstance(obj, SeparableObjective)
     structural = obj.ratio_bound() if applicable else None
@@ -776,7 +772,7 @@ def duality_gap_diagnostics(trace: RunTrace, obj, mu: float | None = None,
     correction is bounded by the squared step norms over 2*mu.
     """
     gap = trace.P_engine - trace.D_engine
-    base = obj.conj_engine(trace.y_final)
+    base = obj.engine.conj(trace.y_final)
     bound = base + (trace.corr if trace.algo == "seq" else 0.0)
     ok = gap >= bound - tol
     reg_bound = None

@@ -151,36 +151,31 @@ class SmoothedScalar:
 
     def deriv_inv_hi(self, v):
         """Rightmost u with deriv(u) >= v (sup over an empty set is 0)."""
-        v = np.asarray(v, dtype=float)
-        if self.exact_y_inv is not None:
-            out = np.asarray(self.exact_y_inv(v, "hi"), dtype=float)
-            return out if out.ndim else float(out)
-        j = np.searchsorted(-self.y, -v, side="right")   # first sample below v
-        jj = np.clip(j, 1, self.d)
-        y0, y1 = self.y[jj - 1], self.y[jj]
-        denom = np.where(y0 > y1, y0 - y1, 1.0)
-        frac = np.where(y0 > y1, np.clip((y0 - v) / denom, 0.0, 1.0), 0.0)
-        out = (jj - 1 + frac) * self.h
-        out = np.where(j == 0, 0.0, out)
-        tail_hi = np.inf if self.tail_mode == "hold_last" else np.where(v <= 0, np.inf, self.u_end)
-        out = np.where(j > self.d, tail_hi, out)
-        return out if out.ndim else float(out)
+        return self._deriv_inv(v, "hi")
 
     def deriv_inv_lo(self, v):
         """Rightmost u with deriv(u) > v (the strict-gain horizon)."""
+        return self._deriv_inv(v, "lo")
+
+    def _deriv_inv(self, v, side):
         v = np.asarray(v, dtype=float)
         if self.exact_y_inv is not None:
-            out = np.asarray(self.exact_y_inv(v, "lo"), dtype=float)
+            out = np.asarray(self.exact_y_inv(v, side), dtype=float)
             return out if out.ndim else float(out)
-        j = np.searchsorted(-self.y, -v, side="left")    # first sample <= v
+        hi = side == "hi"
+        # first sample below v ("hi") or at most v ("lo")
+        j = np.searchsorted(-self.y, -v, side="right" if hi else "left")
         jj = np.clip(j, 1, self.d)
         y0, y1 = self.y[jj - 1], self.y[jj]
         denom = np.where(y0 > y1, y0 - y1, 1.0)
-        frac = np.where(y0 > y1, np.clip((y0 - v) / denom, 0.0, 1.0), 1.0)
+        frac = np.where(y0 > y1, np.clip((y0 - v) / denom, 0.0, 1.0), 0.0 if hi else 1.0)
         out = (jj - 1 + frac) * self.h
         out = np.where(j == 0, 0.0, out)
-        tail_lo = np.inf if self.tail_mode == "hold_last" else np.where(v < 0, np.inf, self.u_end)
-        out = np.where(j > self.d, tail_lo, out)
+        if self.tail_mode == "hold_last":
+            tail = np.inf
+        else:
+            tail = np.where((v <= 0) if hi else (v < 0), np.inf, self.u_end)
+        out = np.where(j > self.d, tail, out)
         return out if out.ndim else float(out)
 
     def to_descriptor(self):
@@ -199,16 +194,6 @@ def smoothed_from_descriptor(desc: dict) -> SmoothedScalar:
     return SmoothedScalar(p["h"], np.asarray(p["y"], dtype=float),
                           tail_mode=p.get("tail_mode", "zero"),
                           require_nonneg=False)
-
-
-def from_base(base: ScalarConcave, u_end: float, d: int, tail_mode="hold_last"):
-    """Sample a catalog function's own derivative; the trivial smoothing."""
-    us = u_end / d * np.arange(d + 1)
-    y = np.asarray(base.deriv_right(us), dtype=float)
-    y = np.minimum(y, SLOPE_CAP)
-    if tail_mode == "zero":
-        y[-1] = 0.0
-    return SmoothedScalar(u_end / d, make_monotone(y), tail_mode=tail_mode)
 
 
 # ----------------------------------------------------------------------
@@ -406,17 +391,6 @@ def verify_beta(smoothed: SmoothedScalar, base: ScalarConcave, c: float = 0.0,
             sup_beta, arg_u = math.inf, 0.0
     residuals = lhs - sup_beta * psi
     return sup_beta, arg_u, residuals
-
-
-def kappa_of(smoothed: SmoothedScalar, base: ScalarConcave, c: float) -> float:
-    """Worst-case dual-lag price: sup_u c*(y(0) - y(u)) / psi(u)."""
-    if c == 0.0:
-        return 0.0
-    us = np.linspace(0.0, smoothed.u_end, 4 * smoothed.d + 1)[1:]
-    psi = np.asarray(base.value(us), dtype=float)
-    ys = np.asarray(smoothed.deriv(us), dtype=float)
-    vals = c * (smoothed.slope0() - ys) / np.where(psi > 0, psi, np.inf)
-    return float(max(np.max(vals), 0.0))
 
 
 @dataclass
@@ -651,49 +625,3 @@ def design_sequential(spec: DesignSpec) -> DesignResult:
     if spec.c <= 0.0:
         raise ValueError("design_sequential: needs c > 0")
     return _design(spec)
-
-
-# ----------------------------------------------------------------------
-# Regression anchor: the classical budgeted-allocation optimality system
-# ----------------------------------------------------------------------
-
-@dataclass
-class AdwordsCheckReport:
-    mass_residual: float
-    stationarity_residual: float
-    slackness_residual: float
-    f_nonneg: bool
-    passed: bool
-
-
-def adwords_certificate_check(tol: float = 1e-6) -> AdwordsCheckReport:
-    """Numerically verify the optimality system of the cap smoothing.
-
-    The dual density f(u) = exp(1-u)/(e-1) must integrate the cap to one,
-    reproduce its own tail integral through the conjugate slope, and make
-    the ratio constraint tight wherever f is positive.
-    """
-    from scipy.integrate import quad
-
-    c = _E - 1.0
-    f = lambda u: math.exp(1.0 - u) / c
-    y = lambda u: max((_E - math.exp(u)) / c, 0.0)
-    cumint = lambda u: (_E * min(u, 1.0) - math.exp(min(u, 1.0)) + 1.0) / c
-    psi = lambda u: min(u, 1.0)
-    conj = lambda z: min(z, 1.0) - 1.0
-    beta = _E / c
-
-    mass, _ = quad(lambda u: f(u) * psi(u), 0.0, 1.0)
-    tail, _ = quad(f, 1.0, 60.0)
-    mass_res = abs(mass + tail - 1.0)
-
-    # Tail integral of f must equal f(u) times the conjugate slope (== 1
-    # on the active range), i.e. int_u^inf f = f(u).
-    us = np.linspace(0.0, 3.0, 301)
-    stat_res = max(abs(quad(f, float(u), 80.0)[0] - f(float(u))) for u in us[:: 10])
-
-    slack = max(abs(cumint(float(u)) - conj(y(float(u))) - beta * psi(float(u)))
-                for u in np.linspace(1e-9, 1.0, 201))
-
-    ok = mass_res <= tol and stat_res <= 10 * tol and slack <= 10 * tol
-    return AdwordsCheckReport(mass_res, stat_res, slack, True, ok)

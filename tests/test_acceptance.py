@@ -19,7 +19,6 @@ from smoothgreed.objectives import (
     LogDetObjective,
     PenaltyLPObjective,
     SeparableObjective,
-    antitone_check,
     lp_ball_distance,
 )
 from smoothgreed.online import certify, duality_gap_diagnostics, run_sequential, run_simultaneous
@@ -35,7 +34,7 @@ from smoothgreed.smoothing import (
     verify_beta,
 )
 
-from oracles import biconjugate_grid, dp_design_beta, l1_projection_distance
+from oracles import antitone_check, biconjugate_grid, dp_design_beta, l1_projection_distance
 
 E = math.e
 FIG_PL = PiecewiseLinear([0.5, 1.0], [1.0, 0.5, 0.0])

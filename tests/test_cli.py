@@ -226,6 +226,23 @@ class TestRunCertify:
         captured = capsys.readouterr()
         assert captured.out == "" and "A0 entries must be finite" in captured.err
 
+    def test_theta_must_match_steps(self, tmp_path, capsys):
+        # theta sets the packing floor 1/(1 + l/theta): an edited file's theta
+        # would report a false breach (too large) or a vacuous floor (too small)
+        lp, bad = tmp_path / "lp.json", tmp_path / "bad.json"
+        run_cli(["gen", "--family", "lp_random", "--n", "3", "--m", "10", "--k", "1",
+                 "--seed", "1", "--out", str(lp)])
+        assert run_cli(["certify", "--instance", str(lp), "--algo", "sim"]) == cli.EXIT_OK
+        for theta in (1e6, 1e-6):
+            d = json.loads(lp.read_text())
+            d["extras"]["theta"] = theta
+            bad.write_text(json.dumps(d))
+            capsys.readouterr()
+            rc = run_cli(["certify", "--instance", str(bad), "--algo", "sim"])
+            captured = capsys.readouterr()
+            assert rc == cli.EXIT_BAD_INPUT, theta
+            assert captured.out == "" and "extras.theta" in captured.err
+
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         # a rank-one update leaving the cone or a failed step LP is bad input,
         # reported without a traceback or a summary

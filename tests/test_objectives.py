@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from smoothgreed.objectives import (
-    AntitoneReport,
     DiagMap,
     FeasibleSet,
     LogDetObjective,
@@ -14,16 +13,22 @@ from smoothgreed.objectives import (
     SeparableObjective,
     StackedMap,
     Step,
-    antitone_check,
     dual_objective,
     l_bound_lp,
     logdet_step_gain,
     lp_ball_distance,
     theta_of_instance,
 )
+from smoothgreed.instances import gen_adwords_triangular, gen_logdet_stream, gen_lp_random
+from smoothgreed.online import certify, run_simultaneous
 from smoothgreed.scalar import Cap, Linear
+from smoothgreed.smoothing import (
+    adwords_closed_form_smoothing,
+    nesterov_logdet_smoothing,
+    nesterov_penalty_smoothing,
+)
 
-from oracles import l1_projection_distance
+from oracles import AntitoneReport, antitone_check, l1_projection_distance
 
 
 class TestSupport:
@@ -42,11 +47,6 @@ class TestSupport:
         assert (val, x[0]) == (0.7, 1.0)
         val, x = FeasibleSet("unit_interval").support([-0.2])
         assert (val, x[0]) == (0.0, 0.0)
-
-    def test_box(self):
-        val, x = FeasibleSet("box", 3).support([1.0, -1.0, 2.0])
-        assert val == 3.0
-        np.testing.assert_array_equal(x, [1, 0, 1])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -267,15 +267,54 @@ class TestPenaltyLPObjective:
 
     def test_conjugate_requires_unit_reward_dual(self):
         obj = PenaltyLPObjective(2, l=2.0, theta=1.0)
-        assert obj.conj_orig(np.array([0.5, 0.0, 0.0])) == -math.inf
-        assert obj.conj_orig(np.array([1.0, -1.0, 0.0])) == pytest.approx(-1.0)
+        assert obj.conj(np.array([0.5, 0.0, 0.0])) == -math.inf
+        assert obj.conj(np.array([1.0, -1.0, 0.0])) == pytest.approx(-1.0)
 
     def test_lp_ball_conjugate_is_dual_norm(self):
         obj = PenaltyLPObjective(2, l=2.0, theta=1.0, penalty_kind="lp_ball", p=2.0)
         y = np.array([1.0, -1.0, -0.5])
-        assert obj.conj_orig(y) == pytest.approx(-math.hypot(1.0, 0.5))
+        assert obj.conj(y) == pytest.approx(-math.hypot(1.0, 0.5))
 
     def test_alpha_realized_at_interior_point(self):
         obj = PenaltyLPObjective(2, l=2.0, theta=1.0)
         state = np.array([2.0, 0.5, 0.3])
         assert obj.alpha_at_realized(state) == 0.0
+
+
+class TestEngineTwin:
+    """``engine`` is ``self`` unless smoothed, else the same class over the surrogate."""
+
+    @staticmethod
+    def families():
+        """(plain, smoothed, its smoothable part, the surrogate, steps, a state)."""
+        cap = Cap(1.0)
+        s = adwords_closed_form_smoothing()
+        adv = gen_adwords_triangular(3, 2)
+        yield (SeparableObjective([cap] * 3),
+               SeparableObjective([cap] * 3, smoothed=s, certified_beta=s.beta_exact),
+               lambda o: tuple(o.coords), (s,) * 3, adv.steps, (np.array([0.3, 1.2, 2.0]),))
+        lp = gen_lp_random(3, 10, 2, 0.7, seed=1)
+        l, theta = lp.extras["l"], lp.extras["theta"]
+        pen = nesterov_penalty_smoothing(l, theta)
+        yield (PenaltyLPObjective(3, l, theta), PenaltyLPObjective(3, l, theta, smoothed_penalty=pen),
+               lambda o: (o.pen,), (pen,), lp.steps, (np.array([2.0, 0.4, 1.1, 1.7]),))
+        det = gen_logdet_stream(3, 10, 2.0, seed=1)
+        A0, l = np.asarray(det.extras["A0"]), det.extras["l"]
+        pen = nesterov_logdet_smoothing(3, l, 2.0)
+        M = np.random.default_rng(np.random.Philox(key=5)).normal(size=(3, 3))
+        yield (LogDetObjective(A0, 2.0, l=l), LogDetObjective(A0, 2.0, l=l, smoothed_budget=pen),
+               lambda o: (o.pen,), (pen,), det.steps, (M @ M.T, 2.7))
+
+    def test_twin(self):
+        for plain, smooth, part, surrogate, steps, state in self.families():
+            assert plain.engine is plain
+            eng = smooth.engine
+            assert type(eng) is type(smooth) and eng is not smooth
+            assert eng.engine is eng
+            assert repr(part(smooth)) == repr(part(plain))    # still the exact part
+            assert part(eng) == surrogate                     # by identity
+            assert smooth.value(*state) == plain.value(*state)
+            for obj in (plain, smooth):
+                rep = certify(run_simultaneous(obj, steps), obj, steps)
+                assert rep.P > 0
+                assert (rep.alpha_realized is None) == (obj is smooth)

@@ -145,7 +145,7 @@ class TestEngineInvariants:
                 tr = run(obj, inst.steps)
                 prev = None
                 for state_prev, state_post in replay_states(obj, inst.steps, tr):
-                    y = obj.engine_grad_lo(state_post)
+                    y = obj.engine.grad_lo(state_post)
                     if prev is not None:
                         assert np.all(y <= prev + 1e-12)
                     prev = y
@@ -157,7 +157,7 @@ class TestEngineInvariants:
         inst = gen_adwords_triangular(5, 3)
         tr = run_sequential(obj, inst.steps)
         for st, rec, (prev, _) in zip(inst.steps, tr.records, replay_states(obj, inst.steps, tr)):
-            grad = obj.engine_grad_lo(prev)
+            grad = obj.engine.grad_lo(prev)
             _, x_ref = st.F.support(st.A.a * grad)
             np.testing.assert_allclose(rec.x, x_ref, atol=0)
 
@@ -194,7 +194,7 @@ class TestEngineInvariants:
         pts = np.stack([xx[mask], yy[mask]], axis=1)
         for smoothed in (False, True):
             obj = adwords_obj(2, smoothed)
-            f = obj.engine_coords[0]
+            f = obj.engine.coords[0]
             for trial in range(25):
                 a = rng.uniform(0.05, 1.2, size=2)
                 w = rng.uniform(0.0, 1.2, size=2)
@@ -470,7 +470,7 @@ class TestExactScalarSteps:
         obj = PenaltyLPObjective(3, l, theta, smoothed_penalty=pen)
         B = np.array(B)
         st = Step(StackedMap(np.array([c0]), B[:, None]), FeasibleSet("simplex", 1))
-        x, y = _lp_step_scalar(obj, st, np.concatenate(([0.0], w)))
+        x, y = _lp_step_scalar(obj.engine, st, np.concatenate(([0.0], w)))
         assert x.shape == (1,) and 0.0 <= x[0] <= 1.0
         np.testing.assert_array_equal(y, pen.deriv_right(np.array(w) + B * x[0]))
         slope = c0 + float(B @ y)
@@ -541,7 +541,7 @@ class TestCertificates:
         obj = adwords_obj(6, smoothed=True)
         inst = gen_adwords_triangular(6, 5)
         tr = run_sequential(obj, inst.steps)
-        sm = obj.smoothed[0]
+        sm = obj.engine.coords[0]
         mu = sm.h / float(np.max(np.abs(np.diff(sm.y))))   # 1 / max curvature
         assert mu == pytest.approx((E - 1) / E, abs=1e-3)
         gap = duality_gap_diagnostics(tr, obj, mu=mu)
@@ -567,6 +567,6 @@ class TestCertificates:
             tr = run_simultaneous(obj, inst.steps)
             if tr.P_orig <= 0:
                 continue
-            alpha_realized = 1.0 + (obj.conj_orig(tr.y_final) - tr.P_engine) / tr.P_orig
+            alpha_realized = 1.0 + (obj.conj(tr.y_final) - tr.P_engine) / tr.P_orig
             floor = -(1.0 + 1.0 / (E - 1.0)) * pen.gamma
             assert alpha_realized >= floor - 1e-9

@@ -10,12 +10,9 @@ from smoothgreed.smoothing import (
     DesignSpec,
     SmoothedScalar,
     _min_feasible_y,
-    adwords_certificate_check,
     adwords_closed_form_smoothing,
     design_optimal,
     design_sequential,
-    from_base,
-    kappa_of,
     make_monotone,
     nesterov_logdet_smoothing,
     nesterov_penalty_smoothing,
@@ -24,7 +21,7 @@ from smoothgreed.smoothing import (
     verify_beta,
 )
 
-from oracles import dp_design_beta
+from oracles import adwords_certificate_check, dp_design_beta, from_base, kappa_of
 
 E = math.e
 FIG_PL = PiecewiseLinear([0.5, 1.0], [1.0, 0.5, 0.0])
