@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import sys
 
@@ -27,6 +28,7 @@ EXIT_OK = 0
 EXIT_CERT_BREACH = 2
 EXIT_INFEASIBLE = 3
 EXIT_BAD_INPUT = 4
+_STRICT_JSON = json.JSONEncoder(allow_nan=False)   # json.dumps would build one per record
 
 
 def _provenance(args) -> str:
@@ -81,9 +83,10 @@ def _objective_for(inst: Instance, smoothing_arg, objective_arg=None):
     ``objective_arg`` may name a scalar descriptor file that replaces the
     capped reward of allocation instances coordinatewise.
     """
-    fam = inst.family
+    fam, n = inst.family, inst.params.get("n")
+    if fam in ("adwords_triangular", "lp_random") and not (type(n) is int and n >= 1):
+        raise ValueError(f"params.n must be a positive integer, got {n!r}")
     if fam == "adwords_triangular":
-        n = inst.params["n"]
         coord = (sc.from_descriptor(_load_json(objective_arg))
                  if objective_arg else sc.Cap(1.0))
         if smoothing_arg is None:
@@ -94,10 +97,10 @@ def _objective_for(inst: Instance, smoothing_arg, objective_arg=None):
                 raise ValueError("closed-form smoothing applies to the capped reward")
             s = sm.adwords_closed_form_smoothing()
             return SeparableObjective([coord] * n, smoothed=s, certified_beta=s.beta_exact)
-        smoothed, beta = _design_from_file(smoothing_arg)
+        smoothed, beta = _design_from_file(smoothing_arg, coord)
         return SeparableObjective([coord] * n, smoothed=smoothed, certified_beta=beta)
     if fam == "lp_random":
-        n, l, theta = inst.params["n"], inst.extras["l"], inst.extras["theta"]
+        l, theta = inst.extras["l"], inst.extras["theta"]
         if smoothing_arg not in (None, "nesterov"):
             raise ValueError("lp_random supports only the closed-form penalty smoothing")
         pen = sm.nesterov_penalty_smoothing(l, theta) if smoothing_arg else None
@@ -119,17 +122,27 @@ def _objective_for(inst: Instance, smoothing_arg, objective_arg=None):
     raise ValueError(f"unknown family {fam!r}")
 
 
-def _design_from_file(path):
+def _design_from_file(path, coord):
+    """A design file's grid and beta, the beta re-verified against ``coord``."""
     d = _load_json(path)
-    smoothed = sm.smoothed_from_descriptor(
-        {"kind": "smoothed_grid",
-         "params": {"h": d["h"], "y": d["y"], "tail_mode": d["tail_mode"]}})
+    sc.check_positive("design file", h=d["h"], beta=d["beta"])
+    if not (isinstance(d["c"], (int, float)) and 0 <= d["c"] < math.inf):
+        raise ValueError(f"design file: c must be finite and nonnegative, got {d['c']!r}")
+    smoothed = sm.SmoothedScalar(d["h"], d["y"], tail_mode=d["tail_mode"], require_nonneg=False)
+    # the file's beta sets the floor 1/beta, so it must be the one this grid earns
+    with np.errstate(invalid="ignore"):    # a grid that misses the objective verifies at inf
+        beta = max(float(sm.verify_beta(smoothed, coord, c=d["c"], refine=4)[0]), 1.0)
+    if not (math.isfinite(beta) and abs(d["beta"] - beta) <= 1e-9 * beta):
+        raise ValueError(f"design file: beta = {d['beta']!r}, but the grid verifies at "
+                         f"{beta!r} on this objective")
     return smoothed, d["beta"]
 
 
 def _do_run(args, check: bool) -> int:
     inst = Instance.load(args.instance)
     obj = _objective_for(inst, args.smoothing, args.objective)
+    if "offline_opt" in inst.extras:
+        sc.check_positive("extras", offline_opt=inst.extras["offline_opt"])
     run = run_sequential if args.algo == "seq" else run_simultaneous
     trace = run(obj, inst.steps)
     report = certify(trace, obj, inst.steps)
@@ -144,15 +157,17 @@ def _do_run(args, check: bool) -> int:
     })
     if "offline_opt" in inst.extras:
         summary["true_ratio"] = trace.P_orig / inst.extras["offline_opt"]
+    # JSON has no inf or NaN (ratio_lb is inf when D = 0)
+    summary = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+               for k, v in summary.items()}
     if args.out:
         with open(args.out + ".jsonl", "w") as fh:
-            for rec in trace.records:
-                fh.write(json.dumps(rec.to_jsonable()) + "\n")
+            fh.writelines(_STRICT_JSON.encode(rec.to_jsonable()) + "\n" for rec in trace.records)
         with open(args.out + ".json", "w") as fh:
-            json.dump(summary, fh, indent=1)
+            json.dump(summary, fh, indent=1, allow_nan=False)
     print(json.dumps({k: v for k, v in summary.items()
                       if k in ("P", "D", "ratio_lb", "structural_bound",
-                               "certificate_ok", "gap_ok", "true_ratio")}))
+                               "certificate_ok", "gap_ok", "true_ratio")}, allow_nan=False))
     if check and not (report.passed and gap.passed):
         print("certificate breach", file=sys.stderr)
         return EXIT_CERT_BREACH

@@ -329,8 +329,8 @@ class LogDetObjective:
         return self.hstar(Y) + float(self.pen.conjugate(float(yb)))
 
     def ratio_bound(self) -> float:
-        # unsmoothed, 0.5: the determinant reward has ratio parameter -1
-        return getattr(self.engine.pen, "ratio_bound", 0.5)
+        # 0.5 unless the budget smoothing certifies one (the reward's alpha is -1)
+        return getattr(self.engine.pen, "ratio_bound", None) or 0.5
 
 
 # ----------------------------------------------------------------------

@@ -272,6 +272,7 @@ def _fill_deficit(x, idx, x_min, x_max):
             break
 
 
+@np.errstate(over="ignore")     # a denormal bid overflows v/a and (t - w)/a; both are clipped
 def _waterfill(coords, uniform, a, w):
     """Exact coordinate maximization of sum_j f_j(w_j + a_j x_j) over the simplex.
 
@@ -472,20 +473,19 @@ def _sim_step(obj, st: Step, u):
     solve the epigraph LP when unsmoothed (_lp_step_exact), and otherwise
     find the root of the scalar slope by safeguarded Newton at k == 1
     (_lp_step_scalar) or run projected Newton on the simplex
-    (_lp_step_newton).  Returns (x, z) with z = A^T y for the step's saddle
-    dual y, so that x attains the support value of z up to floating-point
-    rounding.
+    (_lp_step_newton).  Returns (x, y) with y the step's saddle dual in the
+    layout of u, so that x attains the support value of A^T y up to
+    floating-point rounding.
     """
     if isinstance(obj, SeparableObjective):
-        x, y = _waterfill(obj.coords, obj._uniform, st.A.a, u)
-        return x, st.A.a * y
+        return _waterfill(obj.coords, obj._uniform, st.A.a, u)
     if obj.smoothed_penalty is None:
         x, y_pen = _lp_step_exact(obj, st, u)
     elif st.A.B.shape[1] == 1:
         x, y_pen = _lp_step_scalar(obj, st, u)
     else:
         x, y_pen = _lp_step_newton(obj, st, u)
-    return x, st.A.c + st.A.B.T @ y_pen
+    return x, np.concatenate(([1.0], y_pen))
 
 
 def _logdet_step(pen, q0, used):
@@ -617,11 +617,13 @@ def _run_orthant(obj, steps, algo, keep_records):
             y = eng.grad_lo(u)
             shift = True
     sigma_sum = corr = sqsum = resid = 0.0
+    y_low = np.inf      # running minimum of the sim steps' duals
     prev_val = eng.value(u)
     records = []
     for t, st in enumerate(steps, 1):
         if algo == "sim":
-            x, z = _sim_step(eng, st, u)
+            x, y_step = _sim_step(eng, st, u)
+            z, y_low = st.A.adjoint(y_step), np.minimum(y_low, y_step)
             sigma = max(0.0, float(np.max(z)))
             inner = float(x @ z)
             resid = max(resid, abs(sigma * min(float(x.sum()), 1.0) - inner))
@@ -642,7 +644,9 @@ def _run_orthant(obj, steps, algo, keep_records):
         if keep_records:
             records.append(StepRecord(t, x, sigma, inner, gain))
     if algo == "sim":
-        y = eng.grad_lo(u)
+        # D bounds OPT only if y lies below every step's dual: the LP step can
+        # hold a kink that w + Bx misses by rounding, where the slope reads above
+        y = np.minimum(eng.grad_lo(u), y_low)
     return RunTrace(algo, len(steps), u, y, obj.value(u), eng.value(u),
                     sigma_sum - obj.conj(y), sigma_sum - eng.conj(y),
                     sigma_sum, corr, sqsum, records, shift, resid)

@@ -327,53 +327,6 @@ class Log1p(ScalarConcave):
     deriv_inv_lo = deriv_inv_hi
 
 
-class Sqrt(ScalarConcave):
-    """u -> sqrt(u); the supergradient blows up at the origin."""
-
-    kind = "sqrt"
-
-    def value(self, u):
-        return _maybe_scalar(u, np.sqrt(_nonneg(u)))
-
-    def conjugate(self, y):
-        a = _as_array(y)
-        with np.errstate(divide="ignore"):
-            out = np.where(a > 0, -1.0 / (4.0 * np.maximum(a, 1e-300)), -np.inf)
-        return _maybe_scalar(y, out)
-
-    def conj1(self, y):
-        return -0.25 / y if y > 0 else -math.inf
-
-    def conj1_slope(self, y):
-        yy = y * y
-        return 0.25 / yy if y > 0 and yy > 0 else math.inf
-
-    def deriv_right(self, u):
-        a = _as_array(u)
-        with np.errstate(divide="ignore"):
-            out = np.where(a > 0, 0.5 / np.sqrt(np.maximum(a, 1e-300)), np.inf)
-        return _maybe_scalar(u, np.minimum(out, SLOPE_CAP))
-
-    deriv_left = deriv_right
-
-    def slope0(self):
-        return math.inf
-
-    def conj_dom_lo(self):
-        return 0.0
-
-    def deriv_inv_hi(self, v):
-        a = _as_array(v)
-        with np.errstate(divide="ignore", over="ignore"):
-            out = np.where(a <= 0, np.inf, 0.25 / np.maximum(a, 1e-300) ** 2)
-        return _maybe_scalar(v, out)
-
-    deriv_inv_lo = deriv_inv_hi
-
-    def alpha_exact(self):
-        return -0.5
-
-
 class Power(ScalarConcave):
     """u -> u**p with p in (0, 1)."""
 
@@ -436,6 +389,18 @@ class Power(ScalarConcave):
 
     def params(self):
         return {"p": self.p}
+
+
+class Sqrt(Power):
+    """u -> sqrt(u), the parameterization Power(0.5)."""
+
+    kind = "sqrt"
+
+    def __init__(self):
+        super().__init__(0.5)
+
+    def params(self):
+        return {}
 
 
 _KINDS = {

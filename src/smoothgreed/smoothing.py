@@ -24,9 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from smoothgreed.scalar import SLOPE_CAP, ScalarConcave, SupergradInterval, check_positive
+from smoothgreed.scalar import SLOPE_CAP, PiecewiseLinear, ScalarConcave, alpha_bar, check_positive
 
 _E = math.e
+
+
+def _scalar(out):
+    return out if out.ndim else float(out)
 
 
 def make_monotone(y):
@@ -34,7 +38,7 @@ def make_monotone(y):
     return np.minimum.accumulate(np.asarray(y, dtype=float))
 
 
-class SmoothedScalar:
+class SmoothedScalar(ScalarConcave):
     """Concave function defined by derivative samples on a uniform grid.
 
     Parameters
@@ -43,14 +47,16 @@ class SmoothedScalar:
     y : array of d+1 derivative samples, non-increasing.
     tail_mode : "zero" keeps the function constant past the grid (plateau
         designs force y[-1] == 0); "hold_last" extends the last slope.
-    exact_y, exact_cumint, exact_y_inv : optional closed forms that override
-        grid interpolation, used by the analytic smoothings.
+    require_nonneg : reject a negative last sample (a monotone smoothing).
+
+    The closed-form smoothings are subclasses that override ``deriv``,
+    ``value``, ``deriv2`` and ``_deriv_inv``, so certificates do not inherit
+    grid error; their samples still back the grid queries and the descriptor.
     """
 
-    monotone = True
+    kind = "smoothed_grid"
 
-    def __init__(self, h, y, tail_mode="zero", exact_y=None, exact_cumint=None,
-                 exact_y_inv=None, require_nonneg=True, label=""):
+    def __init__(self, h, y, tail_mode="zero", require_nonneg=True):
         y = np.asarray(y, dtype=float)
         if y.ndim != 1 or len(y) < 2:
             raise ValueError("SmoothedScalar: need at least two derivative samples")
@@ -68,29 +74,18 @@ class SmoothedScalar:
         self.u_end = self.h * self.d
         self.tail_mode = tail_mode
         self.cumint = np.concatenate(([0.0], np.cumsum(0.5 * self.h * (y[1:] + y[:-1]))))
-        self.exact_y = exact_y
-        self.exact_cumint = exact_cumint
-        self.exact_y_inv = exact_y_inv
-        self.exact_dy = None    # closed-form second derivative, set by the penalty smoothings
         self.monotone = bool(y[-1] >= -1e-12)
-        self.label = label
 
     # -- evaluation ------------------------------------------------------
 
     def deriv(self, u):
         u = np.asarray(u, dtype=float)
-        if self.exact_y is not None:
-            out = self.exact_y(u)
-        else:
-            tail = 0.0 if self.tail_mode == "zero" else self.y[-1]
-            out = np.interp(u, self._ugrid(), self.y, left=self.y[0], right=tail)
-        return out if out.ndim else float(out)
+        tail = 0.0 if self.tail_mode == "zero" else self.y[-1]
+        ugrid = self.h * np.arange(self.d + 1)
+        return _scalar(np.interp(u, ugrid, self.y, left=self.y[0], right=tail))
 
     def value(self, u):
         u = np.asarray(u, dtype=float)
-        if self.exact_cumint is not None:
-            out = self.exact_cumint(u)
-            return out if np.ndim(out) else float(out)
         uc = np.minimum(u, self.u_end)
         idx = np.clip((uc / self.h).astype(int), 0, self.d - 1)
         u0 = idx * self.h
@@ -99,26 +94,19 @@ class SmoothedScalar:
         out = self.cumint[idx] + self.y[idx] * du + 0.5 * slope * du * du
         if self.tail_mode == "hold_last":
             out = out + self.y[-1] * np.maximum(u - self.u_end, 0.0)
-        return out if out.ndim else float(out)
+        return _scalar(out)
 
-    # scalar-concave protocol compatibility
-    deriv_right = deriv
-    deriv_left = deriv
+    # a method, not an alias, so both sides follow a subclass's deriv
+    def deriv_right(self, u):
+        return self.deriv(u)
+
+    deriv_left = deriv_right
 
     def deriv2(self, u):
-        """Right second derivative: the slope of the interpolated derivative,
-        or its closed form when the smoothing carries one (``exact_dy``)."""
+        """Right second derivative: the slope of the interpolated derivative."""
         u = np.asarray(u, dtype=float)
-        if self.exact_dy is not None:
-            out = self.exact_dy(u)
-        else:
-            idx = np.clip((u / self.h).astype(int), 0, self.d - 1)
-            out = np.where(u < self.u_end, (self.y[idx + 1] - self.y[idx]) / self.h, 0.0)
-        return out if out.ndim else float(out)
-
-    def supergrad(self, u):
-        g = float(self.deriv(float(u)))
-        return SupergradInterval(g, g if u > 0 else SLOPE_CAP)
+        idx = np.clip((u / self.h).astype(int), 0, self.d - 1)
+        return _scalar(np.where(u < self.u_end, (self.y[idx + 1] - self.y[idx]) / self.h, 0.0))
 
     def slope0(self):
         return float(self.y[0])
@@ -141,13 +129,9 @@ class SmoothedScalar:
         # clamp the attaining point onto the grid where value() is exact.
         uz = np.minimum(uz, self.u_end)
         out = z * uz - self.value(uz)
-        out = np.where(z < tail_slope - 1e-15, -np.inf, out)
-        return out if out.ndim else float(out)
+        return _scalar(np.where(z < tail_slope - 1e-15, -np.inf, out))
 
     # -- derivative inverses (water-filling and designer support) ---------
-
-    def _ugrid(self):
-        return self.h * np.arange(self.d + 1)
 
     def deriv_inv_hi(self, v):
         """Rightmost u with deriv(u) >= v (sup over an empty set is 0)."""
@@ -159,9 +143,6 @@ class SmoothedScalar:
 
     def _deriv_inv(self, v, side):
         v = np.asarray(v, dtype=float)
-        if self.exact_y_inv is not None:
-            out = np.asarray(self.exact_y_inv(v, side), dtype=float)
-            return out if out.ndim else float(out)
         hi = side == "hi"
         # first sample below v ("hi") or at most v ("lo")
         j = np.searchsorted(-self.y, -v, side="right" if hi else "left")
@@ -175,73 +156,70 @@ class SmoothedScalar:
             tail = np.inf
         else:
             tail = np.where((v <= 0) if hi else (v < 0), np.inf, self.u_end)
-        out = np.where(j > self.d, tail, out)
-        return out if out.ndim else float(out)
+        return _scalar(np.where(j > self.d, tail, out))
 
-    def to_descriptor(self):
-        return {
-            "kind": "smoothed_grid",
-            "params": {"h": self.h, "y": self.y.tolist(), "tail_mode": self.tail_mode},
-        }
+    def params(self):
+        return {"h": self.h, "y": self.y.tolist(), "tail_mode": self.tail_mode}
 
     def __repr__(self):
-        return (f"SmoothedScalar(d={self.d}, h={self.h:.4g}, "
-                f"tail={self.tail_mode}, y0={self.y[0]:.4g}{', ' + self.label if self.label else ''})")
+        return (f"{type(self).__name__}(d={self.d}, h={self.h:.4g}, "
+                f"tail={self.tail_mode}, y0={self.y[0]:.4g})")
 
 
 def smoothed_from_descriptor(desc: dict) -> SmoothedScalar:
-    p = desc["params"]
-    return SmoothedScalar(p["h"], np.asarray(p["y"], dtype=float),
-                          tail_mode=p.get("tail_mode", "zero"),
-                          require_nonneg=False)
+    return SmoothedScalar(**desc["params"], require_nonneg=False)
 
 
 # ----------------------------------------------------------------------
-# Closed-form entropy smoothings of budget penalties
+# Closed-form entropy smoothings
 # ----------------------------------------------------------------------
 
-def _clipped_exp_smoothing(l, theta, gamma, b, u_clip, d, label):
-    """Entropy smoothing of u -> -l*(u - b)_+ shared by the penalty forms.
+class EntropyPenaltySmoothing(SmoothedScalar):
+    """Entropy smoothing of the budget penalty u -> -l*(u - budget)_+.
 
-    The derivative is y(u) = (theta/(e-1)) * (1 - exp(gamma*u/b)) clipped
-    to [-l, 0]; it reaches -l at ``u_clip``, where the grid ends and the
-    last slope is held.
+    The derivative is y(u) = (theta/(e-1)) * (1 - exp(gamma*u/budget))
+    clipped to [-l, 0]; it reaches -l at ``u_clip``, where the grid of d
+    steps ends and the last slope is held.  ``ratio_bound`` is the certified
+    ratio when the construction carries one (the log-det form), else None.
     """
-    scale = theta / (_E - 1.0)
 
-    def y_of(u):
-        u = np.asarray(u, dtype=float)
-        return np.clip(scale * (1.0 - np.exp(gamma * u / b)), -l, 0.0)
+    def __init__(self, l, theta, gamma, budget, u_clip, d, ratio_bound=None):
+        self.l, self.theta, self.gamma = l, theta, gamma
+        self.budget, self.u_clip, self.ratio_bound = budget, u_clip, ratio_bound
+        self.scale = theta / (_E - 1.0)
+        h = u_clip / d
+        super().__init__(h, self.deriv(h * np.arange(d + 1)), tail_mode="hold_last",
+                         require_nonneg=False)
 
-    def cumint_of(u):
+    def deriv(self, u):
+        y = self.scale * (1.0 - np.exp(self.gamma * np.asarray(u, dtype=float) / self.budget))
+        return _scalar(np.clip(y, -self.l, 0.0))
+
+    def value(self, u):
         u = np.asarray(u, dtype=float)
+        b, gamma, u_clip = self.budget, self.gamma, self.u_clip
         uc = np.minimum(u, u_clip)
-        inner = scale * (uc - np.expm1(gamma * uc / b) * b / gamma)
-        return inner - l * np.maximum(u - u_clip, 0.0)
+        inner = self.scale * (uc - np.expm1(gamma * uc / b) * b / gamma)
+        return _scalar(inner - self.l * np.maximum(u - u_clip, 0.0))
 
-    def dy_of(u):
+    def deriv2(self, u):
         u = np.asarray(u, dtype=float)
-        return np.where(u < u_clip, -scale * gamma / b * np.exp(gamma * np.minimum(u, u_clip) / b), 0.0)
+        b, gamma, u_clip = self.budget, self.gamma, self.u_clip
+        dy = -self.scale * gamma / b * np.exp(gamma * np.minimum(u, u_clip) / b)
+        return _scalar(np.where(u < u_clip, dy, 0.0))
 
-    def y_inv(v, side):
+    def _deriv_inv(self, v, side):
         v = np.asarray(v, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            core = b / gamma * np.log(np.maximum(1.0 - v / scale, 1.0))
+            core = self.budget / self.gamma * np.log(np.maximum(1.0 - v / self.scale, 1.0))
         if side == "hi":
-            return np.where(v > 0, 0.0, np.where(v <= -l, np.inf, core))
-        return np.where(v >= 0, 0.0, np.where(v < -l, np.inf, np.minimum(core, u_clip)))
-
-    h = u_clip / d
-    sm = SmoothedScalar(h, y_of(h * np.arange(d + 1)), tail_mode="hold_last",
-                        exact_y=y_of, exact_cumint=cumint_of, exact_y_inv=y_inv,
-                        require_nonneg=False, label=label)
-    sm.exact_dy = dy_of
-    sm.gamma = gamma
-    return sm
+            return _scalar(np.where(v > 0, 0.0, np.where(v <= -self.l, np.inf, core)))
+        core = np.minimum(core, self.u_clip)
+        return _scalar(np.where(v >= 0, 0.0, np.where(v < -self.l, np.inf, core)))
 
 
 def nesterov_penalty_smoothing(l: float, theta: float, budget: float = 1.0,
-                               d: int = 2048) -> SmoothedScalar:
+                               d: int = 2048) -> EntropyPenaltySmoothing:
     """Smooth the penalty u -> -l*(u - budget)_+ with the entropy smoother.
 
     The smoothed derivative follows the first-order inversion
@@ -251,11 +229,11 @@ def nesterov_penalty_smoothing(l: float, theta: float, budget: float = 1.0,
     """
     check_positive("nesterov_penalty_smoothing", l=l, theta=theta, budget=budget)
     gamma = math.log1p(l * (_E - 1.0) / theta)
-    return _clipped_exp_smoothing(l, theta, gamma, budget, budget, d,
-                                  f"nesterov_penalty(l={l:.3g})")
+    return EntropyPenaltySmoothing(l, theta, gamma, budget, budget, d)
 
 
-def nesterov_logdet_smoothing(n: int, l: float, b: float, d: int = 2048) -> SmoothedScalar:
+def nesterov_logdet_smoothing(n: int, l: float, b: float,
+                              d: int = 2048) -> EntropyPenaltySmoothing:
     """Entropy smoothing of the budget penalty for determinant maximization.
 
     Uses theta = log(1 + 1/n) and gamma = log(1 + l/theta); the associated
@@ -268,45 +246,45 @@ def nesterov_logdet_smoothing(n: int, l: float, b: float, d: int = 2048) -> Smoo
     gamma = math.log1p(l / theta)
     # The derivative hits -l strictly past the budget; cover that point.
     u_clip = b * math.log1p(l * (_E - 1.0) / theta) / gamma
-    sm = _clipped_exp_smoothing(l, theta, gamma, b, u_clip, d, f"nesterov_logdet(n={n})")
-    sm.theta = theta
-    sm.ratio_bound = 1.0 / (1.0 + (1.0 + 1.0 / (_E - 1.0)) * gamma)
-    return sm
+    return EntropyPenaltySmoothing(l, theta, gamma, b, u_clip, d,
+                                   ratio_bound=1.0 / (1.0 + (1.0 + 1.0 / (_E - 1.0)) * gamma))
 
 
-def adwords_closed_form_smoothing(d: int = 4096) -> SmoothedScalar:
+class AdwordsCapSmoothing(SmoothedScalar):
     """The optimal smoothing of min(u, 1): derivative ((e - e^u)/(e-1))_+.
 
-    Carries exact closed forms so certificates do not inherit grid error;
-    the associated beta is exactly e/(e-1).
+    Its beta is exactly e/(e-1).  It equals slope one plus the unit penalty
+    at theta = 1, but that fold ran 10-15% slower on closed-form allocation.
     """
-    c = _E - 1.0
 
-    def y_of(u):
-        u = np.asarray(u, dtype=float)
-        return np.maximum((_E - np.exp(np.minimum(u, 1.0))) / c, 0.0)
+    beta_exact = _E / (_E - 1.0)
 
-    def cumint_of(u):
-        u = np.asarray(u, dtype=float)
-        uc = np.minimum(u, 1.0)
-        return (_E * uc - np.exp(uc) + 1.0) / c
+    def __init__(self, d):
+        h = 1.0 / d
+        grid = self.deriv(h * np.arange(d + 1))
+        grid[-1] = 0.0
+        super().__init__(h, grid, tail_mode="zero")
 
-    def y_inv(v, side):
+    def deriv(self, u):
+        uc = np.minimum(np.asarray(u, dtype=float), 1.0)
+        return _scalar(np.maximum((_E - np.exp(uc)) / (_E - 1.0), 0.0))
+
+    def value(self, u):
+        uc = np.minimum(np.asarray(u, dtype=float), 1.0)
+        return _scalar((_E * uc - np.exp(uc) + 1.0) / (_E - 1.0))
+
+    def _deriv_inv(self, v, side):
         v = np.asarray(v, dtype=float)
         with np.errstate(invalid="ignore"):
-            core = np.log(np.maximum(_E - c * v, 1.0))
+            core = np.log(np.maximum(_E - (_E - 1.0) * v, 1.0))
         if side == "hi":
-            return np.where(v > 1.0, 0.0, np.where(v <= 0.0, np.inf, core))
-        return np.where(v >= 1.0, 0.0, np.where(v < 0.0, np.inf, core))
+            return _scalar(np.where(v > 1.0, 0.0, np.where(v <= 0.0, np.inf, core)))
+        return _scalar(np.where(v >= 1.0, 0.0, np.where(v < 0.0, np.inf, core)))
 
-    h = 1.0 / d
-    grid = y_of(h * np.arange(d + 1))
-    grid[-1] = 0.0
-    sm = SmoothedScalar(h, grid, tail_mode="zero", exact_y=y_of,
-                        exact_cumint=cumint_of, exact_y_inv=y_inv,
-                        label="adwords_closed_form")
-    sm.beta_exact = _E / c
-    return sm
+
+def adwords_closed_form_smoothing(d: int = 4096) -> AdwordsCapSmoothing:
+    """The optimal smoothing of min(u, 1); its beta is exactly e/(e-1)."""
+    return AdwordsCapSmoothing(d)
 
 
 def nesterov_pl_smoothing(base, theta: float, d: int = 2000) -> SmoothedScalar:
@@ -317,32 +295,20 @@ def nesterov_pl_smoothing(base, theta: float, d: int = 2000) -> SmoothedScalar:
     theta, and sums the derivatives.  For the single-kink cap this recovers
     the classical optimal smoothing at theta equal to the drop size.
     """
-    from smoothgreed.scalar import PiecewiseLinear
-
     # linear functions have no drop and the budget penalty is not monotone
     if not (isinstance(base, PiecewiseLinear) and len(base.b) and base.monotone):
         raise TypeError("nesterov_pl_smoothing: base must be cap or piecewise_linear")
-    drops = [(float(b), float(base.s[j] - base.s[j + 1]))
-             for j, b in enumerate(base.b)]
-    s0 = float(base.s[0])
-    u_end = float(base.b[-1])
-
-    parts = [(bj, dj, math.log1p(dj * (_E - 1.0) / theta)) for bj, dj in drops]
-    scale = theta / (_E - 1.0)
-
-    def y_of(u):
-        u = np.asarray(u, dtype=float)
-        total = np.full(u.shape, s0)
-        for bj, dj, gj in parts:
-            total = total + np.clip(scale * (1.0 - np.exp(gj * u / bj)), -dj, 0.0)
-        return np.maximum(total, 0.0)
-
-    h = u_end / d
-    grid = make_monotone(y_of(h * np.arange(d + 1)))
+    h = float(base.b[-1]) / d
+    u = h * np.arange(d + 1)
+    total = float(base.s[0])
+    for j, bj in enumerate(base.b):
+        drop = float(base.s[j] - base.s[j + 1])
+        total = total + nesterov_penalty_smoothing(drop, theta, float(bj)).deriv(u)
+    grid = make_monotone(np.maximum(total, 0.0))
     tail = "zero" if grid[-1] <= 1e-12 else "hold_last"
     if tail == "zero":
         grid[-1] = 0.0
-    return SmoothedScalar(h, grid, tail_mode=tail, label=f"nesterov_pl(theta={theta:.3g})")
+    return SmoothedScalar(h, grid, tail_mode=tail)
 
 
 # ----------------------------------------------------------------------
@@ -575,8 +541,6 @@ def _greedy_construct(spec: DesignSpec, beta: float, psis: list):
 
 
 def _design(spec: DesignSpec) -> DesignResult:
-    from smoothgreed.scalar import alpha_bar
-
     if not spec.base.monotone or float(spec.base.value(spec.u_end)) <= 0:
         raise ValueError("design: base must be monotone with positive values on (0, u_end]")
     # A guaranteed-feasible upper bracket: the base's own derivative

@@ -243,6 +243,71 @@ class TestRunCertify:
             assert rc == cli.EXIT_BAD_INPUT, theta
             assert captured.out == "" and "extras.theta" in captured.err
 
+    def test_design_beta_is_verified(self, tmp_path, cap_descriptor, capsys):
+        # the design file's beta sets the floor 1/beta: it is re-verified on the
+        # coordinate actually run, and a mismatch is bad input naming beta
+        inst, design = str(tmp_path / "inst.json"), str(tmp_path / "d")
+        run_cli(["gen", "--family", "adwords_triangular", "--n", "20", "--phase-len", "5",
+                 "--out", inst])
+        run_cli(["design", "--objective", cap_descriptor, "--horizon", "1.0", "--grid", "200",
+                 "--plateau", "--out", design])
+        good = json.loads(Path(design + ".json").read_text())
+        assert good["beta"] == pytest.approx(1.5835, abs=1e-4)
+        argv = ["certify", "--instance", inst, "--algo", "sim", "--smoothing"]
+        assert run_cli(argv + [design + ".json"]) == cli.EXIT_OK
+        assert run_cli(argv + [design + ".json", "--objective", cap_descriptor]) == cli.EXIT_OK
+        bad = tmp_path / "bad.json"
+        for beta in (1.0, 1e9, math.nan, math.inf, "x", good["beta"] * (1 + 1e-8)):
+            bad.write_text(json.dumps(dict(good, beta=beta)))
+            capsys.readouterr()
+            assert run_cli(argv + [str(bad)]) == cli.EXIT_BAD_INPUT, beta
+            captured = capsys.readouterr()
+            assert captured.out == "" and "beta" in captured.err, (beta, captured.err)
+        # a design made for another base
+        log = tmp_path / "log.json"
+        log.write_text(json.dumps({"kind": "log1p", "params": {}}))
+        capsys.readouterr()
+        assert run_cli(argv + [design + ".json", "--objective", str(log)]) == cli.EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and "beta" in captured.err
+
+    def test_instance_fields_exit_code(self, tmp_path, capsys):
+        # params.n sizes the objective and offline_opt divides the true ratio
+        inst, bad = tmp_path / "inst.json", tmp_path / "bad.json"
+        run_cli(["gen", "--family", "adwords_triangular", "--n", "3", "--phase-len", "2",
+                 "--out", str(inst)])
+        cases = [("params", "n", v) for v in ("x", 2.5, 0, True)]
+        cases += [("extras", "offline_opt", v) for v in (0, "x", math.nan, -3.0)]
+        for part, key, value in cases:
+            d = json.loads(inst.read_text())
+            d[part][key] = value
+            bad.write_text(json.dumps(d))
+            capsys.readouterr()
+            assert run_cli(["certify", "--instance", str(bad)]) == cli.EXIT_BAD_INPUT, (key, value)
+            captured = capsys.readouterr()
+            assert captured.out == "" and key in captured.err, (key, value, captured.err)
+
+    def test_nonfinite_summary_written_as_null(self, tmp_path, capsys):
+        # with all bids zero or no steps D = 0 and ratio_lb is infinite
+        inst, bad = tmp_path / "inst.json", tmp_path / "bad.json"
+        run_cli(["gen", "--family", "adwords_triangular", "--n", "3", "--phase-len", "2",
+                 "--out", str(inst)])
+
+        def strict(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        for edit in (lambda d: [st["A"].__setitem__("a", [0.0] * 3) for st in d["steps"]],
+                     lambda d: d.__setitem__("steps", [])):
+            d = json.loads(inst.read_text())
+            edit(d)
+            bad.write_text(json.dumps(d))
+            capsys.readouterr()
+            out = str(tmp_path / "run")
+            assert run_cli(["certify", "--instance", str(bad), "--out", out]) == cli.EXIT_OK
+            printed = json.loads(capsys.readouterr().out, parse_constant=strict)
+            summary = json.loads(Path(out + ".json").read_text(), parse_constant=strict)
+            assert printed["ratio_lb"] is None and summary["ratio_lb"] is None
+
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         # a rank-one update leaving the cone or a failed step LP is bad input,
         # reported without a traceback or a summary
@@ -278,6 +343,16 @@ class TestSweep:
                 for ln in lines[2:]}
         assert rows[(1, 1)] == pytest.approx(1.0)      # single budget: greedy exact
         assert rows[(4, 3)] == pytest.approx(0.5)
+
+    def test_pool_matches_serial(self, tmp_path, monkeypatch):
+        rows = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("SMOOTHGREED_THREADS", workers)
+            out = str(tmp_path / f"sweep{workers}.csv")
+            assert run_cli(["sweep", "--n-list", "2,4,6", "--phase-list", "1,2,3",
+                            "--smoothed", "--out", out]) == 0
+            rows[workers] = Path(out).read_text().splitlines()[1:]
+        assert len(rows["1"]) == 10 and rows["1"] == rows["2"]
 
     def test_smoothed_sequential_trend(self, tmp_path):
         # the sequential engine approaches its limit from below as the

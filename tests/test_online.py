@@ -570,3 +570,53 @@ class TestCertificates:
             alpha_realized = 1.0 + (obj.conj(tr.y_final) - tr.P_engine) / tr.P_orig
             floor = -(1.0 + 1.0 / (E - 1.0)) * pen.gamma
             assert alpha_realized >= floor - 1e-9
+
+
+class TestWeakDuality:
+    """P and a brute-force lower bound on OPT never exceed the certified D.
+
+    Small random instances of all three families, both engines, plain and
+    smoothed; the oracles enumerate choices (orthant) or a grid of the
+    hard-budget relaxation (PSD cone), so both are lower bounds on OPT.
+    """
+
+    @staticmethod
+    def _check(objs, steps, oracle):
+        for obj in objs:
+            for run in (run_simultaneous, run_sequential):
+                tr = run(obj, steps)
+                D = tr.D_alg
+                assert max(tr.P_orig, oracle) <= D + 1e-9 * max(1.0, abs(D)), \
+                    (run.__name__, obj.engine is not obj, tr.P_orig, oracle, D)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hs.integers(2, 3), hs.lists(hs.lists(hs.floats(0.0, 1.2), min_size=3, max_size=3),
+                                       min_size=1, max_size=3))
+    @example(2, [[0.0, 2.225073858507203e-309, 0.0]])    # a denormal bid: no overflow warning
+    def test_allocation(self, n, bids):
+        steps = [Step(DiagMap(np.array(a[:n])), FeasibleSet("simplex", n)) for a in bids]
+        plain = adwords_obj(n)
+        oracle = enumerate_offline_best(plain.value, steps, frac=2)
+        self._check([plain, adwords_obj(n, smoothed=True)], steps, oracle)
+
+    @settings(max_examples=25, deadline=None)
+    @given(hs.integers(2, 3), hs.integers(1, 3), hs.integers(1, 2), hs.integers(0, 2**16))
+    @example(2, 1, 1, 136)     # the LP holds a kink that w + Bx misses by one ulp
+    def test_packing(self, n, m, k, seed):
+        inst = gen_lp_random(n, m, k, 0.7, seed)
+        l, theta = inst.extras["l"], inst.extras["theta"]
+        plain = PenaltyLPObjective(n, l, theta)
+        smooth = PenaltyLPObjective(n, l, theta,
+                                    smoothed_penalty=nesterov_penalty_smoothing(l, theta))
+        oracle = enumerate_offline_best(plain.value, inst.steps, frac=2)
+        self._check([plain, smooth], inst.steps, oracle)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hs.integers(2, 3), hs.integers(1, 3), hs.floats(0.3, 2.5), hs.integers(0, 2**16))
+    def test_determinant(self, n, m, b, seed):
+        inst = gen_logdet_stream(n, m, b, seed=seed)
+        A0, l = np.asarray(inst.extras["A0"]), inst.extras["l"]
+        plain = LogDetObjective(A0, b, l=l)
+        smooth = LogDetObjective(A0, b, l=l, smoothed_budget=nesterov_logdet_smoothing(n, l, b))
+        oracle = logdet_relaxation_grid(A0, [st.A.a for st in inst.steps], b, grid=8)
+        self._check([plain, smooth], inst.steps, oracle)

@@ -225,6 +225,20 @@ class TestDescriptors:
             us = np.linspace(0.0, 3.0, 50)
             np.testing.assert_allclose(g.value(us), f.value(us), atol=0)
 
+    def test_sqrt_is_power_half(self):
+        # the parameterization keeps its own kind and empty parameters, and
+        # the Power calculus matches sqrt's closed forms to rounding
+        f = Sqrt()
+        assert isinstance(f, Power) and f.p == 0.5
+        assert f.to_descriptor() == {"kind": "sqrt", "params": {}}
+        assert type(from_descriptor(f.to_descriptor())) is Sqrt
+        us = np.linspace(0.01, 50.0, 400)
+        np.testing.assert_allclose(f.value(us), np.sqrt(us), rtol=5e-16)
+        np.testing.assert_allclose(f.deriv_right(us), 0.5 / np.sqrt(us), rtol=5e-16)
+        np.testing.assert_allclose(f.conjugate(us), -0.25 / us, rtol=5e-16)
+        np.testing.assert_allclose(f.deriv_inv_lo(us), 0.25 / us ** 2, rtol=5e-16)
+        assert f.alpha_exact() == -0.5 and f.slope0() == math.inf
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             from_descriptor({"kind": "mystery"})

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smoothgreed.scalar import SLOPE_CAP, Cap, Linear, Log1p, PiecewiseLinear, Power, Sqrt
+from smoothgreed.scalar import (
+    SLOPE_CAP,
+    Cap,
+    Linear,
+    Log1p,
+    PiecewiseLinear,
+    Power,
+    ScalarConcave,
+    Sqrt,
+)
 from smoothgreed.smoothing import (
     DesignSpec,
     SmoothedScalar,
@@ -81,6 +90,22 @@ class TestSmoothedScalar:
         back = smoothed_from_descriptor(sm.to_descriptor())
         np.testing.assert_array_equal(back.y, sm.y)
         assert back.h == sm.h and back.tail_mode == sm.tail_mode
+
+
+    def test_smoothings_share_the_scalar_protocol(self):
+        # the inherited supergrad, conj1 and descriptor, and one-sided
+        # derivatives that follow each closed form's own deriv off the grid
+        cases = [adwords_closed_form_smoothing(256), nesterov_penalty_smoothing(2.0, 1.0),
+                 nesterov_logdet_smoothing(3, 2.0, 1.5), nesterov_pl_smoothing(Cap(1.0), 1.0, d=200)]
+        us = np.linspace(0.0, 1.7, 41) + 1e-3
+        for sm in cases:
+            assert isinstance(sm, ScalarConcave) and sm.kind == "smoothed_grid"
+            np.testing.assert_array_equal(sm.deriv_right(us), sm.deriv(us))
+            np.testing.assert_array_equal(sm.deriv_left(us), sm.deriv(us))
+            sg = sm.supergrad(0.5)
+            assert sg.lo == sg.hi == sm.deriv(0.5)
+            assert sm.conj1(sg.lo) == sm.conjugate(sg.lo)
+            np.testing.assert_array_equal(smoothed_from_descriptor(sm.to_descriptor()).y, sm.y)
 
 
 class TestNesterovClosedForms:
