@@ -130,8 +130,7 @@ def _design_from_file(path, coord):
         raise ValueError(f"design file: c must be finite and nonnegative, got {d['c']!r}")
     smoothed = sm.SmoothedScalar(d["h"], d["y"], tail_mode=d["tail_mode"], require_nonneg=False)
     # the file's beta sets the floor 1/beta, so it must be the one this grid earns
-    with np.errstate(invalid="ignore"):    # a grid that misses the objective verifies at inf
-        beta = max(float(sm.verify_beta(smoothed, coord, c=d["c"], refine=4)[0]), 1.0)
+    beta = max(float(sm.verify_beta(smoothed, coord, c=d["c"], refine=4)[0]), 1.0)
     if not (math.isfinite(beta) and abs(d["beta"] - beta) <= 1e-9 * beta):
         raise ValueError(f"design file: beta = {d['beta']!r}, but the grid verifies at "
                          f"{beta!r} on this objective")

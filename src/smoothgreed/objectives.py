@@ -294,6 +294,7 @@ class LogDetObjective:
         lam_min = float(np.linalg.eigvalsh(A0)[0])
         if lam_min <= 0:
             raise ValueError("LogDetObjective: A0 must be positive definite")
+        self.lam_min = lam_min
         self.A0 = A0
         self.n = A0.shape[0]
         self.b = float(b)
@@ -439,45 +440,77 @@ def l_bound_lp(steps, eps: float = 1e-6) -> float:
 # ----------------------------------------------------------------------
 
 
-REFACTOR_EVERY = 128   # accepted updates between refactorizations
-DRIFT_TOL = 1e-6       # max |Y @ Asum - I| entry before an early refactorization
+PROBE_TOL = 1e-9   # certified relative error of every a^T Asum^{-1} a read off Y
 
 
 class LogDetState:
-    """Maintains (A0 + sum_t x_t a_t a_t^T)^{-1} through rank-one updates.
+    """Maintains Y ~ Asum^{-1}, Asum = A0 + sum_t x_t a_t a_t^T, by rank-one
+    (Sherman-Morrison) updates, and certifies every q = a^T Asum^{-1} a read.
 
-    Refactorizes every ``REFACTOR_EVERY`` accepted updates or when the
-    inverse drifts past ``DRIFT_TOL``; keeps the dense accumulator for
-    drift checks.
+    ``quad(a)`` takes q^ = a^T Y a with the O(n^2) residual r = Asum Y a - a.
+    Since Asum^{-1} a = Y a - Asum^{-1} r and Asum >= A0 (every x_t >= 0),
+    |q^ - q| = |a^T Asum^{-1} r| <= sqrt(q) ||r|| / sqrt(lambda_min(A0)).
+    q^ is accepted only when ||r||^2 <= PROBE_TOL^2 q^ lam_lo, with
+    lam_lo <= lambda_min(A0), so |q^ - q| <= PROBE_TOL sqrt(q q^): a
+    relative error of at most PROBE_TOL (1 + PROBE_TOL), up to the rounding
+    of the residual product itself (order n eps ||Asum|| ||Y a||).  A failed
+    probe refactorizes Y = inv(Asum) once; a fresh inverse that still
+    fails raises FloatingPointError, so an uncertified q is never returned.
+
+    ``lam_min`` is the computed lambda_min(A0) (from ``eigvalsh`` when
+    omitted); ``eigvalsh`` is backward stable, so deflating it by
+    4 n eps ||A0||_F gives ``lam_lo``, a lower bound on the exact one.
     """
 
-    def __init__(self, A0):
+    def __init__(self, A0, lam_min: float | None = None):
         self.A0 = np.asarray(A0, dtype=float)
+        if lam_min is None:
+            lam_min = float(np.linalg.eigvalsh(self.A0)[0])
+        n = len(self.A0)
+        self.lam_lo = lam_min - 4.0 * n * np.finfo(float).eps * float(np.linalg.norm(self.A0))
+        if not self.lam_lo > 0.0:
+            raise ValueError("LogDetState: A0 must be positive definite")
         self.Asum = self.A0.copy()
         self.Y = np.linalg.inv(self.A0)
-        self.updates_since_refactor = 0
+        self._buf = np.empty_like(self.Y)   # rank-one update scratch
+        self.refactors = 0
 
     def quad(self, a) -> float:
-        return float(a @ self.Y @ a)
+        """a^T Asum^{-1} a, within PROBE_TOL relative (see the class docstring)."""
+        for fresh in (False, True):
+            Ya = self.Y @ a
+            q = float(a @ Ya)
+            r = self.Asum @ Ya - a
+            if float(r @ r) <= PROBE_TOL * PROBE_TOL * q * self.lam_lo:
+                return q
+            if fresh:
+                raise FloatingPointError("LogDetState: a fresh inverse fails the residual "
+                                         "probe (Asum too ill-conditioned)")
+            self.Y = np.linalg.inv(self.Asum)
+            self.refactors += 1
 
     def drift(self) -> float:
+        """max |Y Asum - I| entry; an O(n^3) diagnostic, not run by the engines."""
         return float(np.max(np.abs(self.Y @ self.Asum - np.eye(len(self.A0)))))
 
     def apply(self, a, x: float, q: float | None = None):
         """Add x * a a^T; ``q`` is the step's a^T Y a when the caller has it."""
+        if x < 0.0:
+            raise ValueError("LogDetState: x must be nonnegative (the probe needs Asum >= A0)")
         if x == 0.0:
             return
         if q is None:
             q = self.quad(a)
         if 1.0 + x * q <= 0:
             raise FloatingPointError("LogDetState: update would leave the PSD cone")
+        buf = self._buf
         Ya = self.Y @ a
-        self.Y -= np.outer(Ya, Ya) * (x / (1.0 + x * q))
-        self.Asum += x * np.outer(a, a)
-        self.updates_since_refactor += 1
-        if self.updates_since_refactor >= REFACTOR_EVERY or self.drift() > DRIFT_TOL:
-            self.Y = np.linalg.inv(self.Asum)
-            self.updates_since_refactor = 0
+        np.outer(Ya, Ya, out=buf)
+        buf *= x / (1.0 + x * q)
+        self.Y -= buf
+        np.outer(a, a, out=buf)
+        buf *= x
+        self.Asum += buf
 
     @property
     def U(self):

@@ -654,7 +654,7 @@ def _run_orthant(obj, steps, algo, keep_records):
 
 def _run_psd(obj, steps, algo, keep_records):
     """Log-det with a scalar budget over the product of the PSD cone and R+."""
-    state = LogDetState(obj.A0)
+    state = LogDetState(obj.A0, obj.lam_min)
     pen = obj.engine.pen
     used = reward = sigma_sum = corr = sqsum = resid = 0.0
     prev_pen = float(pen.value(0.0))
@@ -680,7 +680,7 @@ def _run_psd(obj, steps, algo, keep_records):
         prev_pen = pen_now
         if algo == "sim":
             resid = max(resid, abs(sigma * min(x, 1.0) - x * z))
-        else:
+        elif x > 0.0:   # a step of x = 0 moves neither the state nor the dual
             yb_next = float(pen.deriv_right(used))
             # <A_t x, y_next - y_t> over the product cone
             corr += x * (state.quad(a) - q) + x * (yb_next - yb)

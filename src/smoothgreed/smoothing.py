@@ -71,6 +71,7 @@ class SmoothedScalar(ScalarConcave):
         self.h = float(h)
         self.y = y
         self.d = len(y) - 1
+        self.ugrid = self.h * np.arange(self.d + 1)
         self.u_end = self.h * self.d
         self.tail_mode = tail_mode
         self.cumint = np.concatenate(([0.0], np.cumsum(0.5 * self.h * (y[1:] + y[:-1]))))
@@ -81,8 +82,7 @@ class SmoothedScalar(ScalarConcave):
     def deriv(self, u):
         u = np.asarray(u, dtype=float)
         tail = 0.0 if self.tail_mode == "zero" else self.y[-1]
-        ugrid = self.h * np.arange(self.d + 1)
-        return _scalar(np.interp(u, ugrid, self.y, left=self.y[0], right=tail))
+        return _scalar(np.interp(u, self.ugrid, self.y, left=self.y[0], right=tail))
 
     def value(self, u):
         u = np.asarray(u, dtype=float)
@@ -355,7 +355,12 @@ def verify_beta(smoothed: SmoothedScalar, base: ScalarConcave, c: float = 0.0,
                 sup_beta, arg_u = limit0, 0.0
         else:
             sup_beta, arg_u = math.inf, 0.0
-    residuals = lhs - sup_beta * psi
+    if math.isinf(sup_beta):
+        # no finite beta certifies the grid: every constraint with psi > 0
+        # holds only in the limit, and inf - inf would be NaN
+        residuals = np.where(psi > 0, -np.inf, lhs)
+    else:
+        residuals = lhs - sup_beta * psi
     return sup_beta, arg_u, residuals
 
 
@@ -424,7 +429,7 @@ class DesignResult:
     def write(self, prefix: str, provenance: str = ""):
         """Write prefix.csv (u, y, psi, psiS, beta_u) and prefix.json."""
         sm, base = self.smoothed, self.spec.base if self.spec else None
-        us = sm.h * np.arange(sm.d + 1)
+        us = sm.ugrid
         psiS = np.asarray(sm.value(us), dtype=float)
         psi = np.asarray(base.value(us), dtype=float) if base else np.full_like(us, np.nan)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -7,6 +7,7 @@ from smoothgreed.objectives import (
     DiagMap,
     FeasibleSet,
     LogDetObjective,
+    PROBE_TOL,
     LogDetState,
     PenaltyLPObjective,
     RankOneMap,
@@ -20,7 +21,7 @@ from smoothgreed.objectives import (
     theta_of_instance,
 )
 from smoothgreed.instances import gen_adwords_triangular, gen_logdet_stream, gen_lp_random
-from smoothgreed.online import certify, run_simultaneous
+from smoothgreed.online import certify, run_sequential, run_simultaneous
 from smoothgreed.scalar import Cap, Linear
 from smoothgreed.smoothing import (
     adwords_closed_form_smoothing,
@@ -204,10 +205,89 @@ class TestLogDetMachinery:
         assert acc == pytest.approx(dense, abs=1e-8)
         assert st.drift() <= 1e-6
 
+    @staticmethod
+    def _path_graph_stream(n, m, b, seed):
+        """Path-graph base (cond ~ n^3 / pi^2) plus m seeded random edges."""
+        rng = np.random.default_rng(seed)
+        stream = []
+        while len(stream) < m:
+            i, j = (int(v) for v in rng.integers(0, n, size=2))
+            if i != j:
+                stream.append((i, j))
+        edges = {"base": [(i, i + 1) for i in range(n - 1)], "stream": stream}
+        return gen_logdet_stream(n, m, b, source="graph_incidence", seed=seed, edges=edges)
+
+    @pytest.mark.parametrize("source", ["random_vectors", "graph_incidence"])
+    def test_every_quad_is_certified(self, source, monkeypatch):
+        # every a^T Y a, read by a raw stream of updates or by either engine,
+        # agrees with a dense solve to within PROBE_TOL relative
+        if source == "graph_incidence":
+            inst = self._path_graph_stream(100, 300, 60.0, seed=4)
+        else:
+            inst = gen_logdet_stream(30, 300, 60.0, seed=4)
+        A0 = np.asarray(inst.extras["A0"])
+        if source == "graph_incidence":
+            eigs = np.linalg.eigvalsh(A0)
+            assert eigs[-1] / eigs[0] > 5e4
+        errors = []
+        quad = LogDetState.quad
+
+        def checked_quad(self, a):
+            q = quad(self, a)
+            exact = float(a @ np.linalg.solve(self.Asum, a))
+            errors.append(abs(q - exact) / exact)
+            return q
+
+        monkeypatch.setattr(LogDetState, "quad", checked_quad)
+        rng = np.random.default_rng(6)
+        st = LogDetState(A0)
+        for step in inst.steps:
+            a = step.A.a
+            st.apply(a, float(rng.uniform()), st.quad(a))
+        l = inst.extras["l"]
+        for smoothed in (None, nesterov_logdet_smoothing(len(A0), l, 60.0)):
+            obj = LogDetObjective(A0, 60.0, l=l, smoothed_budget=smoothed)
+            for run in (run_simultaneous, run_sequential):
+                run(obj, inst.steps)
+        assert len(errors) > 1500
+        assert max(errors) <= PROBE_TOL
+
+    def test_lam_min_is_a_lower_bound(self):
+        n = 100
+        A0 = np.asarray(self._path_graph_stream(n, 1, 1.0, seed=0).extras["A0"])
+        exact = 4.0 * math.sin(math.pi / (2 * n)) ** 2   # path Laplacian's lambda_2
+        lam = LogDetState(A0).lam_lo
+        assert exact * (1.0 - 1e-7) <= lam < exact
+        assert LogDetState(A0, LogDetObjective(A0, 1.0).lam_min).lam_lo == lam
+
+    def test_corrupted_inverse_refactors_once(self):
+        rng = np.random.default_rng(5)
+        st = LogDetState(np.eye(6))
+        for _ in range(20):
+            st.apply(rng.normal(size=6), float(rng.uniform()))
+        E = rng.normal(size=(6, 6))
+        st.Y += 1e-6 * (E + E.T)
+        a = rng.normal(size=6)
+        before = st.refactors
+        q = st.quad(a)
+        assert st.refactors == before + 1
+        assert abs(q - float(a @ np.linalg.solve(st.Asum, a))) <= PROBE_TOL * q
+        assert st.quad(a) == q and st.refactors == before + 1   # the fresh inverse is kept
+
+    def test_probe_failing_on_fresh_inverse_raises(self):
+        # 8x8 Hilbert matrix, cond ~ 1.5e10: even inv(A0) misses the probe
+        H = 1.0 / (np.arange(8)[:, None] + np.arange(8) + 1.0)
+        st = LogDetState(H)
+        with pytest.raises(FloatingPointError, match="residual probe"):
+            st.quad(np.ones(8))
+        assert st.refactors == 1
+
     def test_invalid_weight(self):
         st = LogDetState(np.eye(2))
         with pytest.raises(ValueError):
             logdet_step_gain(st, np.array([1.0, 0.0]), 1.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            st.apply(np.array([1.0, 0.0]), -0.5)
 
     def test_objective_l_floor_enforced(self):
         with pytest.raises(ValueError):

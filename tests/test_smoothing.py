@@ -174,6 +174,15 @@ class TestVerifyBeta:
         sup, _, _ = verify_beta(sm, Linear(1.0))
         assert sup == pytest.approx(1.0, abs=1e-12)
 
+    def test_infinite_supremum_residuals_are_defined(self):
+        # the plateau's zero slope puts log1p's conjugate at -inf, so no finite
+        # beta certifies the grid; the residuals hold no NaN and raise no
+        # RuntimeWarning (an error under the suite's filter)
+        sm = design_optimal(DesignSpec(Cap(1.0), 1.0, d=200, plateau=True)).smoothed
+        sup, _, res = verify_beta(sm, Log1p())
+        assert sup == math.inf
+        assert not np.isnan(res).any() and np.all(res == -np.inf)
+
 
 class TestDesigner:
     def test_adwords_design_nails_closed_form(self):
