@@ -460,6 +460,11 @@ class LogDetState:
     ``lam_min`` is the computed lambda_min(A0) (from ``eigvalsh`` when
     omitted); ``eigvalsh`` is backward stable, so deflating it by
     4 n eps ||A0||_F gives ``lam_lo``, a lower bound on the exact one.
+
+    ``quad`` keeps its last a, Y a and q, and ``apply`` reuses that Y a when
+    handed the same array before Y has changed (Y changes only through
+    ``apply`` and a refactorization in ``quad``), unless a^T (Y a) no longer
+    reproduces q: the array was changed in place.
     """
 
     def __init__(self, A0, lam_min: float | None = None):
@@ -473,6 +478,7 @@ class LogDetState:
         self.Asum = self.A0.copy()
         self.Y = np.linalg.inv(self.A0)
         self._buf = np.empty_like(self.Y)   # rank-one update scratch
+        self._last = None                   # (a, Y a, q) of the last quad under this Y
         self.refactors = 0
 
     def quad(self, a) -> float:
@@ -482,6 +488,7 @@ class LogDetState:
             q = float(a @ Ya)
             r = self.Asum @ Ya - a
             if float(r @ r) <= PROBE_TOL * PROBE_TOL * q * self.lam_lo:
+                self._last = (a, Ya, q)
                 return q
             if fresh:
                 raise FloatingPointError("LogDetState: a fresh inverse fails the residual "
@@ -504,10 +511,15 @@ class LogDetState:
         if 1.0 + x * q <= 0:
             raise FloatingPointError("LogDetState: update would leave the PSD cone")
         buf = self._buf
-        Ya = self.Y @ a
+        last = self._last
+        if last is not None and last[0] is a and float(a @ last[1]) == last[2]:
+            Ya = last[1]
+        else:
+            Ya = self.Y @ a
         np.outer(Ya, Ya, out=buf)
         buf *= x / (1.0 + x * q)
         self.Y -= buf
+        self._last = None
         np.outer(a, a, out=buf)
         buf *= x
         self.Asum += buf

@@ -189,19 +189,27 @@ def _solve_level(total, lo, f_lo, hi, f_hi, v):
     return hi
 
 
+def _shared_point(a0, full, w_part_sum, part):
+    """The state point t at which fills sharing the bid a0 total one.
+
+    ``full`` coordinates fill to capacity and ``part`` partial ones, from
+    states summing to w_part_sum, all end at t: full + sum(t - w_j)/a0 = 1.
+    """
+    return (a0 * (1.0 - full) + w_part_sum) / part
+
+
 def _shared_level(f, br, a, w, lo, hi):
     """Closed-form level on the bracket (lo, hi] for a shared smooth f, or nan.
 
     When the coordinates partially filled on the bracket share their bid a0,
-    they all end at one point u, where sum(u - w_j) = a0 * (1 - full count),
-    and the level is a0 * f'(u).
+    they all end at one point u (_shared_point), and the level is a0 * f'(u).
     """
     top, bottom = br[:len(a)], br[len(a):]       # a * f'(w) and a * f'(w + a)
     part = (bottom < hi) & (top > lo)
     if not part.any() or np.any(a[part] != a[part][0]):
         return math.nan
     a0 = a[part][0]
-    u = (a0 * (1.0 - np.sum(bottom >= hi)) + float(w[part].sum())) / int(part.sum())
+    u = _shared_point(a0, np.sum(bottom >= hi), float(w[part].sum()), int(part.sum()))
     return a0 * float(f.deriv_right(u))
 
 
@@ -272,12 +280,64 @@ def _fill_deficit(x, idx, x_min, x_max):
             break
 
 
+# A shared-bid fill leaves unplaced less mass than one ulp of its state
+# point moves the fill total by.  When that exceeds _SHARED_FILL_TOL (a bid
+# too small against the state), or the point is _SHARED_WALK ulps from a
+# total of one, the level search fills the step instead.
+_SHARED_FILL_TOL = 1e-12
+_SHARED_WALK = 8
+
+
+def _shared_state(a0, w, cap, total_at):
+    """The largest state point whose fill totals at most one, or None.
+
+    For bids all equal to a0, every partial fill ends at one state point t,
+    and the fill total is S(t) = sum clip((t - w_j)/a0, 0, 1).  A fill at
+    capacity takes all the mass, so up to its root S(t) = sum (t - w_j)_+/a0:
+    the root lies on the segment where the k smallest states are filling,
+    k the largest with S(k-th smallest w) < 1, and there t is _shared_point
+    (as in a Euclidean projection onto the simplex).  t is capped at ``cap``
+    (the plateau, where the level is 0) and moved by ulps until
+    S(t) <= 1 < S(up), with up = nextafter(t).  ``total_at(t)`` returns the
+    fill at t and S(t).  Returns (t, fill at t), or None when fewer than
+    two coordinates fill at the root, the walk exceeds _SHARED_WALK ulps
+    or S(up) - S(t) > _SHARED_FILL_TOL.
+    """
+    ws = np.sort(w)
+    cs = np.cumsum(ws)
+    k = int(np.count_nonzero(np.arange(1, len(ws) + 1) * ws - cs < a0))
+    if k < 2:       # one coordinate takes all the mass: no partial fill
+        return None
+    t = min(_shared_point(a0, 0, float(ws[:k].sum()), k), cap)
+    x_t, s = total_at(t)
+    s_up = math.nan     # S(up), once known
+    for _ in range(_SHARED_WALK):
+        if s <= 1.0:
+            break
+        t, s_up = math.nextafter(t, -math.inf), s
+        x_t, s = total_at(t)
+    else:
+        return None
+    for _ in range(_SHARED_WALK):
+        if s_up > 1.0:
+            break
+        up = math.nextafter(t, math.inf)
+        x_up, s_up = total_at(up)
+        if s_up <= 1.0:
+            t, x_t, s = up, x_up, s_up
+    else:
+        return None
+    return (t, x_t) if s_up - s <= _SHARED_FILL_TOL else None
+
+
 @np.errstate(over="ignore")     # a denormal bid overflows v/a and (t - w)/a; both are clipped
 def _waterfill(coords, uniform, a, w):
     """Exact coordinate maximization of sum_j f_j(w_j + a_j x_j) over the simplex.
 
     Equalizes marginals a_j * f_j'(.) at a shared level (_level); remaining
-    mass at the level is assigned in index order.  Returns (x, y) with y a
+    mass at the level is assigned in index order.  When one smooth f is
+    shared and every active bid is equal, the fill is solved in the state
+    coordinate instead (_shared_state).  Returns (x, y) with y a
     supergradient selection making x an exact support-function argmax for
     a * y.
     """
@@ -296,34 +356,50 @@ def _waterfill(coords, uniform, a, w):
         pl = np.array([isinstance(f, PiecewiseLinear) for f in sub])
     snap = bool(pl.any())
 
-    def fill(v, inv):
-        t = _coord_vec(sub, uniform, inv, v / aa)
-        x = np.clip((t - ww) / aa, 0.0, 1.0)
+    def fill_at(t):
+        x = ((t - ww) / aa).clip(0.0, 1.0)
+        if not snap:
+            return x
         # a fill that ends at a breakpoint t must reach it in the engine's
         # w + a*x, or the supergradient there misses the level
-        short = pl & (ww + aa * x < t) & (x < 1.0) if snap else pl
+        short = pl & (ww + aa * x < t) & (x < 1.0)
         while short.any():
             step = np.maximum((t - (ww + aa * x)) / aa, 0.0)
             x[short] = np.minimum(np.maximum(x + step, np.nextafter(x, 2.0)), 1.0)[short]
             short &= (ww + aa * x < t) & (x < 1.0)
         return x
 
+    def fill(v, inv):
+        return fill_at(_coord_vec(sub, uniform, inv, v / aa))
+
     # Sums are taken over the full x, as callers take them: with inactive
     # zeros in between, pairwise summation can round differently.
+    def total_at(t):
+        xa = fill_at(t)
+        x[act] = xa
+        return xa, float(x.sum())
+
     def total(v, inv="deriv_inv_lo"):
-        x[act] = fill(v, inv)
-        return float(x.sum())
+        return total_at(_coord_vec(sub, uniform, inv, v / aa))[1]
 
     # Strict-gain capacity at level zero decides whether the simplex binds.
-    s0 = total(0.0)
+    plateau = _coord_vec(sub, uniform, "deriv_inv_lo", np.zeros(len(aa)))
+    s0 = total_at(plateau)[1]
     if s0 <= 1.0:
         v_star = 0.0
     else:
-        v_star = _level(sub, uniform, aa, ww, total, s0, snap)
-        x_min = fill(v_star, "deriv_inv_lo")
-        x_max = fill(v_star * (1.0 - 2.0 * _LEVEL_WIN), "deriv_inv_hi")
-        x[act] = x_min
-        _fill_deficit(x, np.flatnonzero(act), x_min, x_max)
+        shared = None
+        if uniform and not snap and (aa == aa[0]).all():
+            shared = _shared_state(aa[0], ww, float(plateau[0]), total_at)
+        if shared is not None:
+            t, x[act] = shared
+            v_star = aa[0] * float(sub[0].deriv_right(t))
+        else:
+            v_star = _level(sub, uniform, aa, ww, total, s0, snap)
+            x_min = fill(v_star, "deriv_inv_lo")
+            x_max = fill(v_star * (1.0 - 2.0 * _LEVEL_WIN), "deriv_inv_hi")
+            x[act] = x_min
+            _fill_deficit(x, np.flatnonzero(act), x_min, x_max)
     u = w + a * x
     y = _coord_vec(coords, uniform, "deriv_right", u)
     if v_star > 0.0:

@@ -252,6 +252,28 @@ class TestLogDetMachinery:
         assert len(errors) > 1500
         assert max(errors) <= PROBE_TOL
 
+    def test_apply_reuses_only_a_matching_quad(self):
+        # apply may take Y a from the last quad only for the same a under the
+        # same Y; each update must equal one made with a fresh Y a
+        rng = np.random.default_rng(8)
+        st = LogDetState(np.eye(5))
+        a, b = rng.normal(size=5), rng.normal(size=5)
+
+        def check_apply(x, q):
+            Ya = st.Y @ a
+            expected = st.Y - np.outer(Ya, Ya) * (x / (1.0 + x * q))
+            st.apply(a, x, q)
+            np.testing.assert_array_equal(st.Y, expected)
+
+        check_apply(0.7, st.quad(a))                    # the read just made
+        check_apply(0.4, float(a @ np.linalg.solve(st.Asum, a)))    # Y changed since
+        q = st.quad(a)
+        st.quad(b)
+        check_apply(0.3, q)                             # another vector read since
+        st.quad(a)
+        a[0] += 1.0                                     # a changed in place since
+        check_apply(0.5, float(a @ np.linalg.solve(st.Asum, a)))
+
     def test_lam_min_is_a_lower_bound(self):
         n = 100
         A0 = np.asarray(self._path_graph_stream(n, 1, 1.0, seed=0).extras["A0"])

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
+from smoothgreed import online
 from smoothgreed.instances import gen_adwords_triangular, gen_logdet_stream, gen_lp_random
 from smoothgreed.objectives import (
     DiagMap,
@@ -56,6 +58,19 @@ _WATERFILL_KINDS = {
     "nesterov_grid": ([nesterov_pl_smoothing(_CAP, 1.0)], True),
     "mixed": ([_CAP, Log1p(), Sqrt()], False),
 }
+
+
+def record_shared_states(monkeypatch):
+    """List every _shared_state result (None where it gives up) from now on."""
+    results = []
+    shared_state = online._shared_state
+
+    def recorded(*args):
+        results.append(shared_state(*args))
+        return results[-1]
+
+    monkeypatch.setattr(online, "_shared_state", recorded)
+    return results
 
 
 def simplex_lattice(k, steps):
@@ -246,6 +261,55 @@ class TestEngineInvariants:
                    for j, (f, aj, wj) in enumerate(zip(coords, a, w)))
         achieved = sum(float(f.value(uj)) for f, uj in zip(coords, u))
         assert achieved >= float(np.max(vals)) - 1e-8, (achieved, float(np.max(vals)))
+
+    @pytest.mark.parametrize("kind", ["closed_form", "nesterov_grid"])
+    def test_shared_bid_fill_matches_level_search(self, kind, monkeypatch):
+        # equal bids on one shared smooth coordinate are filled in the state
+        # coordinate; the same smoothing as distinct-but-equal coordinate
+        # objects goes through the level search, and the two runs agree
+        smooth = _WATERFILL_KINDS[kind][0][0]
+        n = 30
+        inst = gen_adwords_triangular(n, 5)
+        solved = record_shared_states(monkeypatch)
+        traces = []
+        for smoothed in (smooth, [copy.copy(smooth) for _ in range(n)]):
+            solved.clear()
+            obj = SeparableObjective([_CAP] * n, smoothed=smoothed)
+            traces.append(run_simultaneous(obj, inst.steps))
+            for rec in traces[-1].records:
+                assert np.all(rec.x >= 0.0) and rec.x.sum() <= 1.0, (rec.t, rec.x.sum())
+            assert traces[-1].saddle_residual <= 1e-15
+            if smoothed is smooth:      # every binding step is filled in the state coordinate
+                assert solved and all(out is not None for out in solved)
+            else:
+                assert not solved
+        solved.clear()     # and at n = 100, where t needs an accurately summed w
+        run_simultaneous(SeparableObjective([_CAP] * 100, smoothed=smooth),
+                         gen_adwords_triangular(100, 2).steps)
+        assert solved and all(out is not None for out in solved)
+        shared, level = traces
+        for rec, ref in zip(shared.records, level.records):
+            sums = rec.x.sum(), ref.x.sum()
+            if max(sums) > 1.0 - 1e-9:     # a binding step places all its mass on both
+                assert min(sums) >= 1.0 - online._SHARED_FILL_TOL, (rec.t, sums)
+        for field in ("P_orig", "D_alg"):
+            a, b = getattr(shared, field), getattr(level, field)
+            assert abs(a - b) <= 1e-12 * abs(b), (field, a, b)
+
+    # one ulp of the shared state point moves the fills of a tiny bid by far
+    # more than the fill tolerance; a bid of 0.1 from these states fills the
+    # lowest coordinate alone, to capacity, so no fill is partial
+    @pytest.mark.parametrize("bid, w", [(1e-12, [0.5, 0.5, 0.5]), (5e-324, [0.5, 0.5, 0.5]),
+                                        (0.1, [0.5, 0.5, 0.25])])
+    def test_unresolved_shared_fill_takes_the_level_search(self, bid, w, monkeypatch):
+        f = adwords_closed_form_smoothing()
+        a, w = np.full(3, bid), np.array(w)
+        solved = record_shared_states(monkeypatch)
+        x, y = _waterfill([f] * 3, True, a, w)
+        assert solved == [None]
+        assert np.all(x >= 0.0) and x.sum() <= 1.0
+        z = a * y
+        assert abs(max(0.0, float(z.max())) * min(float(x.sum()), 1.0) - float(x @ z)) <= 1e-12
 
     def test_waterfill_sum_within_simplex(self):
         # the deficit is counted in index order while callers sum the full x
@@ -593,6 +657,7 @@ class TestWeakDuality:
     @given(hs.integers(2, 3), hs.lists(hs.lists(hs.floats(0.0, 1.2), min_size=3, max_size=3),
                                        min_size=1, max_size=3))
     @example(2, [[0.0, 2.225073858507203e-309, 0.0]])    # a denormal bid: no overflow warning
+    @example(2, [[0.0, 1.0, 0.0], [0.0, 6.717179179956181e-173, 0.0]])    # a tiny shared bid
     def test_allocation(self, n, bids):
         steps = [Step(DiagMap(np.array(a[:n])), FeasibleSet("simplex", n)) for a in bids]
         plain = adwords_obj(n)
