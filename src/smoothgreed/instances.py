@@ -8,6 +8,7 @@ with shortest round-trip repr).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -25,34 +26,68 @@ from smoothgreed.objectives import (
     theta_of_instance,
 )
 
-SCHEMA_VERSION = "v1"
+SCHEMA_VERSION = "v2"
+_READABLE = ("v1", SCHEMA_VERSION)
 
 
 @dataclass
 class Instance:
+    """A problem family's parameters, step stream and attached extras.
+
+    Schema v2 writes a run of one ``Step`` object once, with ``"repeat": r``
+    (omitted when r = 1).  Runs go by identity, not equality, so equal
+    steps held as distinct objects stay distinct entries; the loader shares
+    one object across a run's r steps.  Files of schema v1, which has no
+    ``repeat``, still load.
+    """
+
     family: str
     params: dict
     steps: list
     extras: dict
+
+    def _step_descriptors(self):
+        """One descriptor per run of the same Step object."""
+        for _, run in itertools.groupby(self.steps, key=id):
+            run = list(run)
+            d = run[0].to_descriptor()
+            if len(run) > 1:
+                d["repeat"] = len(run)
+            yield d
 
     def to_jsonable(self) -> dict:
         return {
             "version": SCHEMA_VERSION,
             "family": self.family,
             "params": self.params,
-            "steps": [s.to_descriptor() for s in self.steps],
+            "steps": list(self._step_descriptors()),
             "extras": self.extras,
         }
 
     def save(self, path: str):
+        """Write json.dumps(self.to_jsonable()) in pieces, one per step descriptor.
+
+        json.dump would run the pure-Python streaming encoder; json.dumps
+        runs the C one, and piecewise it never holds the whole document.
+        """
+        enc = json.dumps
         with open(path, "w") as fh:
-            json.dump(self.to_jsonable(), fh)
+            fh.write(f'{{"version": {enc(SCHEMA_VERSION)}, "family": {enc(self.family)}, '
+                     f'"params": {enc(self.params)}, "steps": [')
+            for i, d in enumerate(self._step_descriptors()):
+                fh.write(", " + enc(d) if i else enc(d))
+            fh.write(f'], "extras": {enc(self.extras)}}}')
 
     @staticmethod
     def from_jsonable(d: dict) -> "Instance":
-        if d.get("version") != SCHEMA_VERSION:
+        if d.get("version") not in _READABLE:
             raise ValueError(f"unsupported instance version {d.get('version')!r}")
-        steps = [step_from_descriptor(s) for s in d["steps"]]
+        steps = []
+        for t, desc in enumerate(d["steps"]):
+            r = desc.get("repeat", 1)
+            if type(r) is not int or r < 1:
+                raise ValueError(f"steps[{t}]: repeat must be an integer >= 1, got {r!r}")
+            steps.extend([step_from_descriptor(desc)] * r)
         return Instance(d["family"], d["params"], steps, d.get("extras", {}))
 
     @staticmethod

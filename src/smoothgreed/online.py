@@ -9,10 +9,13 @@ maximization exactly and extracts the consistent saddle dual, so that the
 support value equals the realized inner product to floating precision.
 That exactness is what lets the duality-gap identities be asserted at 1e-9.
 Every simultaneous step solver is exact: water-filling over sorted breaks
-for separable allocation, an LP for unsmoothed packing, safeguarded scalar
-Newton for smoothed packing with one column and projected Newton with more,
-and on the PSD cone a closed-form root for the piecewise-linear budget
-penalty and safeguarded scalar Newton for a smoothed one.
+for separable allocation (when one coordinate function and one bid are
+shared, the PL shared-bid fill for a piecewise-linear function and the
+state-coordinate fill for a smooth one skip the break search), an LP for
+unsmoothed packing, safeguarded scalar Newton for smoothed packing with
+one column and projected Newton with more, and on the PSD cone a
+closed-form root for the piecewise-linear budget penalty and safeguarded
+scalar Newton for a smoothed one.
 Each cone has one loop serving both engines (the orthant loop covers
 allocation and packing); the engines differ only in how a step's point is
 chosen and whether the loop tracks the saddle residual or the correction.
@@ -256,22 +259,24 @@ def _fill_deficit(x, idx, x_min, x_max):
     """Assign 1 - sum(x) within the rooms x_max - x_min, in index order.
 
     ``x`` is the full vector, holding x_min at the positions ``idx``.  The
-    running deficit rounds differently from the sum of x, so what the sum
-    still exceeds 1 by is taken back from the filled coordinates, last
-    first; any point of a room keeps the level's marginal.
+    rooms fill whole while the running deficit, reduced room by room in
+    index order (np.subtract.accumulate), stays above 1e-16; the room where
+    it stops takes what is left.  The running deficit rounds differently
+    from the sum of x, so what the sum still exceeds 1 by is taken back
+    from the filled coordinates, last first; any point of a room keeps the
+    level's marginal.
     """
     deficit = 1.0 - x.sum()
-    filled = []
-    if deficit > 0:
-        room = np.maximum(x_max - x_min, 0.0)
-        for j in np.flatnonzero(room > 0.0):
-            take = min(room[j], deficit)
-            x[idx[j]] = x_max[j] if take == room[j] else x[idx[j]] + take
-            filled.append(j)
-            deficit -= take
-            if deficit <= 1e-16:
-                break
-    for j in reversed(filled):
+    if not deficit > 0.0:
+        return
+    room = np.maximum(x_max - x_min, 0.0)
+    pos = np.flatnonzero(room > 0.0)
+    left = np.subtract.accumulate(np.concatenate(([deficit], room[pos])))
+    done = left[1:] <= 1e-16
+    filled = pos[:int(np.argmax(done)) + 1] if done.any() else pos
+    take = np.minimum(room[filled], left[:len(filled)])
+    x[idx[filled]] = np.where(take == room[filled], x_max[filled], x_min[filled] + take)
+    for j in reversed(filled.tolist()):
         over = x.sum() - 1.0
         while over > 0.0 and x[idx[j]] > x_min[j]:
             x[idx[j]] = max(min(x[idx[j]] - over, np.nextafter(x[idx[j]], 0.0)), x_min[j])
@@ -331,15 +336,18 @@ def _shared_state(a0, w, cap, total_at):
 
 
 @np.errstate(over="ignore")     # a denormal bid overflows v/a and (t - w)/a; both are clipped
-def _waterfill(coords, uniform, a, w):
+def _waterfill(coords, uniform, a, w, plateau=None):
     """Exact coordinate maximization of sum_j f_j(w_j + a_j x_j) over the simplex.
 
     Equalizes marginals a_j * f_j'(.) at a shared level (_level); remaining
-    mass at the level is assigned in index order.  When one smooth f is
-    shared and every active bid is equal, the fill is solved in the state
-    coordinate instead (_shared_state).  Returns (x, y) with y a
-    supergradient selection making x an exact support-function argmax for
-    a * y.
+    mass at the level is assigned in index order (_fill_deficit).  When one
+    f is shared and every active bid is equal, the level search is skipped:
+    a piecewise-linear f is filled piece by piece (the PL shared-bid fill),
+    a smooth one in the state coordinate (_shared_state).  ``plateau``,
+    when given, is every coordinate's deriv_inv_lo(0), where its strict
+    gain ends; the engine computes it once per run.
+    Returns (x, y) with y a supergradient selection making x an exact
+    support-function argmax for a * y.
     """
     k = len(a)
     x = np.zeros(k)
@@ -383,23 +391,45 @@ def _waterfill(coords, uniform, a, w):
         return total_at(_coord_vec(sub, uniform, inv, v / aa))[1]
 
     # Strict-gain capacity at level zero decides whether the simplex binds.
-    plateau = _coord_vec(sub, uniform, "deriv_inv_lo", np.zeros(len(aa)))
-    s0 = total_at(plateau)[1]
+    if plateau is None:
+        plateau = _coord_vec(sub, uniform, "deriv_inv_lo", np.zeros(len(aa)))
+    else:
+        plateau = plateau[act]
+    x_top, s0 = total_at(plateau)
+    shared = s0 > 1.0 and uniform and bool((aa == aa[0]).all())
+    found = None
+    if shared and not snap:
+        found = _shared_state(aa[0], ww, float(plateau[0]), total_at)
     if s0 <= 1.0:
         v_star = 0.0
+    elif found is not None:
+        t, x[act] = found
+        v_star = aa[0] * float(sub[0].deriv_right(t))
     else:
-        shared = None
-        if uniform and not snap and (aa == aa[0]).all():
-            shared = _shared_state(aa[0], ww, float(plateau[0]), total_at)
-        if shared is not None:
-            t, x[act] = shared
-            v_star = aa[0] * float(sub[0].deriv_right(t))
+        if shared and snap:
+            # The PL shared-bid fill.  Every marginal is a0 * s_i, and the
+            # level is the jump of the last piece i whose strict fill, to its
+            # start ends[i], totals at most one; its room runs to the fill at
+            # ends[i + 1].  The fill at ends[0] = 0 is empty (states are
+            # nonnegative) and the one at the plateau exceeds one.  v_star is
+            # the level the break search returns for that jump.
+            f = sub[0]
+            i, j, x_max = 0, int(np.count_nonzero(f.s > 0.0)), x_top
+            while j - i > 1:
+                mid = (i + j) // 2
+                x_mid, s_mid = total_at(f._ends[mid])
+                if s_mid <= 1.0:
+                    i = mid
+                else:
+                    j, x_max = mid, x_mid
+            v_star = aa[0] * f.s[i] * (1.0 + _LEVEL_WIN)
+            x_min = fill_at(f._ends[i])
         else:
             v_star = _level(sub, uniform, aa, ww, total, s0, snap)
             x_min = fill(v_star, "deriv_inv_lo")
             x_max = fill(v_star * (1.0 - 2.0 * _LEVEL_WIN), "deriv_inv_hi")
-            x[act] = x_min
-            _fill_deficit(x, np.flatnonzero(act), x_min, x_max)
+        x[act] = x_min
+        _fill_deficit(x, np.flatnonzero(act), x_min, x_max)
     u = w + a * x
     y = _coord_vec(coords, uniform, "deriv_right", u)
     if v_star > 0.0:
@@ -540,10 +570,11 @@ def _lp_step_newton(obj: PenaltyLPObjective, st: Step, state):
     return x, np.asarray(pen.deriv_right(u), dtype=float)
 
 
-def _sim_step(obj, st: Step, u):
+def _sim_step(obj, st: Step, u, plateau=None):
     """Exact coordinate maximization of one orthant step at the state u.
 
-    ``obj`` is the engine objective (``engine`` of the caller's objective).
+    ``obj`` is the engine objective (``engine`` of the caller's objective);
+    ``plateau`` is passed on to _waterfill.
 
     Separable allocation steps are water-filled (_waterfill); packing steps
     solve the epigraph LP when unsmoothed (_lp_step_exact), and otherwise
@@ -554,7 +585,7 @@ def _sim_step(obj, st: Step, u):
     floating-point rounding.
     """
     if isinstance(obj, SeparableObjective):
-        return _waterfill(obj.coords, obj._uniform, st.A.a, u)
+        return _waterfill(obj.coords, obj._uniform, st.A.a, u, plateau)
     if obj.smoothed_penalty is None:
         x, y_pen = _lp_step_exact(obj, st, u)
     elif st.A.B.shape[1] == 1:
@@ -624,7 +655,9 @@ def _logdet_step(pen, q0, used):
 def _check_steps(obj, steps):
     """Reject steps the engines cannot run, before any computation starts.
 
-    Errors name the offending step by its record index t (from 1).
+    Errors name the offending step by its record index t (from 1).  A Step
+    object is checked once, at its first t: generated streams repeat one
+    object per phase.
     """
     if isinstance(obj, SeparableObjective):
         want, kind, what = DiagMap, "simplex", "separable objectives take diagonal simplex steps"
@@ -636,7 +669,11 @@ def _check_steps(obj, steps):
     else:
         raise TypeError(f"unsupported objective {type(obj).__name__}")
     n = obj.n
+    seen = set()
     for t, st in enumerate(steps, 1):
+        if id(st) in seen:
+            continue
+        seen.add(id(st))
         A = st.A
         if not isinstance(A, want) or st.F.kind != kind:
             raise ValueError(f"step {t}: {what}")
@@ -692,13 +729,16 @@ def _run_orthant(obj, steps, algo, keep_records):
             u = np.full(len(u), INTERIOR_SHIFT)
             y = eng.grad_lo(u)
             shift = True
+    plateau = None      # each allocation coordinate's deriv_inv_lo(0), a constant of eng
+    if algo == "sim" and isinstance(eng, SeparableObjective):
+        plateau = _coord_vec(eng.coords, eng._uniform, "deriv_inv_lo", np.zeros(eng.n))
     sigma_sum = corr = sqsum = resid = 0.0
     y_low = np.inf      # running minimum of the sim steps' duals
     prev_val = eng.value(u)
     records = []
     for t, st in enumerate(steps, 1):
         if algo == "sim":
-            x, y_step = _sim_step(eng, st, u)
+            x, y_step = _sim_step(eng, st, u, plateau)
             z, y_low = st.A.adjoint(y_step), np.minimum(y_low, y_step)
             sigma = max(0.0, float(np.max(z)))
             inner = float(x @ z)

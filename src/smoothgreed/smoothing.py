@@ -275,8 +275,10 @@ class AdwordsCapSmoothing(SmoothedScalar):
 
     def _deriv_inv(self, v, side):
         v = np.asarray(v, dtype=float)
-        with np.errstate(invalid="ignore"):
-            core = np.log(np.maximum(_E - (_E - 1.0) * v, 1.0))
+        # on [0, 1] the log's argument runs from e down to exactly 1, so no
+        # v, nan and infinities included, raises a floating-point warning;
+        # v outside [0, 1] is replaced below
+        core = np.log(_E - (_E - 1.0) * v.clip(0.0, 1.0))
         if side == "hi":
             return _scalar(np.where(v > 1.0, 0.0, np.where(v <= 0.0, np.inf, core)))
         return _scalar(np.where(v >= 1.0, 0.0, np.where(v < 0.0, np.inf, core)))

@@ -139,6 +139,33 @@ def logdet_relaxation_grid(A0, vecs, budget, grid=20):
     return best
 
 
+def sequential_fill_deficit(x, idx, x_min, x_max):
+    """The room-by-room index-order fill of 1 - sum(x) that water-filling used.
+
+    Kept as the reference for the vectorized prefix fill: each room of
+    x_max - x_min takes min(room, running deficit) until the deficit is at
+    most 1e-16, then what sum(x) exceeds 1 by is taken back, last first.
+    """
+    deficit = 1.0 - x.sum()
+    filled = []
+    if deficit > 0:
+        room = np.maximum(x_max - x_min, 0.0)
+        for j in np.flatnonzero(room > 0.0):
+            take = min(room[j], deficit)
+            x[idx[j]] = x_max[j] if take == room[j] else x[idx[j]] + take
+            filled.append(j)
+            deficit -= take
+            if deficit <= 1e-16:
+                break
+    for j in reversed(filled):
+        over = x.sum() - 1.0
+        while over > 0.0 and x[idx[j]] > x_min[j]:
+            x[idx[j]] = max(min(x[idx[j]] - over, np.nextafter(x[idx[j]], 0.0)), x_min[j])
+            over = x.sum() - 1.0
+        if over <= 0.0:
+            break
+
+
 # ----------------------------------------------------------------------
 # Test helpers built on the library
 # ----------------------------------------------------------------------
@@ -253,3 +280,4 @@ def antitone_check(obj, trials: int = 50, seed: int = 0, tol: float = 1e-8) -> A
         u = v + float(rng.uniform(1e-6, 3.0))
         worst = max(worst, float(obj.deriv_left(u)) - float(obj.deriv_right(v)))
     return AntitoneReport(worst <= tol, worst, trials, "scalar pairs")
+

@@ -271,6 +271,22 @@ class TestRunCertify:
         captured = capsys.readouterr()
         assert captured.out == "" and "beta" in captured.err
 
+    def test_bad_repeat_exit_code(self, tmp_path, capsys):
+        # a malformed run length is bad input, rejected before any computation
+        inst, bad = tmp_path / "inst.json", tmp_path / "bad.json"
+        run_cli(["gen", "--family", "adwords_triangular", "--n", "3", "--phase-len", "2",
+                 "--out", str(inst)])
+        for value in (0, 1.0, False):
+            d = json.loads(inst.read_text())
+            d["steps"][2]["repeat"] = value
+            bad.write_text(json.dumps(d))
+            capsys.readouterr()
+            out = str(tmp_path / "run")
+            assert run_cli(["certify", "--instance", str(bad), "--out", out]) == cli.EXIT_BAD_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == "" and "repeat" in captured.err, (value, captured.err)
+            assert not os.path.exists(out + ".json")
+
     def test_instance_fields_exit_code(self, tmp_path, capsys):
         # params.n sizes the objective and offline_opt divides the true ratio
         inst, bad = tmp_path / "inst.json", tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -10,7 +11,7 @@ from smoothgreed.instances import (
     gen_logdet_stream,
     gen_lp_random,
 )
-from smoothgreed.objectives import l_bound_lp, theta_of_instance
+from smoothgreed.objectives import DiagMap, FeasibleSet, Step, l_bound_lp, theta_of_instance
 from smoothgreed.online import run_simultaneous
 from smoothgreed.objectives import SeparableObjective
 from smoothgreed.scalar import Cap
@@ -115,3 +116,49 @@ class TestPersistence:
     def test_version_gate(self):
         with pytest.raises(ValueError):
             Instance.from_jsonable({"version": "v0", "family": "x", "steps": []})
+
+    def test_v2_runs_round_trip_byte_identical(self, tmp_path):
+        # a run of one Step object is written once; the loader shares it again
+        inst = gen_adwords_triangular(4, 3)
+        p = tmp_path / "inst.json"
+        inst.save(str(p))
+        text = p.read_text()
+        assert text == json.dumps(inst.to_jsonable())
+        d = json.loads(text)
+        assert d["version"] == "v2"
+        assert [s["repeat"] for s in d["steps"]] == [3, 3, 3, 3]
+        back = Instance.load(str(p))
+        assert len(back.steps) == 12 and len({id(s) for s in back.steps}) == 4
+        assert all(back.steps[t] is back.steps[t - 1] for t in range(1, 12) if t % 3)
+        back.save(str(p))
+        assert p.read_text() == text
+
+    def test_runs_go_by_identity(self):
+        # equal steps held as distinct objects stay distinct entries, so -0.0
+        # and 0.0 are never merged; a single step carries no repeat
+        st = Step(DiagMap(np.array([0.5, 0.0])), FeasibleSet("simplex", 2))
+        neg = Step(DiagMap(np.array([0.5, -0.0])), FeasibleSet("simplex", 2))
+        inst = Instance("adwords_triangular", {"n": 2}, [st, st, copy.copy(st), neg], {})
+        steps = inst.to_jsonable()["steps"]
+        assert [s.get("repeat") for s in steps] == [2, None, None]
+        back = Instance.from_jsonable(json.loads(json.dumps(inst.to_jsonable())))
+        assert math.copysign(1.0, back.steps[3].A.a[1]) == -1.0
+        assert json.dumps(back.to_jsonable()) == json.dumps(inst.to_jsonable())
+
+    def test_v1_dict_loads(self):
+        step = {"A": {"kind": "diag", "a": [0.5, 0.25]}, "F": {"kind": "simplex", "k": 2}}
+        d = {"version": "v1", "family": "adwords_triangular", "params": {"n": 2},
+             "steps": [step, step], "extras": {"offline_opt": 2.0}}
+        inst = Instance.from_jsonable(d)
+        assert len(inst.steps) == 2 and inst.steps[0] is not inst.steps[1]
+        for st in inst.steps:
+            np.testing.assert_array_equal(st.A.a, [0.5, 0.25])
+            assert st.F.kind == "simplex" and st.F.k == 2
+        assert inst.extras == {"offline_opt": 2.0}
+
+    @pytest.mark.parametrize("repeat", [0, -2, 1.5, 2.0, True, "3", None])
+    def test_bad_repeat_rejected(self, repeat):
+        d = gen_adwords_triangular(2, 2).to_jsonable()
+        d["steps"][1]["repeat"] = repeat
+        with pytest.raises(ValueError, match="repeat"):
+            Instance.from_jsonable(d)

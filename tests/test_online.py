@@ -37,7 +37,7 @@ from smoothgreed.smoothing import (
     nesterov_pl_smoothing,
 )
 
-from oracles import enumerate_offline_best, logdet_relaxation_grid
+from oracles import enumerate_offline_best, logdet_relaxation_grid, sequential_fill_deficit
 
 E = math.e
 
@@ -349,6 +349,76 @@ class TestEngineInvariants:
                 x[act] = xa
                 np.testing.assert_array_equal(rec.x, x)
                 w = w + st.A.a * x
+
+    @pytest.mark.parametrize("coord", [Cap(1.0), PiecewiseLinear([0.5, 1.0], [1.0, 0.5, 0.0]),
+                                       PiecewiseLinear([0.3, 0.7], [2.0, 1.0, 0.25])],
+                             ids=["cap", "pl3", "pl3_positive_tail"])
+    def test_pl_shared_bid_fill_matches_level_search(self, coord, monkeypatch):
+        # equal bids on one shared piecewise-linear coordinate (the plain
+        # adversary for the cap) are filled piece by piece, never through the
+        # level search; the same function as distinct-but-equal objects goes
+        # through the level search, and the two runs place every step's mass
+        # bit for bit alike
+        n = 30
+        inst = gen_adwords_triangular(n, 3)
+        level = online._level
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return level(*args)
+
+        monkeypatch.setattr(online, "_level", counted)
+        ref = run_simultaneous(SeparableObjective([copy.copy(coord) for _ in range(n)]), inst.steps)
+        assert calls        # the reference binds and searches
+        calls.clear()
+        tr = run_simultaneous(SeparableObjective([coord] * n), inst.steps)
+        assert not calls
+        for rec, want in zip(tr.records, ref.records):
+            np.testing.assert_array_equal(rec.x, want.x)
+            assert (rec.sigma, rec.inner) == (want.sigma, want.inner), rec.t
+        np.testing.assert_array_equal(tr.u_final, ref.u_final)
+        np.testing.assert_array_equal(tr.y_final, ref.y_final)
+        assert tr.D_alg == ref.D_alg and tr.saddle_residual == ref.saddle_residual
+        # and single steps from scattered states, whose level can sit on any piece
+        rng = np.random.default_rng(np.random.Philox(key=11))
+        for _ in range(200):
+            k = int(rng.integers(2, 7))
+            a, w = np.full(k, rng.uniform(0.05, 1.0)), rng.uniform(0.0, 1.2, size=k)
+            x, y = _waterfill([coord] * k, True, a, w)
+            x_ref, y_ref = _waterfill([copy.copy(coord) for _ in range(k)], False, a, w)
+            np.testing.assert_array_equal(x, x_ref)
+            np.testing.assert_array_equal(y, y_ref)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hs.lists(hs.tuples(hs.floats(0.0, 0.4), hs.sampled_from([0.0, 1e-16, 1e-9, 0.05, 0.3, 1.0])),
+                    min_size=1, max_size=8),
+           hs.integers(0, 2))
+    @example([(0.2, 1e-16)] * 5 + [(0.0, 1.0)], 1)
+    def test_fill_deficit_matches_sequential_fill(self, rooms, gap):
+        # the vectorized prefix fill against the room-by-room loop it replaced
+        x_min = np.array([lo for lo, _ in rooms])
+        x_max = np.minimum(x_min + np.array([r for _, r in rooms]), 1.0)
+        idx = np.arange(len(rooms)) * (gap + 1)
+        x = np.zeros(idx[-1] + 1)
+        x[idx] = x_min
+        want = x.copy()
+        sequential_fill_deficit(want, idx, x_min, x_max)
+        online._fill_deficit(x, idx, x_min, x_max)
+        np.testing.assert_array_equal(x, want)
+        assert np.all(x[idx] >= x_min) and np.all(x[idx] <= x_max)
+        assert x.sum() <= 1.0 or np.array_equal(x[idx], x_min)
+
+    def test_check_steps_names_first_bad_repeat(self):
+        # one Step object is checked once, at its first index
+        good = Step(DiagMap(np.full(3, 0.5)), FeasibleSet("simplex", 3))
+        for bad in (Step(DiagMap(np.array([0.5, math.nan, 0.5])), FeasibleSet("simplex", 3)),
+                    Step(DiagMap(np.array([0.5, -1.0, 0.5])), FeasibleSet("simplex", 3)),
+                    Step(DiagMap(np.full(2, 0.5)), FeasibleSet("simplex", 2))):
+            steps = [good] * 3 + [bad] * 4 + [good] + [bad]
+            for run in (run_simultaneous, run_sequential):
+                with pytest.raises(ValueError, match=r"^step 4: "):
+                    run(adwords_obj(3), steps)
 
 
 class TestPackingRuns:

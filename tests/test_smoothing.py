@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,26 @@ class TestNesterovClosedForms:
         us = np.linspace(0, 1, 101)
         total = 1.0 + np.asarray(pen.deriv(us))
         np.testing.assert_allclose(total, (E - np.exp(us)) / (E - 1), atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=4))
+    @example([math.nan, math.inf, -math.inf, 1.7e308, -1.7e308, 5e-324, -0.0, 1.0])
+    def test_adwords_inverse_raises_no_float_warning(self, vs):
+        # the inverse runs outside any errstate on every water-filling step;
+        # no input, nan and infinities included, may warn (an error under
+        # -X dev with the suite's filter)
+        sm = adwords_closed_form_smoothing(64)
+        v = np.array(vs)
+        with np.errstate(divide="raise", over="raise", invalid="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi = np.asarray(sm.deriv_inv_lo(v)), np.asarray(sm.deriv_inv_hi(v))
+            scalar = sm.deriv_inv_lo(vs[0])
+        assert np.array_equal(lo[:1], [scalar], equal_nan=True)
+        inside = (v > 0.0) & (v < 1.0)
+        np.testing.assert_allclose(np.asarray(sm.deriv(lo[inside])), v[inside], rtol=1e-9, atol=1e-15)
+        np.testing.assert_array_equal(lo[inside], hi[inside])
+        assert np.all(lo[v >= 1.0] == 0.0) and np.all(lo[v < 0.0] == np.inf)
+        assert np.all(np.isnan(lo[np.isnan(v)]))
 
     def test_second_derivative_matches_difference_quotient(self):
         # closed forms and the grid's own interpolation, away from the kinks
