@@ -42,9 +42,6 @@ def _load_json(path):
 
 
 def _workers() -> int:
-    env = os.environ.get("SMOOTHGREED_THREADS")
-    if env:
-        return max(1, int(env))
     return min(8, os.cpu_count() or 1)
 
 
@@ -126,11 +123,12 @@ def _design_from_file(path, coord):
     """A design file's grid and beta, the beta re-verified against ``coord``."""
     d = _load_json(path)
     sc.check_positive("design file", h=d["h"], beta=d["beta"])
-    if not (isinstance(d["c"], (int, float)) and 0 <= d["c"] < math.inf):
-        raise ValueError(f"design file: c must be finite and nonnegative, got {d['c']!r}")
+    c = d["c"]
+    if not (isinstance(c, (int, float)) and not isinstance(c, bool) and 0 <= c < math.inf):
+        raise ValueError(f"design file: c must be finite and nonnegative, got {c!r}")
     smoothed = sm.SmoothedScalar(d["h"], d["y"], tail_mode=d["tail_mode"], require_nonneg=False)
     # the file's beta sets the floor 1/beta, so it must be the one this grid earns
-    beta = max(float(sm.verify_beta(smoothed, coord, c=d["c"], refine=4)[0]), 1.0)
+    beta = max(float(sm.verify_beta(smoothed, coord, c=c, refine=4)[0]), 1.0)
     if not (math.isfinite(beta) and abs(d["beta"] - beta) <= 1e-9 * beta):
         raise ValueError(f"design file: beta = {d['beta']!r}, but the grid verifies at "
                          f"{beta!r} on this objective")

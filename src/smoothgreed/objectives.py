@@ -133,6 +133,13 @@ def step_from_descriptor(d: dict) -> Step:
 # ----------------------------------------------------------------------
 
 
+def coordwise(coords, uniform, method, u):
+    """Apply one scalar method coordinatewise; a single call when shared."""
+    if uniform:
+        return np.asarray(getattr(coords[0], method)(u), dtype=float)
+    return np.array([float(getattr(f, method)(ui)) for f, ui in zip(coords, u)])
+
+
 class SeparableObjective:
     """Coordinatewise sum of scalar concave functions on the orthant.
 
@@ -155,22 +162,16 @@ class SeparableObjective:
 
     def value(self, u):
         u = np.asarray(u, dtype=float)
-        if self._uniform:
-            return float(np.sum(self.coords[0].value(u)))
-        return float(sum(c.value(ui) for c, ui in zip(self.coords, u)))
+        return float(np.sum(coordwise(self.coords, self._uniform, "value", u)))
 
     def grad_lo(self, u):
         """Minimal supergradient, coordinatewise."""
         u = np.asarray(u, dtype=float)
-        if self._uniform:
-            return np.asarray(self.coords[0].deriv_right(u), dtype=float)
-        return np.array([float(c.deriv_right(ui)) for c, ui in zip(self.coords, u)])
+        return coordwise(self.coords, self._uniform, "deriv_right", u)
 
     def conj(self, y):
         y = np.asarray(y, dtype=float)
-        if self._uniform:
-            return float(np.sum(self.coords[0].conjugate(y)))
-        return float(sum(c.conjugate(float(yi)) for c, yi in zip(self.coords, y)))
+        return float(np.sum(coordwise(self.coords, self._uniform, "conjugate", y)))
 
     def alpha_bar(self, u_max: float = 1e4) -> float:
         from smoothgreed.scalar import alpha_bar as ab
@@ -255,13 +256,6 @@ class PenaltyLPObjective:
         neg = np.maximum(-pen, 0.0)
         nrm = float(np.max(neg)) if q == math.inf else float(np.sum(neg ** q) ** (1.0 / q))
         return -nrm
-
-    def alpha_at_realized(self, state) -> float:
-        """Ratio parameter at the realized point; lower-bounded by -l/theta."""
-        val = self.value(state)
-        if val <= 0:
-            raise ValueError("alpha_at_realized: nonpositive objective value")
-        return self.conj(self.grad_lo(state)) / val
 
     def ratio_bound(self) -> float:
         """Certified competitive-ratio lower bound for the simultaneous engine."""
@@ -495,10 +489,6 @@ class LogDetState:
                                          "probe (Asum too ill-conditioned)")
             self.Y = np.linalg.inv(self.Asum)
             self.refactors += 1
-
-    def drift(self) -> float:
-        """max |Y Asum - I| entry; an O(n^3) diagnostic, not run by the engines."""
-        return float(np.max(np.abs(self.Y @ self.Asum - np.eye(len(self.A0)))))
 
     def apply(self, a, x: float, q: float | None = None):
         """Add x * a a^T; ``q`` is the step's a^T Y a when the caller has it."""

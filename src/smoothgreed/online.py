@@ -37,6 +37,7 @@ from smoothgreed.objectives import (
     SeparableObjective,
     StackedMap,
     Step,
+    coordwise,
     logdet_step_gain,
 )
 from smoothgreed.scalar import PiecewiseLinear
@@ -78,9 +79,6 @@ class RunTrace:
     def ratio_lb(self) -> float:
         return self.P_orig / self.D_alg if self.D_alg > 0 else math.inf
 
-    def gains(self):
-        return np.array([r.gain for r in self.records])
-
     def summary(self) -> dict:
         return {
             "version": "v1",
@@ -94,13 +92,6 @@ class RunTrace:
 # ----------------------------------------------------------------------
 # Exact step solvers
 # ----------------------------------------------------------------------
-
-
-def _coord_vec(coords, uniform, method, u):
-    """Apply one scalar method coordinatewise; a single call when shared."""
-    if uniform:
-        return np.asarray(getattr(coords[0], method)(u), dtype=float)
-    return np.array([float(getattr(f, method)(ui)) for f, ui in zip(coords, u)])
 
 
 # Bracket width at which _newton_root stops (one ulp at 1: its roots lie in
@@ -173,7 +164,7 @@ def _solve_level(total, lo, f_lo, hi, f_hi, v):
     """
     w_lo, w_hi, side = f_lo, f_hi, 0
     for _ in range(200):
-        tol = _LEVEL_WIN * hi
+        tol = max(_LEVEL_WIN * hi, math.ulp(hi))     # the product underflows on a subnormal hi
         if hi - lo <= tol or f_hi >= -1e-15:
             break
         if not lo < v < hi:
@@ -231,7 +222,7 @@ def _level(coords, uniform, a, w, total, s0, jumps):
         br = _breaks(coords[0], a, w)
     else:
         br = np.concatenate([_breaks(f, a[j:j + 1], w[j:j + 1]) for j, f in enumerate(coords)])
-    g0 = np.minimum(_coord_vec(coords, uniform, "deriv_left", w), 1e12)
+    g0 = np.minimum(coordwise(coords, uniform, "deriv_left", w), 1e12)
     vhi = float(np.max(a * np.maximum(g0, 0.0))) * (1.0 + 1e-9) + 1e-30
     cand = np.append(np.unique(br[(br > 0.0) & (br < vhi)]) * (1.0 + _LEVEL_WIN), vhi)
     i, j = 0, len(cand) - 1
@@ -353,7 +344,7 @@ def _waterfill(coords, uniform, a, w, plateau=None):
     x = np.zeros(k)
     act = a > 0
     if not act.any():
-        return x, _coord_vec(coords, uniform, "deriv_right", w)
+        return x, coordwise(coords, uniform, "deriv_right", w)
     aa = a[act]
     ww = w[act]
     if uniform:
@@ -378,7 +369,7 @@ def _waterfill(coords, uniform, a, w, plateau=None):
         return x
 
     def fill(v, inv):
-        return fill_at(_coord_vec(sub, uniform, inv, v / aa))
+        return fill_at(coordwise(sub, uniform, inv, v / aa))
 
     # Sums are taken over the full x, as callers take them: with inactive
     # zeros in between, pairwise summation can round differently.
@@ -388,11 +379,11 @@ def _waterfill(coords, uniform, a, w, plateau=None):
         return xa, float(x.sum())
 
     def total(v, inv="deriv_inv_lo"):
-        return total_at(_coord_vec(sub, uniform, inv, v / aa))[1]
+        return total_at(coordwise(sub, uniform, inv, v / aa))[1]
 
     # Strict-gain capacity at level zero decides whether the simplex binds.
     if plateau is None:
-        plateau = _coord_vec(sub, uniform, "deriv_inv_lo", np.zeros(len(aa)))
+        plateau = coordwise(sub, uniform, "deriv_inv_lo", np.zeros(len(aa)))
     else:
         plateau = plateau[act]
     x_top, s0 = total_at(plateau)
@@ -431,10 +422,10 @@ def _waterfill(coords, uniform, a, w, plateau=None):
         x[act] = x_min
         _fill_deficit(x, np.flatnonzero(act), x_min, x_max)
     u = w + a * x
-    y = _coord_vec(coords, uniform, "deriv_right", u)
+    y = coordwise(coords, uniform, "deriv_right", u)
     if v_star > 0.0:
         # left of u by the rounding of w + a*x, which can pass a breakpoint
-        upper = _coord_vec(sub, uniform, "deriv_left", u[act] * (1.0 - _LEVEL_WIN))
+        upper = coordwise(sub, uniform, "deriv_left", u[act] * (1.0 - _LEVEL_WIN))
         y[act] = np.clip(v_star / aa, y[act], upper)
     return x, y
 
@@ -731,7 +722,7 @@ def _run_orthant(obj, steps, algo, keep_records):
             shift = True
     plateau = None      # each allocation coordinate's deriv_inv_lo(0), a constant of eng
     if algo == "sim" and isinstance(eng, SeparableObjective):
-        plateau = _coord_vec(eng.coords, eng._uniform, "deriv_inv_lo", np.zeros(eng.n))
+        plateau = coordwise(eng.coords, eng._uniform, "deriv_inv_lo", np.zeros(eng.n))
     sigma_sum = corr = sqsum = resid = 0.0
     y_low = np.inf      # running minimum of the sim steps' duals
     prev_val = eng.value(u)

@@ -35,9 +35,10 @@ class SupergradInterval:
 
 
 def check_positive(owner, **fields):
-    """Reject a parameter that is not a finite positive number, naming it."""
+    """Reject a parameter that is not a finite positive number, naming it (a JSON true is not 1)."""
     for name, v in fields.items():
-        if not (isinstance(v, numbers.Real) and math.isfinite(v) and v > 0):
+        if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                and math.isfinite(v) and v > 0):
             raise ValueError(f"{owner}: {name} must be finite and positive, got {v!r}")
 
 

@@ -166,10 +166,6 @@ class SmoothedScalar(ScalarConcave):
                 f"tail={self.tail_mode}, y0={self.y[0]:.4g})")
 
 
-def smoothed_from_descriptor(desc: dict) -> SmoothedScalar:
-    return SmoothedScalar(**desc["params"], require_nonneg=False)
-
-
 # ----------------------------------------------------------------------
 # Closed-form entropy smoothings
 # ----------------------------------------------------------------------

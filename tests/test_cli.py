@@ -206,6 +206,7 @@ class TestRunCertify:
                  "--seed", "1", "--out", str(lp)])
         cases = ((ld, ("extras", "l"), math.nan, "l"), (ld, ("extras", "l"), math.inf, "l"),
                  (ld, ("params", "b"), math.nan, "b"), (ld, ("params", "b"), -1.0, "b"),
+                 (ld, ("params", "b"), True, "b"),     # a JSON true is not a budget of 1
                  (lp, ("extras", "l"), math.nan, "l"), (lp, ("extras", "theta"), math.inf, "theta"),
                  (lp, ("extras", "theta"), 0.0, "theta"))
         for src, (part, key), value, field in cases:
@@ -263,6 +264,12 @@ class TestRunCertify:
             assert run_cli(argv + [str(bad)]) == cli.EXIT_BAD_INPUT, beta
             captured = capsys.readouterr()
             assert captured.out == "" and "beta" in captured.err, (beta, captured.err)
+        # a JSON true is not the lag c = 1
+        bad.write_text(json.dumps(dict(good, c=True)))
+        capsys.readouterr()
+        assert run_cli(argv + [str(bad)]) == cli.EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and "c must be finite" in captured.err, captured.err
         # a design made for another base
         log = tmp_path / "log.json"
         log.write_text(json.dumps({"kind": "log1p", "params": {}}))
@@ -293,7 +300,7 @@ class TestRunCertify:
         run_cli(["gen", "--family", "adwords_triangular", "--n", "3", "--phase-len", "2",
                  "--out", str(inst)])
         cases = [("params", "n", v) for v in ("x", 2.5, 0, True)]
-        cases += [("extras", "offline_opt", v) for v in (0, "x", math.nan, -3.0)]
+        cases += [("extras", "offline_opt", v) for v in (0, "x", math.nan, -3.0, True)]
         for part, key, value in cases:
             d = json.loads(inst.read_text())
             d[part][key] = value
@@ -345,13 +352,7 @@ class TestRunCertify:
 class TestSweep:
     def test_sweep_csv(self, tmp_path):
         out = str(tmp_path / "sweep.csv")
-        os.environ["SMOOTHGREED_THREADS"] = "1"
-        try:
-            rc = run_cli(["sweep", "--n-list", "1,4", "--phase-list", "1,3",
-                          "--out", out])
-        finally:
-            del os.environ["SMOOTHGREED_THREADS"]
-        assert rc == 0
+        assert run_cli(["sweep", "--n-list", "1,4", "--phase-list", "1,3", "--out", out]) == 0
         lines = Path(out).read_text().strip().splitlines()
         assert lines[0].startswith("# smoothgreed")
         assert lines[1] == "n,phase_len,true_ratio,ratio_lb"
@@ -362,13 +363,13 @@ class TestSweep:
 
     def test_pool_matches_serial(self, tmp_path, monkeypatch):
         rows = {}
-        for workers in ("1", "2"):
-            monkeypatch.setenv("SMOOTHGREED_THREADS", workers)
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "_workers", lambda n=workers: n)
             out = str(tmp_path / f"sweep{workers}.csv")
             assert run_cli(["sweep", "--n-list", "2,4,6", "--phase-list", "1,2,3",
                             "--smoothed", "--out", out]) == 0
             rows[workers] = Path(out).read_text().splitlines()[1:]
-        assert len(rows["1"]) == 10 and rows["1"] == rows["2"]
+        assert len(rows[1]) == 10 and rows[1] == rows[2]
 
     def test_smoothed_sequential_trend(self, tmp_path):
         # the sequential engine approaches its limit from below as the

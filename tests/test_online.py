@@ -60,16 +60,16 @@ _WATERFILL_KINDS = {
 }
 
 
-def record_shared_states(monkeypatch):
-    """List every _shared_state result (None where it gives up) from now on."""
+def record_results(monkeypatch, name):
+    """List every result of the online function ``name`` from now on."""
     results = []
-    shared_state = online._shared_state
+    fn = getattr(online, name)
 
     def recorded(*args):
-        results.append(shared_state(*args))
+        results.append(fn(*args))
         return results[-1]
 
-    monkeypatch.setattr(online, "_shared_state", recorded)
+    monkeypatch.setattr(online, name, recorded)
     return results
 
 
@@ -78,6 +78,25 @@ def simplex_lattice(k, steps):
     axes = np.meshgrid(*[np.arange(steps + 1)] * k, indexing="ij")
     pts = np.stack([ax.ravel() for ax in axes], axis=1)
     return pts[pts.sum(axis=1) <= steps] / steps
+
+
+def assert_exact_saddle(coords, a, w, x, y):
+    """x maximizes sum_j f_j(w_j + a_j x_j) over the simplex (k <= 3), with the dual y."""
+    k = len(a)
+    assert np.all(x >= 0.0) and x.sum() <= 1.0, x
+    u = w + a * x
+    lo = np.array([float(f.deriv_right(ui)) for f, ui in zip(coords, u)])
+    # the realized w + a*x can pass a breakpoint by its rounding, so the
+    # upper end of the supergradient interval is read just left of it
+    hi = np.array([float(f.deriv_left(ui * (1.0 - 2e-15))) for f, ui in zip(coords, u)])
+    assert np.all(y >= lo) and np.all(y <= hi), (y, lo, hi)
+    z = a * y
+    assert abs(max(0.0, float(z.max())) * min(float(x.sum()), 1.0) - float(x @ z)) <= 1e-12
+    lattice = simplex_lattice(k, {1: 400, 2: 200, 3: 60}[k])
+    vals = sum(np.asarray(f.value(wj + aj * lattice[:, j]), dtype=float)
+               for j, (f, aj, wj) in enumerate(zip(coords, a, w)))
+    achieved = sum(float(f.value(uj)) for f, uj in zip(coords, u))
+    assert achieved >= float(np.max(vals)) - 1e-8, (achieved, float(np.max(vals)))
 
 
 def packing_state(steps, xs):
@@ -150,7 +169,7 @@ class TestEngineInvariants:
             obj = adwords_obj(6, smoothed)
             inst = gen_adwords_triangular(6, 4)
             tr = run_simultaneous(obj, inst.steps)
-            assert float(np.min(tr.gains())) >= -1e-12
+            assert min(r.gain for r in tr.records) >= -1e-12
 
     def test_dual_iterates_decrease(self):
         inst = gen_adwords_triangular(5, 3)
@@ -247,20 +266,20 @@ class TestEngineInvariants:
         if zero_bid < k:
             a[zero_bid] = 0.0
         x, y = _waterfill(coords, shared, a, w)
-        assert np.all(x >= 0.0) and x.sum() <= 1.0, x
-        u = w + a * x
-        lo = np.array([float(f.deriv_right(ui)) for f, ui in zip(coords, u)])
-        # the realized w + a*x can pass a breakpoint by its rounding, so the
-        # upper end of the supergradient interval is read just left of it
-        hi = np.array([float(f.deriv_left(ui * (1.0 - 2e-15))) for f, ui in zip(coords, u)])
-        assert np.all(y >= lo) and np.all(y <= hi), (y, lo, hi)
-        z = a * y
-        assert abs(max(0.0, float(z.max())) * min(float(x.sum()), 1.0) - float(x @ z)) <= 1e-12
-        lattice = simplex_lattice(k, {1: 400, 2: 200, 3: 60}[k])
-        vals = sum(np.asarray(f.value(wj + aj * lattice[:, j]), dtype=float)
-                   for j, (f, aj, wj) in enumerate(zip(coords, a, w)))
-        achieved = sum(float(f.value(uj)) for f, uj in zip(coords, u))
-        assert achieved >= float(np.max(vals)) - 1e-8, (achieved, float(np.max(vals)))
+        assert_exact_saddle(coords, a, w, x, y)
+
+    @pytest.mark.parametrize("kind", ["closed_form", "nesterov_grid"])
+    def test_mixed_bids_start_at_the_shared_level(self, kind, monkeypatch):
+        # mixed bids take the level search; the two coordinates it fills
+        # partly share the bid 0.3 (the third is empty at the level), so the
+        # search starts at their closed-form level
+        f = _WATERFILL_KINDS[kind][0][0]
+        starts = record_results(monkeypatch, "_shared_level")
+        a, w = np.array([0.3, 0.3, 0.9]), np.array([0.1, 0.2, 0.95])
+        x, y = _waterfill([f] * 3, True, a, w)
+        assert len(starts) == 1 and math.isfinite(starts[0]), starts
+        assert 0.0 < x[0] < 1.0 and 0.0 < x[1] < 1.0 and x[2] == 0.0, x
+        assert_exact_saddle([f] * 3, a, w, x, y)
 
     @pytest.mark.parametrize("kind", ["closed_form", "nesterov_grid"])
     def test_shared_bid_fill_matches_level_search(self, kind, monkeypatch):
@@ -270,7 +289,7 @@ class TestEngineInvariants:
         smooth = _WATERFILL_KINDS[kind][0][0]
         n = 30
         inst = gen_adwords_triangular(n, 5)
-        solved = record_shared_states(monkeypatch)
+        solved = record_results(monkeypatch, "_shared_state")
         traces = []
         for smoothed in (smooth, [copy.copy(smooth) for _ in range(n)]):
             solved.clear()
@@ -304,12 +323,34 @@ class TestEngineInvariants:
     def test_unresolved_shared_fill_takes_the_level_search(self, bid, w, monkeypatch):
         f = adwords_closed_form_smoothing()
         a, w = np.full(3, bid), np.array(w)
-        solved = record_shared_states(monkeypatch)
+        solved = record_results(monkeypatch, "_shared_state")
         x, y = _waterfill([f] * 3, True, a, w)
         assert solved == [None]
         assert np.all(x >= 0.0) and x.sum() <= 1.0
         z = a * y
         assert abs(max(0.0, float(z.max())) * min(float(x.sum()), 1.0) - float(x @ z)) <= 1e-12
+
+    def test_subnormal_level_needs_no_secant_steps(self, monkeypatch):
+        # at the bid 5e-324 the bracket is a few ulps of a subnormal level, and
+        # a relative tolerance underflows to 0: the secant would evaluate the
+        # fill on it until its iteration cap
+        evals = []
+        solve_level = online._solve_level
+
+        def counted(total, *args):
+            evals.append(0)
+
+            def fill_total(*a):
+                evals[-1] += 1
+                return total(*a)
+
+            return solve_level(fill_total, *args)
+
+        monkeypatch.setattr(online, "_solve_level", counted)
+        x, _ = _waterfill([adwords_closed_form_smoothing()] * 3, True, np.full(3, 5e-324),
+                          np.array([0.5, 0.5, 0.5]))
+        assert evals == [0]
+        assert np.all(x >= 0.0) and x.sum() <= 1.0
 
     def test_waterfill_sum_within_simplex(self):
         # the deficit is counted in index order while callers sum the full x

@@ -15,6 +15,7 @@ from smoothgreed.scalar import (
     Sqrt,
     alpha_at,
     alpha_bar,
+    check_positive,
     from_descriptor,
 )
 
@@ -250,3 +251,10 @@ class TestDescriptors:
             Power(1.5)
         with pytest.raises(ValueError):
             Cap(-1.0)
+
+    def test_booleans_are_not_positive_numbers(self):
+        # a JSON true would otherwise pass as 1
+        check_positive("owner", b=1, l=np.float64(2.0))
+        for v in (True, np.True_):
+            with pytest.raises(ValueError, match="owner: b must be finite and positive"):
+                check_positive("owner", b=v)
