@@ -29,6 +29,7 @@ EXIT_CERT_BREACH = 2
 EXIT_INFEASIBLE = 3
 EXIT_BAD_INPUT = 4
 _STRICT_JSON = json.JSONEncoder(allow_nan=False)   # json.dumps would build one per record
+_X_MEMO = 1024      # distinct encoded x kept at once by _record_lines
 
 
 def _provenance(args) -> str:
@@ -159,7 +160,7 @@ def _do_run(args, check: bool) -> int:
                for k, v in summary.items()}
     if args.out:
         with open(args.out + ".jsonl", "w") as fh:
-            fh.writelines(_STRICT_JSON.encode(rec.to_jsonable()) + "\n" for rec in trace.records)
+            fh.writelines(_record_lines(trace.records))
         with open(args.out + ".json", "w") as fh:
             json.dump(summary, fh, indent=1, allow_nan=False)
     print(json.dumps({k: v for k, v in summary.items()
@@ -169,6 +170,26 @@ def _do_run(args, check: bool) -> int:
         print("certificate breach", file=sys.stderr)
         return EXIT_CERT_BREACH
     return EXIT_OK
+
+
+def _record_lines(records):
+    """Records JSONL: one line per step with t, the dense x, sigma, inner and gain.
+
+    Each line is the strict (no NaN or inf) JSON of that dict.  Runs repeat
+    few distinct x, so each is encoded once, keyed by its bytes (which keep
+    -0.0 apart from 0.0); the memo is emptied when full.
+    """
+    memo = {}
+    for rec in records:
+        x = np.atleast_1d(rec.x)
+        key = x.tobytes()
+        xs = memo.get(key)
+        if xs is None:
+            if len(memo) >= _X_MEMO:
+                memo.clear()
+            xs = memo[key] = _STRICT_JSON.encode(x.tolist())
+        rest = _STRICT_JSON.encode({"sigma": rec.sigma, "inner": rec.inner, "gain": rec.gain})
+        yield f'{{"t": {rec.t}, "x": {xs}, {rest[1:]}\n'
 
 
 def cmd_run(args) -> int:

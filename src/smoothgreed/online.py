@@ -19,6 +19,10 @@ scalar Newton for a smoothed one.
 Each cone has one loop serving both engines (the orthant loop covers
 allocation and packing); the engines differ only in how a step's point is
 chosen and whether the loop tracks the saddle residual or the correction.
+A step's ``StepRecord`` holds x, sigma, the inner product and the gain in
+the engine objective; an orthant step with A x = 0 moves neither the state
+nor the dual, so it records a gain of exactly 0.0 without evaluating the
+objective, and runs with ``keep_records=False`` evaluate no per-step value.
 """
 
 from __future__ import annotations
@@ -52,10 +56,6 @@ class StepRecord:
     sigma: float
     inner: float
     gain: float
-
-    def to_jsonable(self):
-        return {"t": self.t, "x": np.atleast_1d(self.x).tolist(),
-                "sigma": self.sigma, "inner": self.inner, "gain": self.gain}
 
 
 @dataclass
@@ -725,7 +725,7 @@ def _run_orthant(obj, steps, algo, keep_records):
         plateau = coordwise(eng.coords, eng._uniform, "deriv_inv_lo", np.zeros(eng.n))
     sigma_sum = corr = sqsum = resid = 0.0
     y_low = np.inf      # running minimum of the sim steps' duals
-    prev_val = eng.value(u)
+    prev_val = eng.value(u) if keep_records else None
     records = []
     for t, st in enumerate(steps, 1):
         if algo == "sim":
@@ -737,18 +737,24 @@ def _run_orthant(obj, steps, algo, keep_records):
         else:
             sigma, x = st.F.support(st.A.adjoint(y))
         img = st.A.apply(x)
-        u = u + img
+        # a step whose image is 0 moves neither u nor the dual, and gains 0.0
+        moved = img.any()
+        if moved:
+            u = u + img
         if algo == "seq":
-            y_next = eng.grad_lo(u)
-            corr += float(img @ (y_next - y))
             inner = float(img @ y)
-            y = y_next
-        val = eng.value(u)
-        gain = val - prev_val
-        prev_val = val
+            if moved:
+                y_next = eng.grad_lo(u)
+                corr += float(img @ (y_next - y))
+                y = y_next
         sigma_sum += sigma
         sqsum += float(np.sum(img ** 2))
         if keep_records:
+            gain = 0.0
+            if moved:
+                val = eng.value(u)
+                gain = val - prev_val
+                prev_val = val
             records.append(StepRecord(t, x, sigma, inner, gain))
     if algo == "sim":
         # D bounds OPT only if y lies below every step's dual: the LP step can

@@ -147,6 +147,10 @@ class PiecewiseLinear(ScalarConcave):
     kind = "piecewise_linear"
 
     def __init__(self, breakpoints, slopes):
+        for name, v in (("breakpoints", breakpoints), ("slopes", slopes)):
+            if not all(isinstance(e, numbers.Real) and not isinstance(e, bool) and math.isfinite(e)
+                       for e in np.asarray(v, dtype=object).ravel()):
+                raise ValueError(f"piecewise_linear: {name} must be finite numbers, got {v!r}")
         if np.any(np.asarray(slopes, dtype=float) < 0):
             raise ValueError("piecewise_linear: slopes must be nonnegative")
         self._set_pieces(breakpoints, slopes)
@@ -242,8 +246,7 @@ class Cap(PiecewiseLinear):
     kind = "cap"
 
     def __init__(self, scale: float = 1.0):
-        if scale <= 0:
-            raise ValueError("cap: scale must be positive")
+        check_positive(self.kind, scale=scale)
         self.scale = float(scale)
         super().__init__([1.0], [self.scale, 0.0])
 
@@ -257,8 +260,7 @@ class Linear(PiecewiseLinear):
     kind = "linear"
 
     def __init__(self, slope: float = 1.0):
-        if slope <= 0:
-            raise ValueError("linear: slope must be positive")
+        check_positive(self.kind, slope=slope)
         self.slope = float(slope)
         super().__init__([], [self.slope])
 

@@ -7,12 +7,14 @@ oracles: they build test inputs and checks from the library's own types,
 and only the tests use them.
 """
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from smoothgreed.objectives import LogDetObjective, SeparableObjective
+from smoothgreed.objectives import LogDetObjective, PenaltyLPObjective, SeparableObjective, coordwise
+from smoothgreed.online import INTERIOR_SHIFT, _sim_step
 from smoothgreed.scalar import SLOPE_CAP, ScalarConcave
 from smoothgreed.smoothing import SmoothedScalar, make_monotone
 
@@ -166,9 +168,60 @@ def sequential_fill_deficit(x, idx, x_min, x_max):
             break
 
 
+def records_jsonl(records):
+    """Records JSONL as one strict json.dumps per record of its dict."""
+    return "".join(json.dumps({"t": r.t, "x": np.atleast_1d(r.x).tolist(), "sigma": r.sigma,
+                               "inner": r.inner, "gain": r.gain}, allow_nan=False) + "\n"
+                   for r in records)
+
+
 # ----------------------------------------------------------------------
 # Test helpers built on the library
 # ----------------------------------------------------------------------
+
+
+def every_step_orthant(obj, steps, algo):
+    """The orthant engine loop refreshing u, the seq dual and the engine value
+    after every step, zero steps included.
+
+    Returns the records as (t, x, sigma, inner, gain) tuples, P, D and corr.
+    """
+    eng = obj.engine
+    u = np.zeros(obj.n + 1 if isinstance(obj, PenaltyLPObjective) else obj.n)
+    if algo == "seq":
+        y = eng.grad_lo(u)
+        if np.any(y >= 1e11):
+            u = np.full(len(u), INTERIOR_SHIFT)
+            y = eng.grad_lo(u)
+    plateau = None
+    if algo == "sim" and isinstance(eng, SeparableObjective):
+        plateau = coordwise(eng.coords, eng._uniform, "deriv_inv_lo", np.zeros(eng.n))
+    sigma_sum = corr = 0.0
+    y_low = np.inf
+    prev_val = eng.value(u)
+    records = []
+    for t, st in enumerate(steps, 1):
+        if algo == "sim":
+            x, y_step = _sim_step(eng, st, u, plateau)
+            z, y_low = st.A.adjoint(y_step), np.minimum(y_low, y_step)
+            sigma = max(0.0, float(np.max(z)))
+            inner = float(x @ z)
+        else:
+            sigma, x = st.F.support(st.A.adjoint(y))
+        img = st.A.apply(x)
+        u = u + img
+        if algo == "seq":
+            y_next = eng.grad_lo(u)
+            corr += float(img @ (y_next - y))
+            inner = float(img @ y)
+            y = y_next
+        val = eng.value(u)
+        records.append((t, x, sigma, inner, val - prev_val))
+        prev_val = val
+        sigma_sum += sigma
+    if algo == "sim":
+        y = np.minimum(eng.grad_lo(u), y_low)
+    return records, obj.value(u), sigma_sum - obj.conj(y), corr
 
 
 def from_base(base: ScalarConcave, u_end: float, d: int, tail_mode="hold_last"):

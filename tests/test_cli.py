@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from smoothgreed import cli
+from smoothgreed.online import StepRecord
+
+from oracles import records_jsonl
 
 
 def run_cli(args):
@@ -50,6 +53,27 @@ class TestDesignCommand:
         rc = run_cli(["design", "--objective", str(tmp_path / "missing.json"),
                       "--horizon", "1.0", "--out", str(tmp_path / "x")])
         assert rc == cli.EXIT_BAD_INPUT
+
+    def test_bad_catalog_parameters_exit_code(self, tmp_path, capsys):
+        # a JSON true is not a scale of 1, and NaN or inf pieces are no function
+        inst, desc = str(tmp_path / "inst.json"), tmp_path / "f.json"
+        run_cli(["gen", "--family", "adwords_triangular", "--n", "3", "--phase-len", "2",
+                 "--out", inst])
+        pl = lambda b, s: {"kind": "piecewise_linear", "params": {"breakpoints": b, "slopes": s}}
+        cases = [({"kind": "cap", "params": {"scale": v}}, "cap: scale") for v in (True, math.nan)]
+        cases += [({"kind": "linear", "params": {"slope": math.nan}}, "linear: slope"),
+                  (pl([math.nan], [1.0, 0.5]), "piecewise_linear: breakpoints"),
+                  (pl([0.5], [math.inf, 0.5]), "piecewise_linear: slopes"),
+                  (pl([0.5], [True, 0.5]), "piecewise_linear: slopes")]
+        for d, message in cases:
+            desc.write_text(json.dumps(d))
+            for argv in (["design", "--objective", str(desc), "--horizon", "1.0", "--grid", "50",
+                          "--out", str(tmp_path / "d")],
+                         ["certify", "--instance", inst, "--objective", str(desc)]):
+                capsys.readouterr()
+                assert run_cli(argv) == cli.EXIT_BAD_INPUT, (d, argv[0])
+                captured = capsys.readouterr()
+                assert captured.out == "" and message in captured.err, (d, argv[0])
 
     def test_config_below_flags(self, tmp_path, cap_descriptor):
         cfg = tmp_path / "cfg.json"
@@ -347,6 +371,74 @@ class TestRunCertify:
             assert run_cli(["certify", "--instance", inst]) == cli.EXIT_BAD_INPUT
             captured = capsys.readouterr()
             assert captured.out == "" and str(error) in captured.err
+
+
+class TestRecordsJsonl:
+    """The records writer against one strict json.dumps per record."""
+
+    def test_adversary_jobs_match_oracle(self, tmp_path, monkeypatch):
+        inst = str(tmp_path / "adv.json")
+        run_cli(["gen", "--family", "adwords_triangular", "--n", "40", "--phase-len", "5",
+                 "--out", inst])
+        traces = []
+        for name in ("run_simultaneous", "run_sequential"):
+            def kept(obj, steps, run=getattr(cli, name)):
+                traces.append(run(obj, steps))
+                return traces[-1]
+
+            monkeypatch.setattr(cli, name, kept)
+        for algo in ("sim", "seq"):
+            for smoothing in ([], ["--smoothing", "closed_form"]):
+                out = str(tmp_path / "run")
+                assert run_cli(["certify", "--instance", inst, "--algo", algo, "--out", out]
+                               + smoothing) == cli.EXIT_OK
+                want = records_jsonl(traces[-1].records)
+                assert Path(out + ".jsonl").read_text() == want, (algo, smoothing)
+
+    def test_signed_zeros_and_equal_arrays(self):
+        x = np.array([0.0, 0.25, 0.75])
+        records = [StepRecord(1, x, 0.5, 0.5, 0.5),
+                   StepRecord(2, np.array([-0.0, 0.25, 0.75]), 0.0, -0.0, 0.0),
+                   StepRecord(3, x.copy(), 0.5, 0.5, 0.0),
+                   StepRecord(4, np.array([-0.0, 0.25, 0.75]), -0.0, 0.0, -0.0),
+                   StepRecord(5, np.array([0.5]), 1.0, 0.5, np.float64(0.125))]
+        text = "".join(cli._record_lines(records))
+        assert text == records_jsonl(records)
+        assert text.count("[-0.0, 0.25, 0.75]") == 2 and text.count("[0.0, 0.25, 0.75]") == 2
+
+    def test_runs_longer_than_the_memo(self, monkeypatch):
+        rng = np.random.default_rng(np.random.Philox(key=3))
+        pool = [rng.uniform(0.0, 1.0, 4) for _ in range(7)]
+        records = [StepRecord(t, pool[int(rng.integers(0, 7))].copy(), 1.0, 0.5, 0.25)
+                   for t in range(1, 400)]
+        records += [StepRecord(t, rng.uniform(0.0, 1.0, 4), 1.0, 0.5, 0.25)
+                    for t in range(400, 400 + cli._X_MEMO + 50)]
+        assert "".join(cli._record_lines(records)) == records_jsonl(records)
+        monkeypatch.setattr(cli, "_X_MEMO", 3)
+        assert "".join(cli._record_lines(records)) == records_jsonl(records)
+
+    def test_nonfinite_record_exit_code(self, tmp_path, monkeypatch, capsys):
+        inst = str(tmp_path / "inst.json")
+        run_cli(["gen", "--family", "adwords_triangular", "--n", "3", "--phase-len", "2",
+                 "--out", inst])
+        run = cli.run_simultaneous
+
+        def edit_x(rec):
+            rec.x = rec.x.copy()
+            rec.x[1] = math.nan
+
+        for edit in (edit_x, lambda rec: setattr(rec, "gain", math.nan)):
+            def broken(obj, steps, edit=edit):
+                tr = run(obj, steps)
+                edit(tr.records[2])
+                return tr
+
+            monkeypatch.setattr(cli, "run_simultaneous", broken)
+            capsys.readouterr()
+            assert run_cli(["certify", "--instance", inst, "--out",
+                            str(tmp_path / "run")]) == cli.EXIT_BAD_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == "" and "not JSON compliant" in captured.err
 
 
 class TestSweep:

@@ -37,7 +37,12 @@ from smoothgreed.smoothing import (
     nesterov_pl_smoothing,
 )
 
-from oracles import enumerate_offline_best, logdet_relaxation_grid, sequential_fill_deficit
+from oracles import (
+    enumerate_offline_best,
+    every_step_orthant,
+    logdet_relaxation_grid,
+    sequential_fill_deficit,
+)
 
 E = math.e
 
@@ -460,6 +465,69 @@ class TestEngineInvariants:
             for run in (run_simultaneous, run_sequential):
                 with pytest.raises(ValueError, match=r"^step 4: "):
                     run(adwords_obj(3), steps)
+
+
+def _orthant_runs():
+    """Allocation and packing objectives, plain and smoothed, with their instances."""
+    adv = gen_adwords_triangular(12, 4)
+    for smoothed in (False, True):
+        yield f"adwords-{smoothed}", adwords_obj(12, smoothed), adv
+    for k, seed in ((1, 0), (3, 1)):
+        inst = gen_lp_random(6, 30, k, 0.7, seed=seed)
+        l, theta = inst.extras["l"], inst.extras["theta"]
+        for smoothed in (False, True):
+            pen = nesterov_penalty_smoothing(l, theta) if smoothed else None
+            yield f"pack-k{k}-{smoothed}", PenaltyLPObjective(6, l, theta, smoothed_penalty=pen), inst
+
+
+class TestZeroSteps:
+    """A step with A x = 0 leaves u and the dual where they were: the orthant
+    loop skips the engine value and the seq dual refresh there."""
+
+    @staticmethod
+    def count_values(monkeypatch, eng):
+        calls = []
+        value = eng.value
+
+        def counted(u):
+            calls.append(1)
+            return value(u)
+
+        monkeypatch.setattr(eng, "value", counted)
+        return calls
+
+    @pytest.mark.parametrize("algo", ["sim", "seq"])
+    def test_bit_identical_to_every_step_loop(self, algo, monkeypatch):
+        run = run_simultaneous if algo == "sim" else run_sequential
+        zero_steps = 0
+        for name, obj, inst in _orthant_runs():
+            want, P, D, corr = every_step_orthant(obj, inst.steps, algo)
+            calls = self.count_values(monkeypatch, obj.engine)
+            tr = run(obj, inst.steps)
+            moving = sum(bool(rec.x.any()) for rec in tr.records)
+            zero_steps += len(tr.records) - moving
+            # the first value, one per moving step, and the final P (and P_engine)
+            assert len(calls) == moving + 2 + (obj.engine is obj), name
+            assert len(tr.records) == len(want)
+            for rec, (t, x, sigma, inner, gain) in zip(tr.records, want):
+                assert rec.x.tobytes() == x.tobytes(), (name, t)
+                assert (rec.t, rec.sigma, rec.inner, rec.gain) == (t, sigma, inner, gain), (name, t)
+                assert math.copysign(1.0, rec.inner) == math.copysign(1.0, inner), (name, t)
+                if not rec.x.any():
+                    assert rec.gain == 0.0 and math.copysign(1.0, rec.gain) == 1.0, (name, t)
+            assert (tr.P_orig, tr.D_alg, tr.corr) == (P, D, corr), name
+        assert zero_steps > 0
+
+    @pytest.mark.parametrize("algo", ["sim", "seq"])
+    def test_no_per_step_values_without_records(self, algo, monkeypatch):
+        run = run_simultaneous if algo == "sim" else run_sequential
+        for name, obj, inst in _orthant_runs():
+            ref = run(obj, inst.steps)
+            calls = self.count_values(monkeypatch, obj.engine)
+            tr = run(obj, inst.steps, keep_records=False)
+            assert len(calls) == 1 + (obj.engine is obj), name      # the final values only
+            assert tr.records == []
+            assert (tr.P_orig, tr.D_alg, tr.corr) == (ref.P_orig, ref.D_alg, ref.corr), name
 
 
 class TestPackingRuns:
