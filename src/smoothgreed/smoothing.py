@@ -445,38 +445,31 @@ class DesignResult:
             json.dump(self.summary(), fh, indent=1)
 
 
-def _min_feasible_y(base, lin_coeff, const, target, y_hi, y_argmin, tol=1e-12):
-    """Smallest y in [0, y_hi] with g(y) = const + lin_coeff*y - conj(y) - target <= 0.
+def _min_feasible_y(conj, slope, lin_coeff, const, target, lo, c_lo, hi, c_hi, tol=1e-12):
+    """Smallest y in [lo, hi] with g(y) = const + lin_coeff*y - conj(y) - target <= 0.
 
-    g is convex in y and minimized at ``y_argmin`` (a supergradient of the
-    base at u = lin_coeff, precomputed by the caller); its right derivative
-    is lin_coeff - conj'(y+), with conj'(y+) the base's ``conj1_slope``.
-    Safeguarded Newton on the bracket [lo, hi], g(lo) > 0 >= g(hi): on a
-    convex g a Newton step never passes the root, so steps are taken from
-    lo (from hi while g(lo) is infinite), kept one tolerance inside the
-    bracket, and replaced by the midpoint when they leave it or the slope
-    is not finite and negative.  A midpoint is also taken whenever the last
-    two steps did not halve the bracket: Newton stalls where g is flat at
-    zero (from hi it then moves one tolerance per step) and crawls at
-    multiple roots, and this bounds the solve at three steps per halving.
-    Returns hi once hi - tol*max(1, hi) <= lo: feasible and within tol of
-    the smallest feasible y.  Returns None when no feasible y exists in the
-    range.
+    ``conj``, ``slope`` are the base's ``conj1``, ``conj1_slope``, and ``c_lo``,
+    ``c_hi`` are conj(lo), conj(hi).  The caller puts lo at the edge of the
+    conjugate's domain and hi at or left of the minimizer of the convex g.
+    Safeguarded Newton keeps g(lo) > 0 >= g(hi): on a convex g a Newton step
+    never passes the root, so steps go from lo (from hi while g(lo) is
+    infinite), one tolerance inside the bracket.  A midpoint replaces a step
+    that leaves the bracket or has no finite negative slope, and follows any
+    two steps that did not halve the bracket (Newton stalls where g is flat
+    at zero), which bounds the solve at three steps per halving.  Returns
+    (y, conj(y)): lo if feasible, else hi once hi - tol*max(1, hi) <= lo;
+    None when no y in the range is feasible.
     """
-    conj, slope = base.conj1, base.conj1_slope
-    hi = min(y_argmin, y_hi)
-    ghi = const + lin_coeff * hi - conj(hi) - target
+    ghi = const + lin_coeff * hi - c_hi - target
     if not ghi <= 1e-11:
         return None
-    # below the conjugate's domain g is +inf; start at its edge
-    lo = max(0.0, base.conj_dom_lo())
-    glo = const + lin_coeff * lo - conj(lo) - target
+    glo = const + lin_coeff * lo - c_lo - target
     if glo <= 0.0:
-        return lo
+        return lo, c_lo
     if ghi > 0.0:
-        return hi      # the minimum misses by rounding only
+        return hi, c_hi      # the minimum misses by rounding only
     w1 = w2 = math.inf     # bracket widths before the last two steps
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > (tol_hi := tol * hi if hi > 1.0 else tol):
         y = math.nan
         if hi - lo <= 0.5 * w2:
             y0, g0 = (lo, glo) if glo < math.inf else (hi, ghi)
@@ -484,16 +477,19 @@ def _min_feasible_y(base, lin_coeff, const, target, y_hi, y_argmin, tol=1e-12):
             if -math.inf < dg < 0.0:
                 y = y0 - g0 / dg
             if lo <= y <= hi:
-                y = min(max(y, lo + tol * max(1.0, lo)), hi - tol * max(1.0, hi))
+                y_in = lo + (tol * lo if lo > 1.0 else tol)
+                y = y if y > y_in else y_in
+                y = y if y < hi - tol_hi else hi - tol_hi
         if not lo < y < hi:
             y = 0.5 * (lo + hi)
         w1, w2 = hi - lo, w1
-        gy = const + lin_coeff * y - conj(y) - target
+        cy = conj(y)
+        gy = const + lin_coeff * y - cy - target
         if gy <= 0.0:
-            hi, ghi = y, gy
+            hi, ghi, c_hi = y, gy, cy
         else:
             lo, glo = y, gy
-    return hi
+    return hi, c_hi
 
 
 def _greedy_construct(spec: DesignSpec, beta: float, psis: list):
@@ -506,36 +502,40 @@ def _greedy_construct(spec: DesignSpec, beta: float, psis: list):
     """
     base, d, c = spec.base, spec.d, spec.c
     h = spec.u_end / d
+    half_h = 0.5 * h
     s0 = base.slope0()
     inf_slope = not math.isfinite(s0)
-    ycap = SLOPE_CAP if inf_slope else s0
     # Convexity in y makes g minimal at a supergradient of the base taken
     # at the linear coefficient; hoisted, since it is shared by all knots.
-    lin = 0.5 * h - c
+    lin = half_h - c
     y_argmin = float(base.supergrad(lin).hi) if lin > 0 else SLOPE_CAP
     lin1 = h - c
     y_argmin1 = float(base.supergrad(lin1).hi) if lin1 > 0 else SLOPE_CAP
-    y = [ycap] * (d + 1)
-    cum = 0.0
+    lag = c * s0 if c else 0.0     # const is never -0.0, so a zero lag adds exactly
+    conj, slope = base.conj1, base.conj1_slope
+    lo = max(0.0, base.conj_dom_lo())
+    c_lo = conj(lo)
+    # every sample stays in [lo, y[0]], so y[t-1] bounds the next knot
+    y = [SLOPE_CAP if inf_slope else s0] * (d + 1)
+    cum = c_prev = 0.0
     for t in range(1, d + 1):
         first_free = t == 1 and inf_slope
         if first_free:
-            lc, am, const = lin1, y_argmin1, 0.0
+            lc, am, const = lin1, y_argmin1, lag
         else:
-            lc, am = lin, y_argmin
-            const = cum + 0.5 * h * y[t - 1]
-        if c:
-            const += c * s0
-        target = beta * psis[t]
-        yt = _min_feasible_y(base, lc, const, target, min(y[t - 1], ycap), am)
-        if yt is None:
+            lc, am, const = lin, y_argmin, cum + half_h * y[t - 1] + lag
+        # the knot that accepted y[t-1] has its conjugate; y[0] has none
+        hi = y[t - 1] if y[t - 1] < am else am
+        c_hi = c_prev if hi == y[t - 1] and t > 1 else conj(hi)
+        knot = _min_feasible_y(conj, slope, lc, const, beta * psis[t], lo, c_lo, hi, c_hi)
+        if knot is None:
             return None
-        y[t] = yt
+        y[t], c_prev = knot
         if first_free:
-            y[0] = yt
-            cum = h * yt
+            y[0] = y[1]
+            cum = h * y[1]
         else:
-            cum += 0.5 * h * (y[t - 1] + yt)
+            cum += half_h * (y[t - 1] + y[t])
     if spec.plateau and y[d] > spec.feas_tol:
         return None
     if spec.plateau:
@@ -564,8 +564,8 @@ def _design(spec: DesignSpec) -> DesignResult:
         if tries > 60:
             raise RuntimeError("design: could not bracket a feasible beta")
     lo, hi = 1.0, beta_hi
-    while hi - lo > spec.beta_tol:
-        mid = 0.5 * (lo + hi)
+    # past the float spacing near beta the midpoint is lo or hi: stop there
+    while hi - lo > spec.beta_tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         y_mid = _greedy_construct(spec, mid, psis)
         if y_mid is None:
             lo = mid

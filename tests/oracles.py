@@ -168,6 +168,110 @@ def sequential_fill_deficit(x, idx, x_min, x_max):
             break
 
 
+def min_feasible_y_reference(base, lin_coeff, const, target, y_hi, y_argmin, tol=1e-12):
+    """The designer's knot solve as it was before it took its bracket ends'
+    conjugates from the caller; kept as the reference for bit identity.
+
+    Smallest y in [0, y_hi] with g(y) = const + lin_coeff*y - conj(y) - target <= 0.
+
+    g is convex in y and minimized at ``y_argmin`` (a supergradient of the
+    base at u = lin_coeff, precomputed by the caller); its right derivative
+    is lin_coeff - conj'(y+), with conj'(y+) the base's ``conj1_slope``.
+    Safeguarded Newton on the bracket [lo, hi], g(lo) > 0 >= g(hi): on a
+    convex g a Newton step never passes the root, so steps are taken from
+    lo (from hi while g(lo) is infinite), kept one tolerance inside the
+    bracket, and replaced by the midpoint when they leave it or the slope
+    is not finite and negative.  A midpoint is also taken whenever the last
+    two steps did not halve the bracket: Newton stalls where g is flat at
+    zero (from hi it then moves one tolerance per step) and crawls at
+    multiple roots, and this bounds the solve at three steps per halving.
+    Returns hi once hi - tol*max(1, hi) <= lo: feasible and within tol of
+    the smallest feasible y.  Returns None when no feasible y exists in the
+    range.
+    """
+    conj, slope = base.conj1, base.conj1_slope
+    hi = min(y_argmin, y_hi)
+    ghi = const + lin_coeff * hi - conj(hi) - target
+    if not ghi <= 1e-11:
+        return None
+    # below the conjugate's domain g is +inf; start at its edge
+    lo = max(0.0, base.conj_dom_lo())
+    glo = const + lin_coeff * lo - conj(lo) - target
+    if glo <= 0.0:
+        return lo
+    if ghi > 0.0:
+        return hi      # the minimum misses by rounding only
+    w1 = w2 = math.inf     # bracket widths before the last two steps
+    while hi - lo > tol * max(1.0, hi):
+        y = math.nan
+        if hi - lo <= 0.5 * w2:
+            y0, g0 = (lo, glo) if glo < math.inf else (hi, ghi)
+            dg = lin_coeff - slope(y0)
+            if -math.inf < dg < 0.0:
+                y = y0 - g0 / dg
+            if lo <= y <= hi:
+                y = min(max(y, lo + tol * max(1.0, lo)), hi - tol * max(1.0, hi))
+        if not lo < y < hi:
+            y = 0.5 * (lo + hi)
+        w1, w2 = hi - lo, w1
+        gy = const + lin_coeff * y - conj(y) - target
+        if gy <= 0.0:
+            hi, ghi = y, gy
+        else:
+            lo, glo = y, gy
+    return hi
+
+
+def greedy_construct_reference(spec, beta, psis):
+    """The designer's greedy construction as it was before it carried each
+    knot's conjugate forward; kept as the reference for bit identity.
+
+    Forward minimal-derivative construction for a candidate beta.
+
+    Chooses at each knot the smallest feasible derivative sample, which
+    keeps the accumulated integral (the only coupling across knots) as
+    small as possible.  ``psis`` lists the base at the knots.  Returns the
+    grid or None when construction fails.
+    """
+    base, d, c = spec.base, spec.d, spec.c
+    h = spec.u_end / d
+    s0 = base.slope0()
+    inf_slope = not math.isfinite(s0)
+    ycap = SLOPE_CAP if inf_slope else s0
+    # Convexity in y makes g minimal at a supergradient of the base taken
+    # at the linear coefficient; hoisted, since it is shared by all knots.
+    lin = 0.5 * h - c
+    y_argmin = float(base.supergrad(lin).hi) if lin > 0 else SLOPE_CAP
+    lin1 = h - c
+    y_argmin1 = float(base.supergrad(lin1).hi) if lin1 > 0 else SLOPE_CAP
+    y = [ycap] * (d + 1)
+    cum = 0.0
+    for t in range(1, d + 1):
+        first_free = t == 1 and inf_slope
+        if first_free:
+            lc, am, const = lin1, y_argmin1, 0.0
+        else:
+            lc, am = lin, y_argmin
+            const = cum + 0.5 * h * y[t - 1]
+        if c:
+            const += c * s0
+        target = beta * psis[t]
+        yt = min_feasible_y_reference(base, lc, const, target, min(y[t - 1], ycap), am)
+        if yt is None:
+            return None
+        y[t] = yt
+        if first_free:
+            y[0] = yt
+            cum = h * yt
+        else:
+            cum += 0.5 * h * (y[t - 1] + yt)
+    if spec.plateau and y[d] > spec.feas_tol:
+        return None
+    if spec.plateau:
+        y[d] = 0.0
+    return np.array(y)
+
+
 def records_jsonl(records):
     """Records JSONL as one strict json.dumps per record of its dict."""
     return "".join(json.dumps({"t": r.t, "x": np.atleast_1d(r.x).tolist(), "sigma": r.sigma,

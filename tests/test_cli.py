@@ -49,6 +49,13 @@ class TestDesignCommand:
         assert rc == 0
         assert json.loads(Path(out + ".json").read_text())["beta"] == pytest.approx(1.0, abs=1e-6)
 
+    def test_beta_tol_below_float_spacing(self, tmp_path, cap_descriptor):
+        out = str(tmp_path / "tight")
+        rc = run_cli(["design", "--objective", cap_descriptor, "--horizon", "1", "--grid", "20",
+                      "--plateau", "--beta-tol", "1e-300", "--out", out])
+        assert rc == 0
+        assert json.loads(Path(out + ".json").read_text())["certified"]
+
     def test_bad_objective_file(self, tmp_path):
         rc = run_cli(["design", "--objective", str(tmp_path / "missing.json"),
                       "--horizon", "1.0", "--out", str(tmp_path / "x")])

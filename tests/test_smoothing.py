@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from smoothgreed import smoothing
 from smoothgreed.scalar import (
     SLOPE_CAP,
     Cap,
@@ -30,7 +31,13 @@ from smoothgreed.smoothing import (
     verify_beta,
 )
 
-from oracles import adwords_certificate_check, dp_design_beta, from_base, kappa_of
+from oracles import (
+    adwords_certificate_check,
+    dp_design_beta,
+    from_base,
+    greedy_construct_reference,
+    kappa_of,
+)
 
 E = math.e
 FIG_PL = PiecewiseLinear([0.5, 1.0], [1.0, 0.5, 0.0])
@@ -308,7 +315,10 @@ class TestKnotSolver:
         y_argmin = float(base.supergrad(lc).hi) if lc > 0 else SLOPE_CAP
         g = lambda y: const + lc * y - base.conj1(y) - target
         tol = 1e-12
-        y = _min_feasible_y(base, lc, const, target, y_hi, y_argmin, tol)
+        lo, hi = max(0.0, base.conj_dom_lo()), min(y_argmin, y_hi)
+        knot = _min_feasible_y(base.conj1, base.conj1_slope, lc, const, target,
+                               lo, base.conj1(lo), hi, base.conj1(hi), tol)
+        y = None if knot is None else knot[0]
         ref = _bisect_min_feasible_y(base, lc, const, target, y_hi, y_argmin, tol)
         assert (y is None) == (ref is None), (y, ref)
         if y is None:
@@ -330,6 +340,67 @@ class TestKnotSolver:
                 (DesignSpec(Sqrt(), 100.0, d=1000), 1.272247314453109)):
             res = design_sequential(spec) if spec.c > 0 else design_optimal(spec)
             assert res.beta == pytest.approx(beta, rel=1e-8), (spec.base, spec.c)
+
+
+class TestGreedyIdentity:
+    """The designer's grids are bit-identical to the reference construction."""
+
+    @staticmethod
+    def _specs():
+        for base in KNOT_BASES:
+            for plateau, u_end in ((True, 1.0), (False, 50.0)):
+                if plateau and base.plateau_u() is None:
+                    continue
+                for c in (0.0, 0.3):
+                    if c == 0.0 or math.isfinite(base.slope0()):
+                        yield DesignSpec(base, u_end, d=120, plateau=plateau, c=c)
+
+    def test_grids_match_reference(self):
+        for spec in self._specs():
+            outcomes = set()
+            h = spec.u_end / spec.d
+            psis = np.asarray(spec.base.value(h * np.arange(spec.d + 1)), dtype=float).tolist()
+            beta_star = smoothing._design(spec).beta
+            # betas on both sides of the feasibility threshold
+            for beta in (1.0, 0.9 * beta_star, beta_star - 1e-3, beta_star, beta_star + 1e-3,
+                         1.2 * beta_star, 3.0):
+                y = smoothing._greedy_construct(spec, beta, psis)
+                ref = greedy_construct_reference(spec, beta, psis)
+                assert (y is None) == (ref is None), (spec, beta)
+                outcomes.add(y is None)
+                if y is not None:
+                    assert np.array_equal(y, ref) and y.tobytes() == ref.tobytes(), (spec, beta)
+            assert outcomes == {True, False}, spec
+
+    def test_designs_match_reference(self, monkeypatch):
+        specs = list(self._specs())
+        runs = [design_sequential(s) if s.c else design_optimal(s) for s in specs]
+        monkeypatch.setattr(smoothing, "_greedy_construct", greedy_construct_reference)
+        for spec, res in zip(specs, runs):
+            ref = design_sequential(spec) if spec.c else design_optimal(spec)
+            assert res.beta == ref.beta, spec
+            assert res.smoothed.y.tobytes() == ref.smoothed.y.tobytes(), spec
+
+
+class TestBetaBisection:
+    def test_tolerance_below_float_spacing_ends(self, monkeypatch):
+        # near beta the midpoint of adjacent floats is one of them; the
+        # bisection stops there, after about 53 constructions
+        construct, calls = smoothing._greedy_construct, [0]
+
+        def counted(*args):
+            calls[0] += 1
+            assert calls[0] <= 200, "the beta bisection does not end"
+            return construct(*args)
+
+        monkeypatch.setattr(smoothing, "_greedy_construct", counted)
+        betas = []
+        for tol in (1e-17, 1e-300):
+            calls[0] = 0
+            betas.append(design_optimal(DesignSpec(Cap(1.0), 1.0, d=20, plateau=True,
+                                                   beta_tol=tol)).beta)
+            assert calls[0] <= 64, tol
+        assert betas[0] == betas[1]
 
 
 class TestSequentialDesigner:
