@@ -11,11 +11,11 @@ That exactness is what lets the duality-gap identities be asserted at 1e-9.
 Every simultaneous step solver is exact: water-filling over sorted breaks
 for separable allocation (when one coordinate function and one bid are
 shared, the PL shared-bid fill for a piecewise-linear function and the
-state-coordinate fill for a smooth one skip the break search), an LP for
-unsmoothed packing, safeguarded scalar Newton for smoothed packing with
-one column and projected Newton with more, and on the PSD cone a
-closed-form root for the piecewise-linear budget penalty and safeguarded
-scalar Newton for a smoothed one.
+state-coordinate fill for a smooth one skip the break search), a simplex
+on the step LP's k-row dual for unsmoothed packing, safeguarded scalar
+Newton for smoothed packing with one column and projected Newton with
+more, and on the PSD cone a closed-form root for the piecewise-linear
+budget penalty and safeguarded scalar Newton for a smoothed one.
 Each cone has one loop serving both engines (the orthant loop covers
 allocation and packing); the engines differ only in how a step's point is
 chosen and whether the loop tracks the saddle residual or the correction.
@@ -431,27 +431,67 @@ def _waterfill(coords, uniform, a, w, plateau=None):
 
 
 def _lp_step_exact(obj: PenaltyLPObjective, st: Step, state):
-    """Exact saddle for the unsmoothed packing step via an epigraph LP."""
-    from scipy.optimize import linprog
+    """Exact saddle for the unsmoothed packing step: a simplex on its dual.
 
+    The step maximizes c.x - l * sum_i (w_i + (Bx)_i - 1)_+ over
+    {x >= 0, sum(x) <= 1}.  Its dual minimizes r.y + mu over
+    B^T y + mu 1 - e = c, 0 <= y <= l, mu >= 0, e >= 0, with r = 1 - w: k
+    rows, so a bounded-variable primal simplex keeps a k x k basis, whose
+    multipliers are the step's x.  The start holds y at l on overspent rows
+    (r < 0) and at 0 elsewhere.  If some reward is left uncovered,
+    resid = c - B^T y > 0, the basis {mu} + {e_j : j != j*} at
+    j* = argmax resid gives x = e_j*, optimal whenever column j* fits every
+    row; otherwise the basis {e} gives x = 0, which is optimal.  Pivots
+    follow Bland's rule.  Returns (x, -y).
+    """
     c, B = st.A.c, st.A.B
     n, k = B.shape
-    w = state[1:]
-    # variables (x, s): maximize c@x - l * sum(s)
-    cost = np.concatenate((-c, np.full(n, obj.l)))
-    A_ub = np.zeros((n + 1, k + n))
-    A_ub[:n, :k] = B
-    A_ub[:n, k:] = -np.eye(n)
-    A_ub[n, :k] = 1.0
-    b_ub = np.concatenate((1.0 - w, [1.0]))
-    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=[(0, None)] * (k + n),
-                  method="highs")
-    if not res.success:
-        raise RuntimeError(f"packing step LP failed: {res.message}")
-    x = np.maximum(res.x[:k], 0.0)
-    y_pen = np.minimum(np.asarray(res.ineqlin.marginals[:n], dtype=float), 0.0)
-    y_pen = np.maximum(y_pen, -obj.l)
-    return x, y_pen
+    l = obj.l
+    r = 1.0 - state[1:]
+    # the dual's columns: y_0..y_{n-1}, mu, e_0..e_{k-1}
+    A = np.hstack((B.T, np.ones((k, 1)), -np.eye(k)))
+    cost = np.concatenate((r, [1.0], np.zeros(k)))
+    hi = np.concatenate((np.full(n, l), np.full(k + 1, math.inf)))
+    v = np.concatenate((np.where(r < 0.0, l, 0.0), np.zeros(k + 1)))
+    resid = c - B.T @ v[:n]
+    j = int(np.argmax(resid))
+    basis = np.arange(n + 1, n + 1 + k)
+    if resid[j] > 0.0:
+        basis[j] = n
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(r))), float(np.max(c)))
+    for _ in range(10 * (n + k)):
+        Ab = A[:, basis]
+        v[basis] = 0.0                      # the basic values from the nonbasic ones
+        v[basis] = np.linalg.solve(Ab, c - A @ v)
+        x = np.linalg.solve(Ab.T, cost[basis])
+        d = cost - x @ A                    # reduced costs
+        d[basis] = 0.0
+        up = v >= hi                        # nonbasic at the upper bound
+        enter = np.flatnonzero(np.where(up, d > tol, d < -tol))
+        if not len(enter):
+            break
+        q = int(enter[0])
+        dv = (1.0 if up[q] else -1.0) * np.linalg.solve(Ab, A[:, q])    # per unit move of q
+        vb, hb = v[basis], hi[basis]
+        room = np.maximum(np.where(dv < 0.0, vb, hb - vb), 0.0)
+        ratio = np.divide(room, np.abs(dv), out=np.full(k, math.inf),
+                          where=np.abs(dv) > 1e-11 * float(np.max(np.abs(dv))))
+        t = float(np.min(ratio))
+        if min(t, hi[q]) == math.inf:
+            raise RuntimeError("packing step LP failed: the dual is unbounded")
+        if hi[q] <= t:                      # q moves to its other bound
+            v[q] = 0.0 if up[q] else hi[q]
+        else:                               # the lowest-index blocking variable leaves
+            ties = np.flatnonzero(ratio == t)
+            p = int(ties[np.argmin(basis[ties])])
+            v[basis[p]] = 0.0 if dv[p] < 0.0 else hb[p]
+            basis[p] = q
+    else:
+        raise RuntimeError("packing step LP failed: the pivot cap was reached")
+    x = np.maximum(x, 0.0)
+    while x.sum() > 1.0:
+        x /= np.nextafter(x.sum(), 2.0)
+    return x, np.clip(0.0 - v[:n], -l, 0.0)     # 0.0 - y: no -0.0 where y = 0
 
 
 def _lp_step_scalar(obj: PenaltyLPObjective, st: Step, state):
@@ -568,9 +608,9 @@ def _sim_step(obj, st: Step, u, plateau=None):
     ``plateau`` is passed on to _waterfill.
 
     Separable allocation steps are water-filled (_waterfill); packing steps
-    solve the epigraph LP when unsmoothed (_lp_step_exact), and otherwise
-    find the root of the scalar slope by safeguarded Newton at k == 1
-    (_lp_step_scalar) or run projected Newton on the simplex
+    run a simplex on the step LP's dual when unsmoothed (_lp_step_exact),
+    and otherwise find the root of the scalar slope by safeguarded Newton
+    at k == 1 (_lp_step_scalar) or run projected Newton on the simplex
     (_lp_step_newton).  Returns (x, y) with y the step's saddle dual in the
     layout of u, so that x attains the support value of A^T y up to
     floating-point rounding.

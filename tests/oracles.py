@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from smoothgreed.objectives import LogDetObjective, PenaltyLPObjective, SeparableObjective, coordwise
+from smoothgreed.objectives import LogDetObjective, PenaltyLPObjective, SeparableObjective, Step, coordwise
 from smoothgreed.online import INTERIOR_SHIFT, _sim_step
 from smoothgreed.scalar import SLOPE_CAP, ScalarConcave
 from smoothgreed.smoothing import SmoothedScalar, make_monotone
@@ -270,6 +270,33 @@ def greedy_construct_reference(spec, beta, psis):
     if spec.plateau:
         y[d] = 0.0
     return np.array(y)
+
+
+def lp_step_highs(obj: PenaltyLPObjective, st: Step, state):
+    """Exact saddle for the unsmoothed packing step via an epigraph LP (HiGHS).
+
+    The reference for online._lp_step_exact; same arguments and returns.
+    """
+    from scipy.optimize import linprog
+
+    c, B = st.A.c, st.A.B
+    n, k = B.shape
+    w = state[1:]
+    # variables (x, s): maximize c@x - l * sum(s)
+    cost = np.concatenate((-c, np.full(n, obj.l)))
+    A_ub = np.zeros((n + 1, k + n))
+    A_ub[:n, :k] = B
+    A_ub[:n, k:] = -np.eye(n)
+    A_ub[n, :k] = 1.0
+    b_ub = np.concatenate((1.0 - w, [1.0]))
+    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=[(0, None)] * (k + n),
+                  method="highs")
+    if not res.success:
+        raise RuntimeError(f"packing step LP failed: {res.message}")
+    x = np.maximum(res.x[:k], 0.0)
+    y_pen = np.minimum(np.asarray(res.ineqlin.marginals[:n], dtype=float), 0.0)
+    y_pen = np.maximum(y_pen, -obj.l)
+    return x, y_pen
 
 
 def records_jsonl(records):

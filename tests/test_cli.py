@@ -2,6 +2,9 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -378,6 +381,37 @@ class TestRunCertify:
             assert run_cli(["certify", "--instance", inst]) == cli.EXIT_BAD_INPUT
             captured = capsys.readouterr()
             assert captured.out == "" and str(error) in captured.err
+
+
+class TestWithoutScipy:
+    def test_every_family_runs_without_scipy(self, tmp_path):
+        # a None entry in sys.modules makes every scipy import fail
+        script = textwrap.dedent("""
+            import sys
+            sys.modules["scipy"] = None
+            from smoothgreed import cli
+
+            gens = {
+                "ad": ["--family", "adwords_triangular", "--n", "4", "--phase-len", "3"],
+                "lp": ["--family", "lp_random", "--n", "4", "--m", "20", "--k", "2", "--seed", "1"],
+                "ld": ["--family", "logdet_stream", "--n", "3", "--m", "8", "--b", "2.0",
+                       "--seed", "1"],
+            }
+            runs = [("ad", "sim", []), ("ad", "sim", ["--smoothing", "closed_form"]),
+                    ("lp", "sim", []), ("lp", "sim", ["--smoothing", "nesterov"]),
+                    ("ld", "seq", []), ("ld", "sim", ["--smoothing", "nesterov"])]
+            for name, args in gens.items():
+                assert cli.main(["gen", *args, "--out", name + ".json"]) == 0, name
+            for name, algo, extra in runs:
+                argv = ["certify", "--instance", name + ".json", "--algo", algo, *extra]
+                assert cli.main(argv) == 0, argv
+            loaded = [m for m, mod in sys.modules.items() if m.startswith("scipy") and mod]
+            assert not loaded, loaded
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        res = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
 
 
 class TestRecordsJsonl:

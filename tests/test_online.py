@@ -22,6 +22,7 @@ from smoothgreed.objectives import (
 )
 from smoothgreed.online import (
     _logdet_step,
+    _lp_step_exact,
     _lp_step_scalar,
     _waterfill,
     certify,
@@ -41,6 +42,7 @@ from oracles import (
     enumerate_offline_best,
     every_step_orthant,
     logdet_relaxation_grid,
+    lp_step_highs,
     sequential_fill_deficit,
 )
 
@@ -653,6 +655,103 @@ class TestDeterminantRuns:
         gap = duality_gap_diagnostics(tr, obj)
         assert gap.passed
         assert certify(tr, obj, inst.steps).identity_ok
+
+
+@hs.composite
+def packing_steps(draw, dyadic):
+    """A plain packing step (c, B, w, l) with its degenerate cases: spent
+    (w_i = 1) and overspent rows, tied rewards, a zero column, zero rewards.
+
+    ``dyadic`` draws every entry from multiples of 1/8, where a vertex's
+    nonzero slacks stay far above the HiGHS reference's feasibility
+    tolerance (1e-7), so the reference is exact there; otherwise nonzero
+    entries are floats of at least 1e-3, clear of the entries it drops.
+    """
+    def entries(count, lo, hi, step=1 / 8):
+        if dyadic:
+            vals = hs.integers(round(lo / step), round(hi / step)).map(lambda i: i * step)
+        else:
+            vals = hs.one_of(hs.just(lo), hs.floats(max(lo, 1e-3), hi))
+        return np.array(draw(hs.lists(vals, min_size=count, max_size=count)))
+
+    k = draw(hs.sampled_from((1, 2, 3, 5)))
+    n = draw(hs.integers(1, 5))
+    c, B = entries(k, 0.0, 1.0), entries(n * k, 0.0, 1.0).reshape(n, k)
+    w = entries(n, 0.0, 2.0)
+    if draw(hs.booleans()):
+        w[draw(hs.integers(0, n - 1))] = 1.0
+    if draw(hs.booleans()):
+        c[0] = c[-1] = float(np.max(c))
+    if draw(hs.booleans()):
+        B[:, draw(hs.integers(0, k - 1))] = 0.0
+    return c, B, w, float(entries(1, 0.5, 20.0, step=1 / 2)[0])
+
+
+class TestPackingLPStep:
+    """The unsmoothed packing step's dual simplex against the HiGHS reference.
+
+    Feasibility, the dual's range, the hinge supergradient and complementary
+    slackness make the KKT conditions of the step, so they prove x optimal
+    on any input; the reference's value is matched where it is exact and is
+    never beaten by more than rounding elsewhere.
+    """
+
+    @staticmethod
+    def _check(step, exact_ref):
+        c, B, w, l = step
+        n, k = B.shape
+        obj = PenaltyLPObjective(n, l, 1.0)
+        st = Step(StackedMap(c, B), FeasibleSet("simplex", k))
+        state = np.concatenate(([0.0], w))
+        x, y = _lp_step_exact(obj, st, state)
+        x_ref, _ = lp_step_highs(obj, st, state)
+        assert x.shape == (k,) and np.all(x >= 0.0) and x.sum() <= 1.0, x
+        assert y.shape == (n,) and np.all(y >= -l) and np.all(y <= 0.0), y
+        u = w + B @ x
+        assert np.all(y[u > 1.0 + 1e-12] == -l) and np.all(y[u < 1.0 - 1e-12] == 0.0), (u, y)
+        z = c + B.T @ y
+        scale = 1.0 + float(np.max(c)) + l * float(np.max(B.sum(axis=0)))
+        assert max(0.0, float(z.max())) * min(float(x.sum()), 1.0) - float(x @ z) <= 1e-12 * scale
+
+        def value(x):
+            return float(c @ x) - l * float(np.sum(np.maximum(w + B @ x - 1.0, 0.0)))
+
+        val, ref = value(x), value(x_ref)
+        tol = 1e-12 * max(1.0, abs(ref))
+        assert val >= ref - tol and (val <= ref + tol or not exact_ref), (val, ref, x, x_ref)
+
+    @settings(max_examples=300, deadline=None)
+    @given(packing_steps(dyadic=True))
+    # the start column overfills a row: pivots to a split between columns
+    @example((np.array([1.0, 0.875]), np.array([[1.0, 0.25]]), np.array([0.5]), 4.0))
+    # every reward is covered by overspent rows: x = 0
+    @example((np.array([0.25, 0.125]), np.array([[0.5, 0.5]]), np.array([1.5]), 2.0))
+    # a spent row, tied rewards and a zero column
+    @example((np.array([0.375, 0.0, 0.375]), np.array([[0.25, 0.0, 0.25], [0.125, 0.0, 0.625]]),
+              np.array([1.0, 0.75]), 3.0))
+    def test_matches_highs_reference(self, step):
+        self._check(step, exact_ref=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(packing_steps(dyadic=False))
+    # a slack of 1e-7, inside the reference's tolerance: it reads x = 1 and
+    # a value 5e-8 below the optimum at x = 1 - 1e-7
+    @example((np.array([0.0, 0.0, 1.0]), np.array([[1.0, 1.0, 1.0]] * 4 + [[1.0, 1.0, 0.5]]),
+              np.array([0.0, 0.0, 0.0, 1e-7, 1.0]), 1.0))
+    def test_optimal_on_float_inputs(self, step):
+        self._check(step, exact_ref=False)
+
+    @pytest.mark.parametrize("seed", [1, 1001])
+    def test_runs_match_highs_on_the_bench_shape(self, seed, monkeypatch):
+        inst = gen_lp_random(20, 200, 3, 0.7, seed)
+        obj = PenaltyLPObjective(20, inst.extras["l"], inst.extras["theta"])
+        tr = run_simultaneous(obj, inst.steps)
+        monkeypatch.setattr(online, "_lp_step_exact", lp_step_highs)
+        ref = run_simultaneous(obj, inst.steps)
+        assert [r.x.tobytes() for r in tr.records] == [r.x.tobytes() for r in ref.records]
+        assert (tr.P_orig, tr.D_alg) == (ref.P_orig, ref.D_alg)
+        assert tr.u_final.tobytes() == ref.u_final.tobytes()
+        assert tr.y_final.tobytes() == ref.y_final.tobytes()
 
 
 class TestExactScalarSteps:
