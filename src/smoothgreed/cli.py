@@ -79,8 +79,11 @@ def _objective_for(inst: Instance, smoothing_arg, objective_arg=None):
     """Build the family-default objective, optionally smoothed.
 
     ``objective_arg`` may name a scalar descriptor file that replaces the
-    capped reward of allocation instances coordinatewise.
+    capped reward of allocation instances coordinatewise.  ``closed_form``
+    and ``nesterov`` both name the family's closed-form smoothing.
     """
+    if smoothing_arg == "nesterov":
+        smoothing_arg = "closed_form"
     fam, n = inst.family, inst.params.get("n")
     if fam in ("adwords_triangular", "lp_random") and not (type(n) is int and n >= 1):
         raise ValueError(f"params.n must be a positive integer, got {n!r}")
@@ -89,7 +92,7 @@ def _objective_for(inst: Instance, smoothing_arg, objective_arg=None):
                  if objective_arg else sc.Cap(1.0))
         if smoothing_arg is None:
             return SeparableObjective([coord] * n)
-        if smoothing_arg in ("closed_form", "nesterov"):
+        if smoothing_arg == "closed_form":
             # the entropy smoothing and the designed optimum coincide here
             if not isinstance(coord, sc.Cap):
                 raise ValueError("closed-form smoothing applies to the capped reward")
@@ -97,10 +100,11 @@ def _objective_for(inst: Instance, smoothing_arg, objective_arg=None):
             return SeparableObjective([coord] * n, smoothed=s, certified_beta=s.beta_exact)
         smoothed, beta = _design_from_file(smoothing_arg, coord)
         return SeparableObjective([coord] * n, smoothed=smoothed, certified_beta=beta)
+    if fam in ("lp_random", "logdet_stream") and smoothing_arg not in (None, "closed_form"):
+        raise ValueError(f"{fam} takes --smoothing 'closed_form' or 'nesterov' only, "
+                         f"not a design file ({smoothing_arg!r})")
     if fam == "lp_random":
         l, theta = inst.extras["l"], inst.extras["theta"]
-        if smoothing_arg not in (None, "nesterov"):
-            raise ValueError("lp_random supports only the closed-form penalty smoothing")
         pen = sm.nesterov_penalty_smoothing(l, theta) if smoothing_arg else None
         obj = PenaltyLPObjective(n, l, theta, smoothed_penalty=pen)
         # theta sets the certified floor 1/(1 + l/theta), so it must be the steps' own
@@ -113,10 +117,8 @@ def _objective_for(inst: Instance, smoothing_arg, objective_arg=None):
         b, l = inst.params["b"], inst.extras["l"]
         if smoothing_arg is None:
             return LogDetObjective(A0, b, l=l)
-        if smoothing_arg == "nesterov":
-            pen = sm.nesterov_logdet_smoothing(A0.shape[0], l, b)
-            return LogDetObjective(A0, b, l=l, smoothed_budget=pen)
-        raise ValueError("logdet_stream supports only the closed-form budget smoothing")
+        pen = sm.nesterov_logdet_smoothing(A0.shape[0], l, b)
+        return LogDetObjective(A0, b, l=l, smoothed_budget=pen)
     raise ValueError(f"unknown family {fam!r}")
 
 
@@ -327,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         r.add_argument("--objective", default=None,
                        help="scalar descriptor JSON overriding the family default")
         r.add_argument("--smoothing", default=None,
-                       help="design JSON path, 'closed_form', or 'nesterov'")
+                       help="design JSON path (allocation only), 'closed_form' or 'nesterov'")
         r.add_argument("--out", default=None)
         r.set_defaults(func=fn)
 

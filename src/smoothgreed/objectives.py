@@ -1,9 +1,8 @@
 """Objectives over the nonnegative orthant and the PSD cone.
 
 Holds the step data model (linear maps into the cone plus compact feasible
-sets), support functions, dual-objective evaluation, the lp-ball distance
-penalty with its subgradients, and the rank-one determinant state used by
-the online engines.
+sets), support functions, dual-objective evaluation, and the rank-one
+determinant state used by the online engines.
 """
 
 from __future__ import annotations
@@ -195,67 +194,40 @@ def _twin(obj, pen):
 
 
 class PenaltyLPObjective:
-    """Linear reward plus an exact budget penalty on the orthant.
+    """Linear reward plus the exact hinge budget penalty on the orthant.
 
     State vectors are laid out as (v, u_1..u_n): the accumulated reward
-    followed by the consumption coordinates.  ``penalty_kind`` is either
-    "separable_cap" (one hinge per coordinate) or "lp_ball" (the l1
-    distance from the p-norm ball).  ``pen`` is the hinge; ``engine`` swaps
-    in ``smoothed_penalty`` when one is given.
+    followed by the consumption coordinates.  ``pen`` is the hinge
+    -l*(u_i - 1)_+ on each coordinate; ``engine`` swaps in
+    ``smoothed_penalty`` when one is given.
     """
 
     cone = "orthant"
 
-    def __init__(self, n, l, theta, penalty_kind="separable_cap", p=None,
-                 smoothed_penalty=None):
+    def __init__(self, n, l, theta, smoothed_penalty=None):
         check_positive("PenaltyLPObjective", l=l, theta=theta)
         self.n = int(n)
         self.l = float(l)
         self.theta = float(theta)
-        self.penalty_kind = penalty_kind
-        if penalty_kind == "lp_ball":
-            if p is None or p < 1:
-                raise ValueError("lp_ball penalty needs p >= 1")
-            if smoothed_penalty is not None:
-                raise ValueError("smoothing is only wired for the separable penalty")
-        elif penalty_kind != "separable_cap":
-            raise ValueError(f"unknown penalty kind {penalty_kind!r}")
-        self.p = p
         self.pen = NegPlusPenalty(self.l, 1.0)
         self.smoothed_penalty = smoothed_penalty
         self.engine = self if smoothed_penalty is None else _twin(self, smoothed_penalty)
 
-    def penalty_value(self, u):
-        u = np.asarray(u, dtype=float)
-        if self.penalty_kind == "separable_cap":
-            return float(np.sum(self.pen.value(u)))
-        return -self.l * lp_ball_distance(u, self.p)[0]
-
     def value(self, state):
-        return float(state[0]) + self.penalty_value(state[1:])
+        u = np.asarray(state[1:], dtype=float)
+        return float(state[0]) + float(np.sum(self.pen.value(u)))
 
     def grad_lo(self, state):
         """Minimal supergradient (1, dG)."""
         u = np.asarray(state[1:], dtype=float)
-        if self.penalty_kind == "separable_cap":
-            g = np.asarray(self.pen.deriv_right(u), dtype=float)
-        else:
-            g = -self.l * lp_ball_distance(u, self.p)[2]
+        g = np.asarray(self.pen.deriv_right(u), dtype=float)
         return np.concatenate(([1.0], g))
 
     def conj(self, y):
         y = np.asarray(y, dtype=float)
         if y[0] < 1.0 - 1e-12:
             return -math.inf
-        pen = y[1:]
-        if self.penalty_kind == "separable_cap":
-            return float(np.sum(self.pen.conjugate(pen)))
-        if np.min(pen) < -self.l - 1e-12:
-            return -math.inf
-        q = math.inf if self.p == 1 else (self.p / (self.p - 1.0) if self.p != math.inf else 1.0)
-        neg = np.maximum(-pen, 0.0)
-        nrm = float(np.max(neg)) if q == math.inf else float(np.sum(neg ** q) ** (1.0 / q))
-        return -nrm
+        return float(np.sum(self.pen.conjugate(y[1:])))
 
     def ratio_bound(self) -> float:
         """Certified competitive-ratio lower bound for the simultaneous engine."""
@@ -347,48 +319,6 @@ def dual_objective(obj, steps, y) -> float:
         else:
             total += st.F.support(st.A.adjoint(np.asarray(y, dtype=float)))[0]
     return total - conj
-
-
-def lp_ball_distance(u, p):
-    """l1 distance from the p-norm ball over the orthant, with subgradients.
-
-    Returns (value, sub_lo, sub_hi); the closest ball point clips every
-    coordinate at a common level r chosen so the clipped vector has unit
-    p-norm.  The subgradient is an interval only when the level equals the
-    largest coordinate, which happens exactly on the ball boundary.
-    """
-    u = np.asarray(u, dtype=float)
-    if np.any(u < -1e-12):
-        raise ValueError("lp_ball_distance: u must be nonnegative")
-    u = np.maximum(u, 0.0)
-    zeros = np.zeros_like(u)
-    if p == math.inf:
-        val = float(np.sum(np.maximum(u - 1.0, 0.0)))
-        if val == 0.0 and not np.any(u >= 1.0):
-            return 0.0, zeros, zeros
-        return val, (u > 1.0).astype(float), (u >= 1.0).astype(float)
-    if p < 1:
-        raise ValueError("lp_ball_distance: p must be >= 1")
-    norm = float(np.sum(u ** p) ** (1.0 / p))
-    if norm <= 1.0:
-        return 0.0, zeros, zeros
-    hi = float(np.max(u))
-    lo = 0.0
-    for _ in range(200):
-        r = 0.5 * (lo + hi)
-        if float(np.sum(np.minimum(u, r) ** p)) >= 1.0:
-            hi = r
-        else:
-            lo = r
-        if hi - lo <= 1e-14 * max(1.0, hi):
-            break
-    r = hi
-    clipped = np.minimum(u, r)
-    val = float(np.sum(u - clipped))
-    g = (clipped / r) ** (p - 1.0)
-    if r >= float(np.max(u)) * (1.0 - 1e-10):
-        return val, zeros, g
-    return val, g, g
 
 
 def theta_of_instance(steps) -> float:

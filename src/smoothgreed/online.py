@@ -726,10 +726,6 @@ def _check_steps(obj, steps):
 def run_simultaneous(obj, steps, keep_records: bool = True) -> RunTrace:
     """Run the simultaneous-update engine; exact per-step saddles."""
     if isinstance(obj, PenaltyLPObjective):
-        if obj.penalty_kind == "lp_ball":
-            # the exact packing step solves the separable-hinge LP, not this penalty
-            raise ValueError("run_simultaneous: no exact step solver for the lp_ball "
-                             "penalty; use run_sequential")
         if obj.smoothed_penalty is not None and not hasattr(obj.smoothed_penalty, "deriv2"):
             # projected Newton needs the penalty's second derivative
             raise ValueError("run_simultaneous: a smoothed penalty must be a SmoothedScalar")

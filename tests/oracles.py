@@ -31,37 +31,6 @@ def biconjugate_grid(conj_fn, u, y_grid):
     return float(np.min(vals[np.isfinite(vals)]))
 
 
-def l1_projection_distance(u, p, restarts=6):
-    """Direct l1 distance from the p-ball over the orthant.
-
-    Multi-start constrained minimization of ||u - v||_1 over ||v||_p <= 1,
-    v >= 0; for p = 1 the exact closed form is the witness.
-    """
-    from scipy.optimize import minimize
-
-    u = np.asarray(u, dtype=float)
-    if p == 1:
-        return max(float(np.sum(u)) - 1.0, 0.0)
-    if float(np.sum(u ** p)) ** (1.0 / p) <= 1.0:
-        return 0.0
-    k = len(u)
-    rng = np.random.default_rng(12345)
-    cons = [{"type": "ineq",
-             "fun": lambda v: 1.0 - float(np.sum(np.abs(v) ** p)) ** (1.0 / p)}]
-    best = np.inf
-    starts = [u / float(np.sum(u ** p)) ** (1.0 / p)]
-    for _ in range(restarts - 1):
-        v0 = rng.uniform(0.0, 1.0, k)
-        starts.append(v0 / max(1.0, float(np.sum(v0 ** p)) ** (1.0 / p)))
-    for v0 in starts:
-        res = minimize(lambda v: float(np.sum(np.abs(u - v))), v0,
-                       constraints=cons, bounds=[(0.0, None)] * k,
-                       method="SLSQP", options={"maxiter": 400, "ftol": 1e-12})
-        if res.fun < best:
-            best = float(res.fun)
-    return best
-
-
 def dp_design_beta(base, u_end, d=200, n_levels=400, tol=1e-5):
     """Level-set dynamic program for the plateau smoothing design.
 

@@ -189,6 +189,34 @@ class TestRunCertify:
         assert run_cli(["certify", "--instance", ld, "--algo", "sim",
                         "--smoothing", "nesterov"]) == 0
 
+    @pytest.mark.parametrize("gen", [
+        ["--family", "adwords_triangular", "--n", "4", "--phase-len", "3"],
+        ["--family", "lp_random", "--n", "3", "--m", "10", "--k", "2", "--seed", "1"],
+        ["--family", "logdet_stream", "--n", "3", "--m", "8", "--b", "2.0", "--seed", "1"],
+    ], ids=lambda gen: gen[1])
+    def test_closed_form_and_nesterov_are_one_smoothing(self, tmp_path, gen):
+        inst = str(tmp_path / "inst.json")
+        assert run_cli(["gen", *gen, "--out", inst]) == 0
+        summaries = []
+        for name in ("closed_form", "nesterov"):
+            out = str(tmp_path / name)
+            assert run_cli(["certify", "--instance", inst, "--algo", "sim",
+                            "--smoothing", name, "--out", out]) == cli.EXIT_OK, name
+            summaries.append(Path(out + ".json").read_bytes())
+        assert summaries[0] == summaries[1]
+
+    def test_design_file_on_packing_exit_code(self, tmp_path, cap_descriptor, capsys):
+        lp, design = str(tmp_path / "lp.json"), str(tmp_path / "d")
+        run_cli(["gen", "--family", "lp_random", "--n", "3", "--m", "10", "--k", "2",
+                 "--seed", "1", "--out", lp])
+        run_cli(["design", "--objective", cap_descriptor, "--horizon", "1.0", "--grid", "50",
+                 "--plateau", "--out", design])
+        capsys.readouterr()
+        rc = run_cli(["certify", "--instance", lp, "--smoothing", design + ".json"])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_BAD_INPUT
+        assert captured.out == "" and "closed_form" in captured.err, captured.err
+
     def test_breach_exit_code(self, tmp_path, monkeypatch):
         # force a failing report through the certify path
         from smoothgreed.online import CertificateReport

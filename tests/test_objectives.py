@@ -17,7 +17,6 @@ from smoothgreed.objectives import (
     dual_objective,
     l_bound_lp,
     logdet_step_gain,
-    lp_ball_distance,
     theta_of_instance,
 )
 from smoothgreed.instances import gen_adwords_triangular, gen_logdet_stream, gen_lp_random
@@ -29,7 +28,7 @@ from smoothgreed.smoothing import (
     nesterov_penalty_smoothing,
 )
 
-from oracles import AntitoneReport, antitone_check, l1_projection_distance
+from oracles import AntitoneReport, antitone_check
 
 
 class TestSupport:
@@ -93,59 +92,6 @@ class TestDualObjective:
         best = enumerate_offline_best(obj.value, steps, frac=4)
         for y in (np.array([1.0, 1.0]), np.array([0.7, 0.9]), np.array([0.2, 0.4])):
             assert dual_objective(obj, steps, y) >= best - 1e-9
-
-
-class TestLpBallDistance:
-    def test_p1_closed_form(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            u = rng.uniform(0, 3, size=4)
-            val, lo, hi = lp_ball_distance(u, 1.0)
-            assert val == pytest.approx(max(u.sum() - 1.0, 0.0), abs=1e-10)
-
-    def test_inside_ball(self):
-        val, lo, hi = lp_ball_distance([0.3, 0.4], 2.0)
-        assert val == 0.0
-        np.testing.assert_array_equal(lo, 0.0)
-
-    def test_flagged_example_reconciled(self):
-        # the clip-level characterization and direct l1 projection agree:
-        # at u = (2, 2) with p = 1 the level is 0.5 and the distance is 3
-        val, lo, hi = lp_ball_distance([2.0, 2.0], 1.0)
-        assert val == pytest.approx(3.0, abs=1e-10)
-        assert val == pytest.approx(l1_projection_distance([2.0, 2.0], 1), abs=1e-9)
-        np.testing.assert_allclose(lo, [1.0, 1.0])
-
-    def test_p2_against_direct_projection(self):
-        val, _, _ = lp_ball_distance([2.0, 2.0], 2.0)
-        assert val == pytest.approx(4.0 - math.sqrt(2.0), abs=1e-10)
-        rng = np.random.default_rng(11)
-        for p in (1.5, 2.0, 3.0):
-            u = rng.uniform(0.2, 2.5, size=3)
-            got = lp_ball_distance(u, p)[0]
-            ref = l1_projection_distance(u, p)
-            assert got <= ref + 1e-7
-            assert got == pytest.approx(ref, abs=5e-4)
-
-    def test_linf_matches_hinge_sum(self):
-        val, lo, hi = lp_ball_distance([2.0, 0.5], math.inf)
-        assert val == 1.0
-        np.testing.assert_array_equal(lo, [1.0, 0.0])
-
-    def test_one_lipschitz_in_l1(self):
-        rng = np.random.default_rng(3)
-        for p in (1.0, 2.0, 4.0, math.inf):
-            for _ in range(100):
-                u = rng.uniform(0, 2.5, size=3)
-                v = rng.uniform(0, 2.5, size=3)
-                du = lp_ball_distance(u, p)[0] - lp_ball_distance(v, p)[0]
-                assert abs(du) <= np.sum(np.abs(u - v)) + 1e-10
-
-    def test_subgradient_interval_on_boundary(self):
-        # unit p-norm with a flat maximum coordinate: interval from 0
-        val, lo, hi = lp_ball_distance([1.0, 0.0], 2.0)
-        assert val == 0.0
-        np.testing.assert_array_equal(lo, 0.0)
 
 
 class TestThetaAndL:
@@ -371,11 +317,6 @@ class TestPenaltyLPObjective:
         obj = PenaltyLPObjective(2, l=2.0, theta=1.0)
         assert obj.conj(np.array([0.5, 0.0, 0.0])) == -math.inf
         assert obj.conj(np.array([1.0, -1.0, 0.0])) == pytest.approx(-1.0)
-
-    def test_lp_ball_conjugate_is_dual_norm(self):
-        obj = PenaltyLPObjective(2, l=2.0, theta=1.0, penalty_kind="lp_ball", p=2.0)
-        y = np.array([1.0, -1.0, -0.5])
-        assert obj.conj(y) == pytest.approx(-math.hypot(1.0, 0.5))
 
 
 class TestEngineTwin:

@@ -589,24 +589,8 @@ class TestPackingRuns:
         gap = duality_gap_diagnostics(tr, obj)
         assert rep.passed and gap.passed
 
-    def test_lp_ball_penalty_run(self):
+    def test_catalog_penalty_sim_rejected(self):
         inst = gen_lp_random(3, 12, 2, 0.8, seed=11)
-        obj = PenaltyLPObjective(3, inst.extras["l"], inst.extras["theta"],
-                                 penalty_kind="lp_ball", p=2.0)
-        tr = run_sequential(obj, inst.steps)
-        gap = duality_gap_diagnostics(tr, obj)
-        assert gap.passed
-        rep = certify(tr, obj, inst.steps)
-        assert rep.identity_ok
-
-    def test_lp_ball_sim_rejected(self):
-        # the exact packing step solves the separable-hinge LP, so a sim run
-        # would decide against a penalty its certificate does not use
-        inst = gen_lp_random(3, 12, 2, 0.8, seed=11)
-        obj = PenaltyLPObjective(3, inst.extras["l"], inst.extras["theta"],
-                                 penalty_kind="lp_ball", p=2.0)
-        with pytest.raises(ValueError, match="lp_ball"):
-            run_simultaneous(obj, inst.steps)
         # a catalog function in place of a smoothing has no second derivative
         obj = PenaltyLPObjective(3, inst.extras["l"], inst.extras["theta"],
                                  smoothed_penalty=NegPlusPenalty(inst.extras["l"], 1.0))
