@@ -25,9 +25,11 @@ from smoothgreed.objectives import (
     step_from_descriptor,
     theta_of_instance,
 )
+from smoothgreed.scalar import check_positive
 
 SCHEMA_VERSION = "v2"
 _READABLE = ("v1", SCHEMA_VERSION)
+_ENCODE = json.JSONEncoder(allow_nan=False).encode   # json.dumps would build one per step
 
 
 @dataclass
@@ -65,12 +67,12 @@ class Instance:
         }
 
     def save(self, path: str):
-        """Write json.dumps(self.to_jsonable()) in pieces, one per step descriptor.
+        """Write the strict JSON of self.to_jsonable() in pieces, one per step.
 
-        json.dump would run the pure-Python streaming encoder; json.dumps
-        runs the C one, and piecewise it never holds the whole document.
+        json.dump would run the pure-Python streaming encoder; _ENCODE runs
+        the C one, and piecewise it never holds the whole document.
         """
-        enc = json.dumps
+        enc = _ENCODE
         with open(path, "w") as fh:
             fh.write(f'{{"version": {enc(SCHEMA_VERSION)}, "family": {enc(self.family)}, '
                      f'"params": {enc(self.params)}, "steps": [')
@@ -110,8 +112,7 @@ def gen_adwords_triangular(n: int, phase_len: int) -> Instance:
     phase i to the advertiser that disappears after it saturates all n
     budgets, so the offline optimum is exactly n.
     """
-    if n < 1 or phase_len < 1:
-        raise ValueError("gen_adwords_triangular: n and phase_len must be >= 1")
+    check_positive("gen_adwords_triangular", n=n, phase_len=phase_len)
     bid = 1.0 / phase_len
     steps = []
     for phase in range(n):
@@ -129,6 +130,7 @@ def gen_adwords_triangular(n: int, phase_len: int) -> Instance:
 
 def gen_lp_random(n: int, m: int, k: int, density: float, seed: int) -> Instance:
     """Random online packing stream with attached penalty parameters."""
+    check_positive("gen_lp_random", n=n, m=m, k=k)
     if not 0.0 < density <= 1.0:
         raise ValueError("gen_lp_random: density must lie in (0, 1]")
     rng = _rng(seed)
@@ -162,8 +164,10 @@ def gen_logdet_stream(n: int, m: int, b: float, source: str = "random_vectors",
     positive definite.  The penalty slope is set just above twice the
     reciprocal smallest eigenvalue of the base matrix.
     """
+    check_positive("gen_logdet_stream", n=n, b=b)
     rng = _rng(seed)
     if source == "random_vectors":
+        check_positive("gen_logdet_stream", m=m)
         A0 = np.eye(n)
         vecs = rng.normal(size=(m, n))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from smoothgreed.scalar import NegPlusPenalty, check_positive
+from smoothgreed.scalar import NegPlusPenalty, alpha_bar, check_positive
 
 # ----------------------------------------------------------------------
 # Feasible sets and step maps
@@ -97,9 +97,6 @@ class RankOneMap:
 
     a: np.ndarray
 
-    def apply(self, x):
-        return float(x)
-
     def to_descriptor(self):
         return {"kind": "rank_one", "a": np.asarray(self.a).tolist()}
 
@@ -172,17 +169,13 @@ class SeparableObjective:
         y = np.asarray(y, dtype=float)
         return float(np.sum(coordwise(self.coords, self._uniform, "conjugate", y)))
 
-    def alpha_bar(self, u_max: float = 1e4) -> float:
-        from smoothgreed.scalar import alpha_bar as ab
-        return min(ab(c, u_max) for c in self.coords)
-
     def ratio_bound(self) -> float:
-        """Certified competitive-ratio lower bound for the simultaneous engine."""
+        """Certified ratio floor of the simultaneous engine: 1/beta, or 1/(1 - alpha_bar)."""
         if self.engine is not self:
             if self.certified_beta is None:
                 raise ValueError("smoothed objective without a certified beta")
             return 1.0 / self.certified_beta
-        return 1.0 / (1.0 - self.alpha_bar())
+        return 1.0 / (1.0 - min(alpha_bar(c, 1e4) for c in self.coords))
 
 
 def _twin(obj, pen):
@@ -341,8 +334,11 @@ def theta_of_instance(steps) -> float:
     return best
 
 
-def l_bound_lp(steps, eps: float = 1e-6) -> float:
-    """Penalty slope strictly dominating every optimal dual variable."""
+L_MARGIN = 1e-6    # relative margin of l_bound_lp over the largest dual variable
+
+
+def l_bound_lp(steps) -> float:
+    """Penalty slope strictly dominating every optimal dual variable, by L_MARGIN."""
     worst = 0.0
     for st in steps:
         if isinstance(st.A, StackedMap):
@@ -356,7 +352,7 @@ def l_bound_lp(steps, eps: float = 1e-6) -> float:
                 worst = max(worst, 1.0)
     if worst == 0.0:
         raise ValueError("l_bound_lp: instance never consumes budget")
-    return worst * (1.0 + eps)
+    return worst * (1.0 + L_MARGIN)
 
 
 # ----------------------------------------------------------------------
@@ -415,8 +411,9 @@ class LogDetState:
                 self._last = (a, Ya, q)
                 return q
             if fresh:
-                raise FloatingPointError("LogDetState: a fresh inverse fails the residual "
-                                         "probe (Asum too ill-conditioned)")
+                raise FloatingPointError(
+                    "LogDetState: a fresh inverse fails the residual probe (Asum too "
+                    f"ill-conditioned, condition number {np.linalg.cond(self.Asum):.3g})")
             self.Y = np.linalg.inv(self.Asum)
             self.refactors += 1
 

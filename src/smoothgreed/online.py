@@ -47,6 +47,7 @@ from smoothgreed.objectives import (
 from smoothgreed.scalar import PiecewiseLinear
 
 INTERIOR_SHIFT = 1e-8
+CERT_TOL = 1e-9     # absolute tolerance of every certificate inequality
 
 
 @dataclass
@@ -70,7 +71,7 @@ class RunTrace:
     D_engine: float
     sigma_sum: float
     corr: float
-    sq_norm_sum: float
+    sq_norm_sum: float      # summed on sequential runs only, for the regret check
     records: list = field(default_factory=list)
     interior_shift: bool = False
     saddle_residual: float = 0.0
@@ -78,6 +79,11 @@ class RunTrace:
     @property
     def ratio_lb(self) -> float:
         return self.P_orig / self.D_alg if self.D_alg > 0 else math.inf
+
+    @property
+    def slack(self) -> float:
+        """Margin of the weak-duality identity sum_t sigma_t + corr <= P_engine."""
+        return self.P_engine - self.corr - self.sigma_sum
 
     def summary(self) -> dict:
         return {
@@ -782,9 +788,9 @@ def _run_orthant(obj, steps, algo, keep_records):
             if moved:
                 y_next = eng.grad_lo(u)
                 corr += float(img @ (y_next - y))
+                sqsum += float(np.sum(img ** 2))
                 y = y_next
         sigma_sum += sigma
-        sqsum += float(np.sum(img ** 2))
         if keep_records:
             gain = 0.0
             if moved:
@@ -833,9 +839,9 @@ def _run_psd(obj, steps, algo, keep_records):
             yb_next = float(pen.deriv_right(used))
             # <A_t x, y_next - y_t> over the product cone
             corr += x * (state.quad(a) - q) + x * (yb_next - yb)
+            sqsum += (float(a @ a) ** 2 + 1.0) * x * x
             yb = yb_next
         sigma_sum += sigma
-        sqsum += (float(a @ a) ** 2 + 1.0) * x * x
         if keep_records:
             records.append(StepRecord(t, np.array([x]), sigma, x * z, gain))
     y_final = (np.linalg.inv(state.Asum), float(pen.deriv_right(used)))
@@ -857,10 +863,6 @@ class CertificateReport:
     realized_bound: float | None
     identity_ok: bool
     structural_ok: bool
-    structural_applicable: bool
-    P: float
-    D: float
-    corr: float
     alpha_realized: float | None = None
 
     @property
@@ -868,7 +870,7 @@ class CertificateReport:
         return self.identity_ok and self.structural_ok
 
 
-def certify(trace: RunTrace, obj, steps, tol: float = 1e-9) -> CertificateReport:
+def certify(trace: RunTrace, obj, steps) -> CertificateReport:
     """Check the run's certified ratio against what the theory guarantees.
 
     ``ratio_lb = P / D`` is a sound per-run lower bound on the competitive
@@ -877,7 +879,7 @@ def certify(trace: RunTrace, obj, steps, tol: float = 1e-9) -> CertificateReport
 
     * identity: D never exceeds the surrogate value at the realized point
       minus the original conjugate (minus the dual-movement correction for
-      sequential runs) — this holds for every exact-argmax run;
+      sequential runs); the conjugates cancel, leaving ``slack >= -CERT_TOL``;
     * realized bound: the identity restated as a ratio floor, defined when
       the primal value is positive;
     * structural bound: the a-priori floor (1 over one-minus-alpha, or the
@@ -886,51 +888,39 @@ def certify(trace: RunTrace, obj, steps, tol: float = 1e-9) -> CertificateReport
       A sequential run on a non-monotone objective carries no ratio
       theorem, so only the identity is enforced there.
     """
-    P, D, corr = trace.P_orig, trace.D_alg, trace.corr
-    ratio_lb = trace.ratio_lb
-    corr_term = corr if trace.algo == "seq" else 0.0
+    P, D = trace.P_orig, trace.D_alg
     conj_at_final = obj.conj(trace.y_final)
-    denom = trace.P_engine - conj_at_final - corr_term
-    identity_ok = D <= denom + tol * max(1.0, abs(denom))
+    denom = trace.P_engine - conj_at_final - trace.corr     # corr is 0.0 on sim runs
     realized = P / denom if (P > 0 and denom > 0) else None
     alpha_real = None
     if P > 0 and obj.engine is obj:   # the classical realized parameter
         alpha_real = conj_at_final / P
-    applicable = trace.algo == "sim" or isinstance(obj, SeparableObjective)
-    structural = obj.ratio_bound() if applicable else None
-    structural_ok = True
-    if applicable:
+    structural, structural_ok = None, True
+    if trace.algo == "sim" or isinstance(obj, SeparableObjective):
+        structural = obj.ratio_bound()
         if trace.algo == "seq" and D > 0:
-            structural = structural * max(0.0, 1.0 + corr / D)
-        structural_ok = ratio_lb >= structural - tol
-    return CertificateReport(ratio_lb, structural, realized, identity_ok,
-                             structural_ok, applicable, P, D, corr, alpha_real)
+            structural = structural * max(0.0, 1.0 + trace.corr / D)
+        structural_ok = trace.ratio_lb >= structural - CERT_TOL
+    return CertificateReport(trace.ratio_lb, structural, realized, trace.slack >= -CERT_TOL,
+                             structural_ok, alpha_real)
 
 
 @dataclass
 class GapReport:
-    gap: float
-    bound: float
-    regret_bound: float | None
     passed: bool
     passed_regret: bool | None
 
 
-def duality_gap_diagnostics(trace: RunTrace, obj, mu: float | None = None,
-                            tol: float = 1e-9) -> GapReport:
+def duality_gap_diagnostics(trace: RunTrace, obj, mu: float | None = None) -> GapReport:
     """Assert the duality-gap identities on the engine objective.
 
-    The simultaneous gap is at least conj(y_final); the sequential gap adds
-    the dual-movement correction.  With a Lipschitz-gradient surrogate the
-    correction is bounded by the squared step norms over 2*mu.
+    The simultaneous gap P_engine - D_engine is at least conj(y_final); the
+    sequential gap adds the dual-movement correction.  The conjugates
+    cancel, so both read ``trace.slack >= -CERT_TOL``, the identity
+    ``certify`` checks.  With a Lipschitz-gradient surrogate the sequential
+    correction is bounded below by minus the squared step norms over 2*mu.
     """
-    gap = trace.P_engine - trace.D_engine
-    base = obj.engine.conj(trace.y_final)
-    bound = base + (trace.corr if trace.algo == "seq" else 0.0)
-    ok = gap >= bound - tol
-    reg_bound = None
     reg_ok = None
     if mu is not None and trace.algo == "seq":
-        reg_bound = base - trace.sq_norm_sum / (2.0 * mu)
-        reg_ok = gap >= reg_bound - tol
-    return GapReport(gap, bound, reg_bound, ok, reg_ok)
+        reg_ok = trace.slack + trace.corr >= -trace.sq_norm_sum / (2.0 * mu) - CERT_TOL
+    return GapReport(trace.slack >= -CERT_TOL, reg_ok)

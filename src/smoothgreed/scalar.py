@@ -431,14 +431,12 @@ def alpha_at(f: ScalarConcave, u: float) -> float:
     return float(f.conjugate(f.supergrad(u).lo)) / val
 
 
-def alpha_bar(f: ScalarConcave, u_max: float, grid: int = 10_000) -> float:
-    """Infimum of alpha_at over (0, u_max], analytic when the kind has one."""
+def alpha_bar(f: ScalarConcave, u_max: float) -> float:
+    """Infimum of alpha_at over (0, u_max]: analytic when the kind has one, else on a grid."""
     exact = f.alpha_exact()
     if exact is not None:
         return exact
-    if grid < 2:
-        raise ValueError("alpha_bar: grid must be >= 2")
-    us = np.logspace(math.log10(u_max) - 8.0, math.log10(u_max), grid)
+    us = np.logspace(math.log10(u_max) - 8.0, math.log10(u_max), 10_000)
     if isinstance(f, PiecewiseLinear):
         us = np.unique(np.concatenate((us, f.b[f.b <= u_max])))
     vals = f.value(us)

@@ -27,6 +27,7 @@ import numpy as np
 from smoothgreed.scalar import SLOPE_CAP, PiecewiseLinear, ScalarConcave, alpha_bar, check_positive
 
 _E = math.e
+FEAS_TOL = 1e-6     # a plateau design's last sample may miss zero by this much
 
 
 def _scalar(out):
@@ -378,16 +379,15 @@ class DesignSpec:
     plateau: bool = False
     c: float = 0.0
     beta_tol: float = 1e-4
-    feas_tol: float = 1e-6
 
     def __post_init__(self):
-        for name in ("u_end", "c", "beta_tol", "feas_tol"):
+        for name in ("u_end", "c", "beta_tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"DesignSpec: {name} must be finite, got {getattr(self, name)!r}")
         if not isinstance(self.d, (int, np.integer)) or self.d < 10:
             raise ValueError(f"DesignSpec: d must be an integer >= 10, got {self.d!r}")
-        if self.beta_tol <= 0 or self.feas_tol <= 0:
-            raise ValueError("DesignSpec: tolerances must be positive")
+        if self.beta_tol <= 0:
+            raise ValueError("DesignSpec: beta_tol must be positive")
         if self.u_end <= 0:
             raise ValueError("DesignSpec: u_end must be positive")
         if self.c < 0:
@@ -402,8 +402,7 @@ class DesignResult:
     beta: float
     max_residual: float
     certified: bool
-    argmax_u: float = 0.0
-    spec: DesignSpec | None = None
+    spec: DesignSpec
 
     @property
     def ratio(self) -> float:
@@ -415,8 +414,8 @@ class DesignResult:
             "beta": self.beta,
             "ratio": self.ratio,
             "d": self.smoothed.d,
-            "variant": "sequential" if (self.spec and self.spec.c > 0) else "simultaneous",
-            "c": self.spec.c if self.spec else 0.0,
+            "variant": "sequential" if self.spec.c > 0 else "simultaneous",
+            "c": self.spec.c,
             "h": self.smoothed.h,
             "tail_mode": self.smoothed.tail_mode,
             "max_residual": self.max_residual,
@@ -426,13 +425,13 @@ class DesignResult:
 
     def write(self, prefix: str, provenance: str = ""):
         """Write prefix.csv (u, y, psi, psiS, beta_u) and prefix.json."""
-        sm, base = self.smoothed, self.spec.base if self.spec else None
+        sm, base = self.smoothed, self.spec.base
         us = sm.ugrid
         psiS = np.asarray(sm.value(us), dtype=float)
-        psi = np.asarray(base.value(us), dtype=float) if base else np.full_like(us, np.nan)
+        psi = np.asarray(base.value(us), dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            conj = base.conjugate(sm.y) if base else np.full_like(us, np.nan)
-            lag = self.spec.c * (base.slope0() - sm.y) if (base and self.spec.c) else 0.0
+            conj = base.conjugate(sm.y)
+            lag = self.spec.c * (base.slope0() - sm.y) if self.spec.c else 0.0
             beta_u = np.where(psi > 0, (psiS + lag - conj) / np.where(psi > 0, psi, 1.0), np.nan)
         with open(prefix + ".csv", "w", newline="") as fh:
             fh.write(f"# smoothgreed design v1 beta={self.beta:.12g} "
@@ -459,6 +458,13 @@ def _min_feasible_y(conj, slope, lin_coeff, const, target, lo, c_lo, hi, c_hi, t
     at zero), which bounds the solve at three steps per halving.  Returns
     (y, conj(y)): lo if feasible, else hi once hi - tol*max(1, hi) <= lo;
     None when no y in the range is feasible.
+
+    Unless y = lo, g was read > 0 somewhere in [y - tol*max(1, y), y]; g is
+    nonincreasing, so at y - tol*max(1, y) it reads above minus the rounding
+    of two evaluations of g, each at most 4 eps times |const| + |lc*y| +
+    |target| + |y*u| + |f(u)| (conj(y) = y*u - f(u), u = conj1_slope(y)).
+    Where g is flat to rounding a solve can promise no more: at a double
+    root, such as g(y) = (y - 1/2)^2/y, g reads 0 over about 1e-8.
     """
     ghi = const + lin_coeff * hi - c_hi - target
     if not ghi <= 1e-11:
@@ -536,7 +542,7 @@ def _greedy_construct(spec: DesignSpec, beta: float, psis: list):
             cum = h * y[1]
         else:
             cum += half_h * (y[t - 1] + y[t])
-    if spec.plateau and y[d] > spec.feas_tol:
+    if spec.plateau and y[d] > FEAS_TOL:
         return None
     if spec.plateau:
         y[d] = 0.0
@@ -573,11 +579,9 @@ def _design(spec: DesignSpec) -> DesignResult:
             hi, y_best = mid, y_mid
     tail = "zero" if spec.plateau else "hold_last"
     sm = SmoothedScalar(spec.u_end / spec.d, make_monotone(y_best), tail_mode=tail)
-    sup_beta, arg_u, residuals = verify_beta(sm, spec.base, c=spec.c, refine=4)
-    beta_cert = max(1.0, sup_beta)
-    return DesignResult(smoothed=sm, beta=beta_cert,
-                        max_residual=float(np.max(residuals)),
-                        certified=True, argmax_u=arg_u, spec=spec)
+    sup_beta, _, residuals = verify_beta(sm, spec.base, c=spec.c, refine=4)
+    return DesignResult(smoothed=sm, beta=max(1.0, sup_beta),
+                        max_residual=float(np.max(residuals)), certified=True, spec=spec)
 
 
 def design_optimal(spec: DesignSpec) -> DesignResult:

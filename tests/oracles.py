@@ -16,7 +16,7 @@ import numpy as np
 from smoothgreed.objectives import LogDetObjective, PenaltyLPObjective, SeparableObjective, Step, coordwise
 from smoothgreed.online import INTERIOR_SHIFT, _sim_step
 from smoothgreed.scalar import SLOPE_CAP, ScalarConcave
-from smoothgreed.smoothing import SmoothedScalar, make_monotone
+from smoothgreed.smoothing import FEAS_TOL, SmoothedScalar, make_monotone
 
 
 def conjugate_grid(value_fn, y, u_max=1e4, n=60_000):
@@ -234,7 +234,7 @@ def greedy_construct_reference(spec, beta, psis):
             cum = h * yt
         else:
             cum += 0.5 * h * (y[t - 1] + yt)
-    if spec.plateau and y[d] > spec.feas_tol:
+    if spec.plateau and y[d] > FEAS_TOL:
         return None
     if spec.plateau:
         y[d] = 0.0

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from smoothgreed import cli
+from smoothgreed.instances import gen_logdet_stream
 from smoothgreed.online import StepRecord
 
 from oracles import records_jsonl
@@ -221,8 +222,8 @@ class TestRunCertify:
         # force a failing report through the certify path
         from smoothgreed.online import CertificateReport
 
-        def fake_certify(trace, obj, steps, tol=1e-9):
-            return CertificateReport(0.1, 0.5, 0.5, False, False, True, 1.0, 10.0, 0.0)
+        def fake_certify(trace, obj, steps):
+            return CertificateReport(0.1, 0.5, 0.5, False, False)
 
         monkeypatch.setattr(cli, "certify", fake_certify)
         inst = str(tmp_path / "inst.json")
@@ -409,6 +410,124 @@ class TestRunCertify:
             assert run_cli(["certify", "--instance", inst]) == cli.EXIT_BAD_INPUT
             captured = capsys.readouterr()
             assert captured.out == "" and str(error) in captured.err
+
+
+def _pl(breakpoints, slopes):
+    return {"kind": "piecewise_linear", "params": {"breakpoints": breakpoints, "slopes": slopes}}
+
+
+def _set_path(d, path, value):
+    for key in path[:-1]:
+        d = d[key]
+    d[path[-1]] = value
+
+
+def _ill_conditioned_instance(path):
+    """A 400-node path-graph base (condition number about 6e6) and 600 random edges."""
+    rng = np.random.Generator(np.random.Philox(key=2))
+    stream = []
+    while len(stream) < 600:
+        i, j = (int(v) for v in rng.integers(0, 400, size=2))
+        if i != j:
+            stream.append((i, j))
+    edges = {"base": [(i, i + 1) for i in range(399)], "stream": stream}
+    gen_logdet_stream(400, 600, 60.0, source="graph_incidence", seed=1, edges=edges).save(path)
+
+
+_DESIGN = {"h": 0.5, "y": [1.0, 0.5, 0.0], "tail_mode": "zero", "c": 0.0, "beta": 1.6}
+
+# case -> (argv, words the message must hold, edit writing {bad}: (source, key path,
+# value), or (None, (), value) for a whole file)
+_BAD_INPUTS = {
+    "A0 not square": ("certify --instance {bad}", "A0 must be square",
+                      ("ld", ("extras", "A0"), [[2.0, 0.0]] * 3)),
+    "A0 asymmetric": ("certify --instance {bad}", "A0 must be symmetric",
+                      ("ld", ("extras", "A0", 0, 1), 0.5)),
+    "A0 indefinite": ("certify --instance {bad}", "A0 must be positive definite",
+                      ("ld", ("extras", "A0", 0, 0), -1.0)),
+    "unknown family": ("certify --instance {bad}", "unknown family", ("ad", ("family",), "nope")),
+    "unknown set kind": ("certify --instance {bad}", "unknown feasible set kind",
+                         ("ad", ("steps", 0, "F", "kind"), "ball")),
+    "unit_interval k=2": ("certify --instance {bad}", "unit_interval is one-dimensional",
+                          ("ld", ("steps", 0, "F", "k"), 2)),
+    "unknown map kind": ("certify --instance {bad}", "unknown step map kind",
+                         ("ad", ("steps", 0, "A", "kind"), "dense")),
+    "steps consume nothing": ("certify --instance {bad}", "no step consumes anything",
+                              ("lp", ("steps", 0, "A", "B"), [[0.0], [0.0]])),
+    "negative slope": ("certify --instance {ad} --objective {bad}", "slopes must be nonnegative",
+                       (None, (), _pl([0.5], [1.0, -0.5]))),
+    "unordered breakpoints": ("certify --instance {ad} --objective {bad}",
+                              "breakpoints must be increasing",
+                              (None, (), _pl([0.5, 0.2], [1.0, 0.5, 0.0]))),
+    "mismatched lengths": ("certify --instance {ad} --objective {bad}",
+                           "len(slopes) == len(breakpoints) + 1",
+                           (None, (), _pl([0.5], [1.0, 0.5, 0.0]))),
+    "closed form off cap": ("certify --instance {ad} --objective {log1p} --smoothing closed_form",
+                            "applies to the capped reward", None),
+    "design without horizon": ("design --objective {cap} --out {out}", "--horizon", None),
+    "design beta_tol 0": ("design --objective {cap} --horizon 1 --beta-tol 0 --out {out}",
+                          "beta_tol must be positive", None),
+    "design horizon -1": ("design --objective {cap} --horizon -1 --out {out}",
+                          "u_end must be positive", None),
+    "design seq c -1": ("design --objective {cap} --horizon 1 --variant seq --c -1 --out {out}",
+                        "c must be nonnegative", None),
+    "design seq sqrt": ("design --objective {sqrt} --horizon 1 --variant seq --out {out}",
+                        "finite slope at 0", None),
+    "sweep family": ("sweep --family lp_random --out {out}", "adwords_triangular family", None),
+    "design file one sample": ("certify --instance {ad} --smoothing {bad}",
+                               "at least two derivative samples", ("design", ("y",), [1.0])),
+    "design file tail_mode": ("certify --instance {ad} --smoothing {bad}", "bad tail_mode",
+                              ("design", ("tail_mode",), "wrap")),
+    "design file zero tail": ("certify --instance {ad} --smoothing {bad}", "zero tail requires",
+                              ("design", ("y",), [1.0, 0.5, 0.25])),
+    "design file increasing": ("certify --instance {ad} --smoothing {bad}", "non-increasing",
+                               ("design", ("y",), [0.5, 1.0, 0.0])),
+    "ill-conditioned base": ("certify --instance {g400}", "condition number", None),
+}
+
+
+class TestBadInput:
+    """Each input check exits 4 with a message naming its cause and prints nothing."""
+
+    @pytest.mark.parametrize("case", list(_BAD_INPUTS))
+    def test_exit_code_names_the_cause(self, case, tmp_path, capsys):
+        argv, message, edit = _BAD_INPUTS[case]
+        files = {k: str(tmp_path / f"{k}.json")
+                 for k in ("ad", "lp", "ld", "cap", "sqrt", "log1p", "design", "bad", "g400")}
+        files["out"] = str(tmp_path / "out")
+        for name, gen in (("ad", "--family adwords_triangular --n 3 --phase-len 2"),
+                          ("lp", "--family lp_random --n 2 --m 1 --k 1"),
+                          ("ld", "--family logdet_stream --n 3 --m 6")):
+            assert run_cli(["gen", *gen.split(), "--out", files[name]]) == cli.EXIT_OK
+        for name, d in (("cap", {"kind": "cap", "params": {"scale": 1.0}}),
+                        ("sqrt", {"kind": "sqrt"}), ("log1p", {"kind": "log1p"}),
+                        ("design", _DESIGN)):
+            Path(files[name]).write_text(json.dumps(d))
+        if edit is not None:
+            src, path, value = edit
+            d = json.loads(Path(files[src]).read_text()) if src else None
+            if path:
+                _set_path(d, path, value)
+            Path(files["bad"]).write_text(json.dumps(d if path else value))
+        if "{g400}" in argv:
+            _ill_conditioned_instance(files["g400"])
+        capsys.readouterr()
+        assert run_cli(argv.format(**files).split()) == cli.EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err, captured.err
+
+    @pytest.mark.parametrize("family, flag, value", [
+        ("logdet_stream", "b", "-1"), ("logdet_stream", "b", "nan"), ("logdet_stream", "b", "inf"),
+        ("logdet_stream", "b", "0"), ("logdet_stream", "n", "0"), ("logdet_stream", "n", "-2"),
+        ("logdet_stream", "m", "0"), ("lp_random", "n", "0"), ("lp_random", "m", "-3"),
+        ("lp_random", "k", "0"), ("lp_random", "k", "-1"), ("adwords_triangular", "phase-len", "0")])
+    def test_gen_names_the_bad_parameter(self, family, flag, value, tmp_path, capsys):
+        out = tmp_path / "inst.json"
+        rc = run_cli(["gen", "--family", family, f"--{flag}", value, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_BAD_INPUT
+        assert captured.out == "" and f"{flag.replace('-', '_')} must be" in captured.err
+        assert not out.exists()
 
 
 class TestWithoutScipy:

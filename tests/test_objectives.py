@@ -353,6 +353,7 @@ class TestEngineTwin:
             assert part(eng) == surrogate                     # by identity
             assert smooth.value(*state) == plain.value(*state)
             for obj in (plain, smooth):
-                rep = certify(run_simultaneous(obj, steps), obj, steps)
-                assert rep.P > 0
+                tr = run_simultaneous(obj, steps)
+                rep = certify(tr, obj, steps)
+                assert tr.P_orig > 0
                 assert (rep.alpha_realized is None) == (obj is smooth)

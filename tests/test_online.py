@@ -21,6 +21,8 @@ from smoothgreed.objectives import (
     dual_objective,
 )
 from smoothgreed.online import (
+    CERT_TOL,
+    RunTrace,
     _logdet_step,
     _lp_step_exact,
     _lp_step_scalar,
@@ -855,6 +857,27 @@ class TestCertificates:
         assert tr.corr <= 1e-12
         assert rep.passed
 
+    @pytest.mark.parametrize("algo", ["sim", "seq"])
+    def test_one_slack_backs_both_checks(self, algo):
+        # |P_engine - conj(y_final)| = 5, so a tolerance scaled by it would
+        # pass a slack of -2e-9; both checks read the slack against CERT_TOL
+        obj = adwords_obj(2)
+        corr = -0.25 if algo == "seq" else 0.0
+        for slack, ok in ((-2e-9, False), (-5e-10, True)):
+            sigma_sum = 4.0 - corr - slack
+            y = np.array([0.5, 0.5])      # conj(y) = -1
+            tr = RunTrace(algo, 2, np.ones(2), y, P_orig=4.0, P_engine=4.0,
+                          D_alg=sigma_sum + 1.0, D_engine=sigma_sum + 1.0, sigma_sum=sigma_sum,
+                          corr=corr, sq_norm_sum=0.5)
+            assert tr.slack == pytest.approx(slack, abs=1e-15)
+            assert obj.conj(y) == -1.0 and CERT_TOL == 1e-9
+            rep = certify(tr, obj, [])
+            gap = duality_gap_diagnostics(tr, obj, mu=1.0)
+            assert rep.identity_ok is ok and rep.passed is ok, slack
+            assert gap.passed is ok, slack
+            # the regret form: slack + corr >= -sq_norm_sum / (2 mu) - CERT_TOL
+            assert gap.passed_regret is (ok if algo == "seq" else None), slack
+
     def test_gap_identities_all_families(self):
         inst = gen_adwords_triangular(5, 3)
         for smoothed in (False, True):
@@ -914,6 +937,31 @@ class TestWeakDuality:
                 D = tr.D_alg
                 assert max(tr.P_orig, oracle) <= D + 1e-9 * max(1.0, abs(D)), \
                     (run.__name__, obj.engine is not obj, tr.P_orig, oracle, D)
+
+    def test_final_dual_bound(self):
+        # y_final lies below every step's dual, so D(y_final) is itself a
+        # weak-duality bound, and no larger than D_alg
+        adv = gen_adwords_triangular(5, 3)
+        lp = gen_lp_random(4, 15, 2, 0.7, seed=3)
+        ld = gen_logdet_stream(4, 15, 2.0, seed=2)
+        l, theta = lp.extras["l"], lp.extras["theta"]
+        A0, l0 = np.asarray(ld.extras["A0"]), ld.extras["l"]
+        cases = [(adwords_obj(5), adv), (adwords_obj(5, smoothed=True), adv),
+                 (PenaltyLPObjective(4, l, theta), lp),
+                 (PenaltyLPObjective(4, l, theta,
+                                     smoothed_penalty=nesterov_penalty_smoothing(l, theta)), lp),
+                 (LogDetObjective(A0, 2.0, l=l0), ld),
+                 (LogDetObjective(A0, 2.0, l=l0,
+                                  smoothed_budget=nesterov_logdet_smoothing(4, l0, 2.0)), ld)]
+        for obj, inst in cases:
+            for run in (run_simultaneous, run_sequential):
+                tr = run(obj, inst.steps)
+                D_final = dual_objective(obj, inst.steps, tr.y_final)
+                case = (inst.family, obj.engine is not obj, run.__name__, tr.P_orig, D_final,
+                        tr.D_alg)
+                assert math.isfinite(D_final), case
+                assert tr.P_orig <= D_final + 1e-9 * max(1.0, abs(D_final)), case
+                assert D_final <= tr.D_alg + 1e-9 * max(1.0, abs(tr.D_alg)), case
 
     @settings(max_examples=60, deadline=None)
     @given(hs.integers(2, 3), hs.lists(hs.lists(hs.floats(0.0, 1.2), min_size=3, max_size=3),

@@ -214,10 +214,6 @@ class TestAlpha:
         assert got == pytest.approx(closed, abs=1e-9)
         assert got == pytest.approx(-0.7854662719450182, abs=1e-12)
 
-    def test_alpha_bar_requires_grid(self):
-        with pytest.raises(ValueError):
-            alpha_bar(Log1p(), 10.0, grid=1)
-
 
 class TestDescriptors:
     def test_round_trip(self):
