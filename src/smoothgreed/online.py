@@ -10,8 +10,8 @@ support value equals the realized inner product to floating precision.
 That exactness is what lets the duality-gap identities be asserted at 1e-9.
 Every simultaneous step solver is exact: water-filling over sorted breaks
 for separable allocation (when one coordinate function and one bid are
-shared, the PL shared-bid fill for a piecewise-linear function and the
-state-coordinate fill for a smooth one skip the break search), a simplex
+shared, the PL shared-bid fill for a piecewise-linear function, and the
+uniform fill for a smooth one at equal states, skip the break search), a simplex
 on the step LP's k-row dual for unsmoothed packing, safeguarded scalar
 Newton for smoothed packing with one column and projected Newton with
 more, and on the PSD cone a closed-form root for the piecewise-linear
@@ -22,7 +22,9 @@ chosen and whether the loop tracks the saddle residual or the correction.
 A step's ``StepRecord`` holds x, sigma, the inner product and the gain in
 the engine objective; an orthant step with A x = 0 moves neither the state
 nor the dual, so it records a gain of exactly 0.0 without evaluating the
-objective, and runs with ``keep_records=False`` evaluate no per-step value.
+objective, and the same Step object arriving next is not solved again: its
+x, sigma and inner product are those of the arrival before.  Runs with
+``keep_records=False`` evaluate no per-step value.
 """
 
 from __future__ import annotations
@@ -189,27 +191,19 @@ def _solve_level(total, lo, f_lo, hi, f_hi, v):
     return hi
 
 
-def _shared_point(a0, full, w_part_sum, part):
-    """The state point t at which fills sharing the bid a0 total one.
-
-    ``full`` coordinates fill to capacity and ``part`` partial ones, from
-    states summing to w_part_sum, all end at t: full + sum(t - w_j)/a0 = 1.
-    """
-    return (a0 * (1.0 - full) + w_part_sum) / part
-
-
 def _shared_level(f, br, a, w, lo, hi):
     """Closed-form level on the bracket (lo, hi] for a shared smooth f, or nan.
 
     When the coordinates partially filled on the bracket share their bid a0,
-    they all end at one point u (_shared_point), and the level is a0 * f'(u).
+    they all end at one state point u, where the full ones and the partial
+    fills (u - w_j)/a0 total one, and the level is a0 * f'(u).
     """
     top, bottom = br[:len(a)], br[len(a):]       # a * f'(w) and a * f'(w + a)
     part = (bottom < hi) & (top > lo)
     if not part.any() or np.any(a[part] != a[part][0]):
         return math.nan
     a0 = a[part][0]
-    u = _shared_point(a0, np.sum(bottom >= hi), float(w[part].sum()), int(part.sum()))
+    u = (a0 * (1.0 - np.sum(bottom >= hi)) + float(w[part].sum())) / int(part.sum())
     return a0 * float(f.deriv_right(u))
 
 
@@ -258,22 +252,32 @@ def _fill_deficit(x, idx, x_min, x_max):
     ``x`` is the full vector, holding x_min at the positions ``idx``.  The
     rooms fill whole while the running deficit, reduced room by room in
     index order (np.subtract.accumulate), stays above 1e-16; the room where
-    it stops takes what is left.  The running deficit rounds differently
-    from the sum of x, so what the sum still exceeds 1 by is taken back
-    from the filled coordinates, last first; any point of a room keeps the
-    level's marginal.
+    it stops takes what is left.  When the first room already stops it,
+    that room alone is filled, with the same arithmetic.  The running
+    deficit rounds differently from the sum of x, so what the sum still
+    exceeds 1 by is taken back from the filled coordinates, last first; any
+    point of a room keeps the level's marginal.
     """
     deficit = 1.0 - x.sum()
     if not deficit > 0.0:
         return
     room = np.maximum(x_max - x_min, 0.0)
-    pos = np.flatnonzero(room > 0.0)
-    left = np.subtract.accumulate(np.concatenate(([deficit], room[pos])))
-    done = left[1:] <= 1e-16
-    filled = pos[:int(np.argmax(done)) + 1] if done.any() else pos
-    take = np.minimum(room[filled], left[:len(filled)])
-    x[idx[filled]] = np.where(take == room[filled], x_max[filled], x_min[filled] + take)
-    for j in reversed(filled.tolist()):
+    has = room > 0.0
+    p = int(np.argmax(has))
+    if not has[p]:
+        return
+    if deficit - room[p] <= 1e-16:
+        filled = [p]
+        x[idx[p]] = x_max[p] if room[p] <= deficit else x_min[p] + deficit
+    else:
+        pos = np.flatnonzero(has)
+        left = np.subtract.accumulate(np.concatenate(([deficit], room[pos])))
+        done = left[1:] <= 1e-16
+        filled = pos[:int(np.argmax(done)) + 1] if done.any() else pos
+        take = np.minimum(room[filled], left[:len(filled)])
+        x[idx[filled]] = np.where(take == room[filled], x_max[filled], x_min[filled] + take)
+        filled = filled.tolist()
+    for j in reversed(filled):
         over = x.sum() - 1.0
         while over > 0.0 and x[idx[j]] > x_min[j]:
             x[idx[j]] = max(min(x[idx[j]] - over, np.nextafter(x[idx[j]], 0.0)), x_min[j])
@@ -282,57 +286,27 @@ def _fill_deficit(x, idx, x_min, x_max):
             break
 
 
-# A shared-bid fill leaves unplaced less mass than one ulp of its state
-# point moves the fill total by.  When that exceeds _SHARED_FILL_TOL (a bid
-# too small against the state), or the point is _SHARED_WALK ulps from a
-# total of one, the level search fills the step instead.
-_SHARED_FILL_TOL = 1e-12
-_SHARED_WALK = 8
+def _uniform_fill(x, act, cap):
+    """Put one amount on every active coordinate of x, and return it.
 
-
-def _shared_state(a0, w, cap, total_at):
-    """The largest state point whose fill totals at most one, or None.
-
-    For bids all equal to a0, every partial fill ends at one state point t,
-    and the fill total is S(t) = sum clip((t - w_j)/a0, 0, 1).  A fill at
-    capacity takes all the mass, so up to its root S(t) = sum (t - w_j)_+/a0:
-    the root lies on the segment where the k smallest states are filling,
-    k the largest with S(k-th smallest w) < 1, and there t is _shared_point
-    (as in a Euclidean projection onto the simplex).  t is capped at ``cap``
-    (the plateau, where the level is 0) and moved by ulps until
-    S(t) <= 1 < S(up), with up = nextafter(t).  ``total_at(t)`` returns the
-    fill at t and S(t).  Returns (t, fill at t), or None when fewer than
-    two coordinates fill at the root, the walk exceeds _SHARED_WALK ulps
-    or S(up) - S(t) > _SHARED_FILL_TOL.
+    The amount is fl(1/K) for K active coordinates, or ``cap`` when that is
+    smaller, stepped down by ulps while the full x.sum() exceeds one.
     """
-    ws = np.sort(w)
-    cs = np.cumsum(ws)
-    k = int(np.count_nonzero(np.arange(1, len(ws) + 1) * ws - cs < a0))
-    if k < 2:       # one coordinate takes all the mass: no partial fill
-        return None
-    t = min(_shared_point(a0, 0, float(ws[:k].sum()), k), cap)
-    x_t, s = total_at(t)
-    s_up = math.nan     # S(up), once known
-    for _ in range(_SHARED_WALK):
-        if s <= 1.0:
-            break
-        t, s_up = math.nextafter(t, -math.inf), s
-        x_t, s = total_at(t)
-    else:
-        return None
-    for _ in range(_SHARED_WALK):
-        if s_up > 1.0:
-            break
-        up = math.nextafter(t, math.inf)
-        x_up, s_up = total_at(up)
-        if s_up <= 1.0:
-            t, x_t, s = up, x_up, s_up
-    else:
-        return None
-    return (t, x_t) if s_up - s <= _SHARED_FILL_TOL else None
+    xs = min(1.0 / np.count_nonzero(act), cap)
+    x[act] = xs
+    while x.sum() > 1.0:
+        xs = math.nextafter(xs, 0.0)
+        x[act] = xs
+    return xs
 
 
-@np.errstate(over="ignore")     # a denormal bid overflows v/a and (t - w)/a; both are clipped
+# A quotient q/a overflows only when |q| exceeds a times the largest float.
+# The fills divide state points and levels by the bids; while states and
+# bids stay far below 2**512, so do those, and only a bid under 2**-512 can
+# overflow a quotient.  An overflowed fill or level is clipped either way.
+_TINY_BID = 2.0 ** -512
+
+
 def _waterfill(coords, uniform, a, w, plateau=None):
     """Exact coordinate maximization of sum_j f_j(w_j + a_j x_j) over the simplex.
 
@@ -340,24 +314,35 @@ def _waterfill(coords, uniform, a, w, plateau=None):
     mass at the level is assigned in index order (_fill_deficit).  When one
     f is shared and every active bid is equal, the level search is skipped:
     a piecewise-linear f is filled piece by piece (the PL shared-bid fill),
-    a smooth one in the state coordinate (_shared_state).  ``plateau``,
-    when given, is every coordinate's deriv_inv_lo(0), where its strict
-    gain ends; the engine computes it once per run.
+    and a smooth one whose active states are also equal takes the same
+    amount on every active coordinate (_uniform_fill), which by symmetry
+    and concavity is the exact maximizer.  ``plateau``, when given, is
+    every coordinate's deriv_inv_lo(0), where its strict gain ends; the
+    engine computes it once per run.
     Returns (x, y) with y a supergradient selection making x an exact
     support-function argmax for a * y.
     """
-    k = len(a)
-    x = np.zeros(k)
     act = a > 0
     if not act.any():
-        return x, coordwise(coords, uniform, "deriv_right", w)
+        return np.zeros(len(a)), coordwise(coords, uniform, "deriv_right", w)
     aa = a[act]
+    same = uniform and bool((aa == aa[0]).all())      # one f and one bid
+    if (aa[0] if same else aa.min()) < _TINY_BID:
+        with np.errstate(over="ignore"):    # v/a and (t - w)/a overflow; both are clipped
+            return _fill(coords, uniform, a, w, plateau, act, aa, same)
+    return _fill(coords, uniform, a, w, plateau, act, aa, same)
+
+
+def _fill(coords, uniform, a, w, plateau, act, aa, same):
+    """_waterfill past its checks: act marks the active bids aa = a[act], and
+    same says that one f and one bid are shared."""
+    x = np.zeros(len(a))
     ww = w[act]
     if uniform:
         sub = coords
         pl = np.full(len(aa), isinstance(coords[0], PiecewiseLinear))
     else:
-        sub = [coords[j] for j in range(k) if act[j]]
+        sub = [coords[j] for j in range(len(a)) if act[j]]
         pl = np.array([isinstance(f, PiecewiseLinear) for f in sub])
     snap = bool(pl.any())
 
@@ -393,17 +378,14 @@ def _waterfill(coords, uniform, a, w, plateau=None):
     else:
         plateau = plateau[act]
     x_top, s0 = total_at(plateau)
-    shared = s0 > 1.0 and uniform and bool((aa == aa[0]).all())
-    found = None
-    if shared and not snap:
-        found = _shared_state(aa[0], ww, float(plateau[0]), total_at)
     if s0 <= 1.0:
         v_star = 0.0
-    elif found is not None:
-        t, x[act] = found
-        v_star = aa[0] * float(sub[0].deriv_right(t))
+    elif same and not snap and bool((ww == ww[0]).all()):
+        # one state point t = w0 + a0 * xs for every active coordinate
+        xs = _uniform_fill(x, act, float(x_top[0]))
+        v_star = aa[0] * float(sub[0].deriv_right(ww[0] + aa[0] * xs))
     else:
-        if shared and snap:
+        if same and snap:
             # The PL shared-bid fill.  Every marginal is a0 * s_i, and the
             # level is the jump of the last piece i whose strict fill, to its
             # start ends[i], totals at most one; its room runs to the fill at
@@ -769,7 +751,13 @@ def _run_orthant(obj, steps, algo, keep_records):
     y_low = np.inf      # running minimum of the sim steps' duals
     prev_val = eng.value(u) if keep_records else None
     records = []
+    still = None    # the last step, when its image was 0
     for t, st in enumerate(steps, 1):
+        if st is still:     # the same step at the same state and dual: the same answer
+            sigma_sum += sigma
+            if keep_records:
+                records.append(StepRecord(t, x, sigma, inner, 0.0))
+            continue
         if algo == "sim":
             x, y_step = _sim_step(eng, st, u, plateau)
             z, y_low = st.A.adjoint(y_step), np.minimum(y_low, y_step)
@@ -779,10 +767,12 @@ def _run_orthant(obj, steps, algo, keep_records):
         else:
             sigma, x = st.F.support(st.A.adjoint(y))
         img = st.A.apply(x)
-        # a step whose image is 0 moves neither u nor the dual, and gains 0.0
+        # a step whose image is 0 moves neither u nor the dual, and gains 0.0;
+        # the same step arriving next is replayed from its answer
         moved = img.any()
         if moved:
             u = u + img
+        still = None if moved else st
         if algo == "seq":
             inner = float(img @ y)
             if moved:

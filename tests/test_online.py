@@ -1,5 +1,6 @@
 import copy
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -292,57 +293,89 @@ class TestEngineInvariants:
 
     @pytest.mark.parametrize("kind", ["closed_form", "nesterov_grid"])
     def test_shared_bid_fill_matches_level_search(self, kind, monkeypatch):
-        # equal bids on one shared smooth coordinate are filled in the state
-        # coordinate; the same smoothing as distinct-but-equal coordinate
-        # objects goes through the level search, and the two runs agree
+        # equal bids on one shared smooth coordinate, at the equal states the
+        # adversary holds its active coordinates at, take the uniform fill;
+        # the same smoothing as distinct-but-equal coordinate objects goes
+        # through the level search, and the two runs agree
         smooth = _WATERFILL_KINDS[kind][0][0]
-        n = 30
-        inst = gen_adwords_triangular(n, 5)
-        solved = record_results(monkeypatch, "_shared_state")
-        traces = []
-        for smoothed in (smooth, [copy.copy(smooth) for _ in range(n)]):
-            solved.clear()
-            obj = SeparableObjective([_CAP] * n, smoothed=smoothed)
-            traces.append(run_simultaneous(obj, inst.steps))
-            for rec in traces[-1].records:
-                assert np.all(rec.x >= 0.0) and rec.x.sum() <= 1.0, (rec.t, rec.x.sum())
-            assert traces[-1].saddle_residual <= 1e-15
-            if smoothed is smooth:      # every binding step is filled in the state coordinate
-                assert solved and all(out is not None for out in solved)
-            else:
-                assert not solved
-        solved.clear()     # and at n = 100, where t needs an accurately summed w
-        run_simultaneous(SeparableObjective([_CAP] * 100, smoothed=smooth),
-                         gen_adwords_triangular(100, 2).steps)
-        assert solved and all(out is not None for out in solved)
-        shared, level = traces
-        for rec, ref in zip(shared.records, level.records):
-            sums = rec.x.sum(), ref.x.sum()
-            if max(sums) > 1.0 - 1e-9:     # a binding step places all its mass on both
-                assert min(sums) >= 1.0 - online._SHARED_FILL_TOL, (rec.t, sums)
-        for field in ("P_orig", "D_alg"):
-            a, b = getattr(shared, field), getattr(level, field)
-            assert abs(a - b) <= 1e-12 * abs(b), (field, a, b)
+        uniform = record_results(monkeypatch, "_uniform_fill")
+        searches = record_results(monkeypatch, "_level")
+        for n, phase_len in ((30, 5), (100, 2)):
+            inst = gen_adwords_triangular(n, phase_len)
+            traces = []
+            for smoothed in (smooth, [copy.copy(smooth) for _ in range(n)]):
+                uniform.clear()
+                searches.clear()
+                obj = SeparableObjective([_CAP] * n, smoothed=smoothed)
+                traces.append(run_simultaneous(obj, inst.steps))
+                for rec in traces[-1].records:
+                    assert np.all(rec.x >= 0.0) and rec.x.sum() <= 1.0, (rec.t, rec.x.sum())
+                assert traces[-1].saddle_residual <= 1e-15
+                if smoothed is smooth:      # no binding step takes the level search
+                    assert uniform and not searches
+                else:
+                    assert searches and not uniform
+            shared, level = traces
+            for rec, ref in zip(shared.records, level.records):
+                sums = rec.x.sum(), ref.x.sum()
+                if max(sums) > 1.0 - 1e-9:     # a binding step places all its mass on both
+                    assert min(sums) >= 1.0 - 1e-12, (n, rec.t, sums)
+            for field in ("P_orig", "D_alg"):
+                a, b = getattr(shared, field), getattr(level, field)
+                assert abs(a - b) <= 1e-12 * abs(b), (n, field, a, b)
 
-    # one ulp of the shared state point moves the fills of a tiny bid by far
-    # more than the fill tolerance; a bid of 0.1 from these states fills the
-    # lowest coordinate alone, to capacity, so no fill is partial
+    @settings(max_examples=100, deadline=None)
+    @given(hs.sampled_from(["closed_form", "nesterov_grid"]), hs.integers(2, 3),
+           hs.one_of(hs.floats(1e-12, 1.5), hs.sampled_from([1e-12, 5e-324])),
+           hs.floats(0.0, 1.2), hs.booleans())
+    @example("closed_form", 3, 5e-324, 0.5, False)
+    @example("nesterov_grid", 2, 1e-12, 0.5, True)
+    def test_equal_state_fill_is_exact(self, kind, active, bid, w0, zero_bid):
+        # equal bids at equal states on one shared smooth coordinate: when the
+        # step binds, one amount on every active coordinate is the exact
+        # saddle, with the value the level search reaches
+        f = _WATERFILL_KINDS[kind][0][0]
+        k = min(active + zero_bid, 3)
+        a, w = np.full(k, bid), np.full(k, w0)
+        a[active:] = 0.0
+        with mock.patch.object(online, "_uniform_fill", wraps=online._uniform_fill) as uniform:
+            x, y = _waterfill([f] * k, True, a, w)
+        assert_exact_saddle([f] * k, a, w, x, y)
+        top = np.zeros(k)       # the fill at the plateau, summed as the solver sums it
+        with np.errstate(over="ignore"):    # (t - w)/a overflows at a subnormal bid
+            top[:active] = np.clip((float(f.deriv_inv_lo(0.0)) - w0) / bid, 0.0, 1.0)
+        binds = top.sum() > 1.0
+        assert uniform.call_count == binds
+        if not binds:
+            return
+        assert np.all(x[:active] == x[0]) and np.all(x[active:] == 0.0), x
+        x_ref, _ = _waterfill([copy.copy(f) for _ in range(k)], False, a, w)
+        got, want = (float(np.sum(f.value(w + a * xx))) for xx in (x, x_ref))
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+
+    # inputs that the former state-point walk left to the level search: one
+    # ulp of the shared state moved the fills of a tiny bid by more than its
+    # tolerance.  At equal states the uniform fill solves them exactly; a bid
+    # of 0.1 from unequal states fills the lowest coordinate alone, to
+    # capacity, and takes the level search
     @pytest.mark.parametrize("bid, w", [(1e-12, [0.5, 0.5, 0.5]), (5e-324, [0.5, 0.5, 0.5]),
                                         (0.1, [0.5, 0.5, 0.25])])
     def test_unresolved_shared_fill_takes_the_level_search(self, bid, w, monkeypatch):
         f = adwords_closed_form_smoothing()
         a, w = np.full(3, bid), np.array(w)
-        solved = record_results(monkeypatch, "_shared_state")
+        uniform = record_results(monkeypatch, "_uniform_fill")
+        searches = record_results(monkeypatch, "_level")
         x, y = _waterfill([f] * 3, True, a, w)
-        assert solved == [None]
-        assert np.all(x >= 0.0) and x.sum() <= 1.0
-        z = a * y
-        assert abs(max(0.0, float(z.max())) * min(float(x.sum()), 1.0) - float(x @ z)) <= 1e-12
+        equal = bool(np.all(w == w[0]))
+        assert (len(uniform), len(searches)) == ((1, 0) if equal else (0, 1))
+        if equal:
+            assert np.all(x == x[0]) and x.sum() >= 1.0 - 1e-15, x
+        assert_exact_saddle([f] * 3, a, w, x, y)
 
     def test_subnormal_level_needs_no_secant_steps(self, monkeypatch):
         # at the bid 5e-324 the bracket is a few ulps of a subnormal level, and
         # a relative tolerance underflows to 0: the secant would evaluate the
-        # fill on it until its iteration cap
+        # fill on it until its iteration cap (unequal states: the level search)
         evals = []
         solve_level = online._solve_level
 
@@ -357,7 +390,7 @@ class TestEngineInvariants:
 
         monkeypatch.setattr(online, "_solve_level", counted)
         x, _ = _waterfill([adwords_closed_form_smoothing()] * 3, True, np.full(3, 5e-324),
-                          np.array([0.5, 0.5, 0.5]))
+                          np.array([0.5, 0.5, 0.25]))
         assert evals == [0]
         assert np.all(x >= 0.0) and x.sum() <= 1.0
 
@@ -532,6 +565,44 @@ class TestZeroSteps:
             assert len(calls) == 1 + (obj.engine is obj), name      # the final values only
             assert tr.records == []
             assert (tr.P_orig, tr.D_alg, tr.corr) == (ref.P_orig, ref.D_alg, ref.corr), name
+
+    @pytest.mark.parametrize("algo", ["sim", "seq"])
+    @pytest.mark.parametrize("smoothed", [False, True], ids=["plain", "closed_form"])
+    def test_repeated_zero_steps_are_replayed(self, algo, smoothed, monkeypatch):
+        # an arrival of the same Step object right after one that moved
+        # nothing reuses that arrival's answer; equal but distinct Step
+        # objects are each solved, and the two runs agree bit for bit
+        run = run_simultaneous if algo == "sim" else run_sequential
+        solves = []
+        if algo == "sim":
+            owner, name = online, "_sim_step"
+        else:
+            owner, name = FeasibleSet, "support"
+        solver = getattr(owner, name)
+
+        def counted(*args):
+            solves.append(1)
+            return solver(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+        n = 30
+        shared = gen_adwords_triangular(n, 5).steps
+        distinct = [Step(DiagMap(st.A.a.copy()), FeasibleSet("simplex", n)) for st in shared]
+        obj = adwords_obj(n, smoothed)
+        tr = run(obj, shared)
+        shared_solves = len(solves)
+        solves.clear()
+        ref = run(obj, distinct)
+        assert len(solves) == len(distinct)
+        for rec, want in zip(tr.records, ref.records, strict=True):
+            assert rec.x.tobytes() == want.x.tobytes(), rec.t
+            assert (rec.t, rec.sigma, rec.inner, rec.gain) == (want.t, want.sigma, want.inner, want.gain)
+        assert (tr.P_orig, tr.D_alg, tr.saddle_residual) == (ref.P_orig, ref.D_alg, ref.saddle_residual)
+        np.testing.assert_array_equal(tr.y_final, ref.y_final)
+        # one solve per run of arrivals that move nothing
+        still = [not st.A.apply(rec.x).any() for st, rec in zip(shared, tr.records)]
+        replays = sum(shared[t] is shared[t - 1] and still[t - 1] for t in range(1, len(shared)))
+        assert replays > 0 and shared_solves == len(shared) - replays
 
 
 class TestPackingRuns:
