@@ -125,11 +125,15 @@ def _objective_for(inst: Instance, smoothing_arg, objective_arg=None):
 def _design_from_file(path, coord):
     """A design file's grid and beta, the beta re-verified against ``coord``."""
     d = _load_json(path)
-    sc.check_positive("design file", h=d["h"], beta=d["beta"])
-    c = d["c"]
+    sc.check_positive("design file", beta=d["beta"])
+    c, y = d["c"], d["y"]
     if not (isinstance(c, (int, float)) and not isinstance(c, bool) and 0 <= c < math.inf):
         raise ValueError(f"design file: c must be finite and nonnegative, got {c!r}")
-    smoothed = sm.SmoothedScalar(d["h"], d["y"], tail_mode=d["tail_mode"], require_nonneg=False)
+    if not (isinstance(y, list) and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                                        for v in y)):
+        raise ValueError("design file: y must be a list of numbers, not true, false or null")
+    # the tail follows the last sample: a file's tail_mode is not read
+    smoothed = sm.SmoothedScalar(d["h"], y)
     # the file's beta sets the floor 1/beta, so it must be the one this grid earns
     beta = max(float(sm.verify_beta(smoothed, coord, c=c, refine=4)[0]), 1.0)
     if not (math.isfinite(beta) and abs(d["beta"] - beta) <= 1e-9 * beta):

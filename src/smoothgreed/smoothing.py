@@ -28,6 +28,7 @@ from smoothgreed.scalar import SLOPE_CAP, PiecewiseLinear, ScalarConcave, alpha_
 
 _E = math.e
 FEAS_TOL = 1e-6     # a plateau design's last sample may miss zero by this much
+_ENTROPY_SAMPLES = 2048     # grid steps behind each entropy penalty smoothing
 
 
 def _scalar(out):
@@ -44,37 +45,35 @@ class SmoothedScalar(ScalarConcave):
 
     Parameters
     ----------
-    h : grid step in u-units.
-    y : array of d+1 derivative samples, non-increasing.
-    tail_mode : "zero" keeps the function constant past the grid (plateau
-        designs force y[-1] == 0); "hold_last" extends the last slope.
-    require_nonneg : reject a negative last sample (a monotone smoothing).
+    h : grid step in u-units, finite and positive.
+    y : array of d+1 finite derivative samples, non-increasing.
 
-    The closed-form smoothings are subclasses that override ``deriv``,
-    ``value``, ``deriv2`` and ``_deriv_inv``, so certificates do not inherit
-    grid error; their samples still back the grid queries and the descriptor.
+    Past the grid the last slope y[-1] holds, so a grid whose last sample
+    is zero is a plateau: constant past u_end, the shape of the adwords
+    optimum.  The closed-form smoothings are subclasses that override
+    ``deriv``, ``value``, ``deriv2`` and ``_deriv_inv``, so certificates do
+    not inherit grid error; their samples still back the grid queries and
+    the descriptor.
     """
 
     kind = "smoothed_grid"
 
-    def __init__(self, h, y, tail_mode="zero", require_nonneg=True):
+    def __init__(self, h, y):
+        check_positive("SmoothedScalar", h=h)
         y = np.asarray(y, dtype=float)
         if y.ndim != 1 or len(y) < 2:
             raise ValueError("SmoothedScalar: need at least two derivative samples")
+        if not np.all(np.isfinite(y)):
+            bad = np.flatnonzero(~np.isfinite(y))
+            raise ValueError(f"SmoothedScalar: derivative samples must be finite, got "
+                             f"{', '.join(f'y[{i}] = {y[i]}' for i in bad[:5])}")
         if np.any(np.diff(y) > 1e-12):
             raise ValueError("SmoothedScalar: derivative grid must be non-increasing")
-        if require_nonneg and y[-1] < -1e-12:
-            raise ValueError("SmoothedScalar: negative derivative in a monotone smoothing")
-        if tail_mode not in ("zero", "hold_last"):
-            raise ValueError(f"SmoothedScalar: bad tail_mode {tail_mode!r}")
-        if tail_mode == "zero" and abs(y[-1]) > 1e-9:
-            raise ValueError("SmoothedScalar: zero tail requires y[-1] == 0")
         self.h = float(h)
         self.y = y
         self.d = len(y) - 1
         self.ugrid = self.h * np.arange(self.d + 1)
         self.u_end = self.h * self.d
-        self.tail_mode = tail_mode
         self.cumint = np.concatenate(([0.0], np.cumsum(0.5 * self.h * (y[1:] + y[:-1]))))
         self.monotone = bool(y[-1] >= -1e-12)
 
@@ -82,8 +81,7 @@ class SmoothedScalar(ScalarConcave):
 
     def deriv(self, u):
         u = np.asarray(u, dtype=float)
-        tail = 0.0 if self.tail_mode == "zero" else self.y[-1]
-        return _scalar(np.interp(u, self.ugrid, self.y, left=self.y[0], right=tail))
+        return _scalar(np.interp(u, self.ugrid, self.y, left=self.y[0], right=self.y[-1]))
 
     def value(self, u):
         u = np.asarray(u, dtype=float)
@@ -93,7 +91,7 @@ class SmoothedScalar(ScalarConcave):
         du = uc - u0
         slope = (self.y[idx + 1] - self.y[idx]) / self.h
         out = self.cumint[idx] + self.y[idx] * du + 0.5 * slope * du * du
-        if self.tail_mode == "hold_last":
+        if self.y[-1]:
             out = out + self.y[-1] * np.maximum(u - self.u_end, 0.0)
         return _scalar(out)
 
@@ -113,24 +111,17 @@ class SmoothedScalar(ScalarConcave):
         return float(self.y[0])
 
     def conj_dom_lo(self):
-        return 0.0 if self.tail_mode == "zero" else float(self.y[-1])
-
-    def plateau_u(self):
-        if self.tail_mode == "zero":
-            nz = np.nonzero(self.y > 0)[0]
-            return float((nz[-1] + 1) * self.h) if len(nz) else 0.0
-        return None
+        return float(self.y[-1])
 
     def conjugate(self, z):
         """inf_u z*u - value(u), exact for the piecewise-linear derivative."""
         z = np.asarray(z, dtype=float)
         uz = self.deriv_inv_hi(z)
-        tail_slope = 0.0 if self.tail_mode == "zero" else self.y[-1]
         # At the tail slope the infimum is attained along the whole tail;
         # clamp the attaining point onto the grid where value() is exact.
         uz = np.minimum(uz, self.u_end)
         out = z * uz - self.value(uz)
-        return _scalar(np.where(z < tail_slope - 1e-15, -np.inf, out))
+        return _scalar(np.where(z < self.y[-1] - 1e-15, -np.inf, out))
 
     # -- derivative inverses (water-filling and designer support) ---------
 
@@ -153,18 +144,15 @@ class SmoothedScalar(ScalarConcave):
         frac = np.where(y0 > y1, np.clip((y0 - v) / denom, 0.0, 1.0), 0.0 if hi else 1.0)
         out = (jj - 1 + frac) * self.h
         out = np.where(j == 0, 0.0, out)
-        if self.tail_mode == "hold_last":
-            tail = np.inf
-        else:
-            tail = np.where((v <= 0) if hi else (v < 0), np.inf, self.u_end)
-        return _scalar(np.where(j > self.d, tail, out))
+        # every sample reaches v: the held last slope does too, past the grid
+        return _scalar(np.where(j > self.d, np.inf, out))
 
     def params(self):
-        return {"h": self.h, "y": self.y.tolist(), "tail_mode": self.tail_mode}
+        return {"h": self.h, "y": self.y.tolist()}
 
     def __repr__(self):
         return (f"{type(self).__name__}(d={self.d}, h={self.h:.4g}, "
-                f"tail={self.tail_mode}, y0={self.y[0]:.4g})")
+                f"y0={self.y[0]:.4g}, y_end={self.y[-1]:.4g})")
 
 
 # ----------------------------------------------------------------------
@@ -175,18 +163,17 @@ class EntropyPenaltySmoothing(SmoothedScalar):
     """Entropy smoothing of the budget penalty u -> -l*(u - budget)_+.
 
     The derivative is y(u) = (theta/(e-1)) * (1 - exp(gamma*u/budget))
-    clipped to [-l, 0]; it reaches -l at ``u_clip``, where the grid of d
-    steps ends and the last slope is held.  ``ratio_bound`` is the certified
+    clipped to [-l, 0]; it reaches -l at ``u_clip``, where the grid ends
+    and the last slope is held.  ``ratio_bound`` is the certified
     ratio when the construction carries one (the log-det form), else None.
     """
 
-    def __init__(self, l, theta, gamma, budget, u_clip, d, ratio_bound=None):
+    def __init__(self, l, theta, gamma, budget, u_clip, ratio_bound=None):
         self.l, self.theta, self.gamma = l, theta, gamma
         self.budget, self.u_clip, self.ratio_bound = budget, u_clip, ratio_bound
         self.scale = theta / (_E - 1.0)
-        h = u_clip / d
-        super().__init__(h, self.deriv(h * np.arange(d + 1)), tail_mode="hold_last",
-                         require_nonneg=False)
+        h = u_clip / _ENTROPY_SAMPLES
+        super().__init__(h, self.deriv(h * np.arange(_ENTROPY_SAMPLES + 1)))
 
     def deriv(self, u):
         y = self.scale * (1.0 - np.exp(self.gamma * np.asarray(u, dtype=float) / self.budget))
@@ -215,8 +202,8 @@ class EntropyPenaltySmoothing(SmoothedScalar):
         return _scalar(np.where(v >= 0, 0.0, np.where(v < -self.l, np.inf, core)))
 
 
-def nesterov_penalty_smoothing(l: float, theta: float, budget: float = 1.0,
-                               d: int = 2048) -> EntropyPenaltySmoothing:
+def nesterov_penalty_smoothing(l: float, theta: float,
+                               budget: float = 1.0) -> EntropyPenaltySmoothing:
     """Smooth the penalty u -> -l*(u - budget)_+ with the entropy smoother.
 
     The smoothed derivative follows the first-order inversion
@@ -226,11 +213,10 @@ def nesterov_penalty_smoothing(l: float, theta: float, budget: float = 1.0,
     """
     check_positive("nesterov_penalty_smoothing", l=l, theta=theta, budget=budget)
     gamma = math.log1p(l * (_E - 1.0) / theta)
-    return EntropyPenaltySmoothing(l, theta, gamma, budget, budget, d)
+    return EntropyPenaltySmoothing(l, theta, gamma, budget, budget)
 
 
-def nesterov_logdet_smoothing(n: int, l: float, b: float,
-                              d: int = 2048) -> EntropyPenaltySmoothing:
+def nesterov_logdet_smoothing(n: int, l: float, b: float) -> EntropyPenaltySmoothing:
     """Entropy smoothing of the budget penalty for determinant maximization.
 
     Uses theta = log(1 + 1/n) and gamma = log(1 + l/theta); the associated
@@ -243,7 +229,7 @@ def nesterov_logdet_smoothing(n: int, l: float, b: float,
     gamma = math.log1p(l / theta)
     # The derivative hits -l strictly past the budget; cover that point.
     u_clip = b * math.log1p(l * (_E - 1.0) / theta) / gamma
-    return EntropyPenaltySmoothing(l, theta, gamma, b, u_clip, d,
+    return EntropyPenaltySmoothing(l, theta, gamma, b, u_clip,
                                    ratio_bound=1.0 / (1.0 + (1.0 + 1.0 / (_E - 1.0)) * gamma))
 
 
@@ -260,7 +246,7 @@ class AdwordsCapSmoothing(SmoothedScalar):
         h = 1.0 / d
         grid = self.deriv(h * np.arange(d + 1))
         grid[-1] = 0.0
-        super().__init__(h, grid, tail_mode="zero")
+        super().__init__(h, grid)
 
     def deriv(self, u):
         uc = np.minimum(np.asarray(u, dtype=float), 1.0)
@@ -304,10 +290,9 @@ def nesterov_pl_smoothing(base, theta: float, d: int = 2000) -> SmoothedScalar:
         drop = float(base.s[j] - base.s[j + 1])
         total = total + nesterov_penalty_smoothing(drop, theta, float(bj)).deriv(u)
     grid = make_monotone(np.maximum(total, 0.0))
-    tail = "zero" if grid[-1] <= 1e-12 else "hold_last"
-    if tail == "zero":
-        grid[-1] = 0.0
-    return SmoothedScalar(h, grid, tail_mode=tail)
+    if grid[-1] <= 1e-12:
+        grid[-1] = 0.0      # a plateau past the last breakpoint
+    return SmoothedScalar(h, grid)
 
 
 # ----------------------------------------------------------------------
@@ -417,7 +402,7 @@ class DesignResult:
             "variant": "sequential" if self.spec.c > 0 else "simultaneous",
             "c": self.spec.c,
             "h": self.smoothed.h,
-            "tail_mode": self.smoothed.tail_mode,
+            "tail_mode": "zero" if self.spec.plateau else "hold_last",  # for older readers
             "max_residual": self.max_residual,
             "certified": self.certified,
             "y": self.smoothed.y.tolist(),
@@ -577,8 +562,7 @@ def _design(spec: DesignSpec) -> DesignResult:
             lo = mid
         else:
             hi, y_best = mid, y_mid
-    tail = "zero" if spec.plateau else "hold_last"
-    sm = SmoothedScalar(spec.u_end / spec.d, make_monotone(y_best), tail_mode=tail)
+    sm = SmoothedScalar(spec.u_end / spec.d, make_monotone(y_best))
     sup_beta, _, residuals = verify_beta(sm, spec.base, c=spec.c, refine=4)
     return DesignResult(smoothed=sm, beta=max(1.0, sup_beta),
                         max_residual=float(np.max(residuals)), certified=True, spec=spec)

@@ -324,14 +324,17 @@ def every_step_orthant(obj, steps, algo):
     return records, obj.value(u), sigma_sum - obj.conj(y), corr
 
 
-def from_base(base: ScalarConcave, u_end: float, d: int, tail_mode="hold_last"):
-    """Sample a catalog function's own derivative; the trivial smoothing."""
+def from_base(base: ScalarConcave, u_end: float, d: int, plateau: bool = False):
+    """Sample a catalog function's own derivative; the trivial smoothing.
+
+    ``plateau`` zeroes the last sample, so the smoothing is flat past u_end.
+    """
     us = u_end / d * np.arange(d + 1)
     y = np.asarray(base.deriv_right(us), dtype=float)
     y = np.minimum(y, SLOPE_CAP)
-    if tail_mode == "zero":
+    if plateau:
         y[-1] = 0.0
-    return SmoothedScalar(u_end / d, make_monotone(y), tail_mode=tail_mode)
+    return SmoothedScalar(u_end / d, make_monotone(y))
 
 
 def kappa_of(smoothed: SmoothedScalar, base: ScalarConcave, c: float) -> float:

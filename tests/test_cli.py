@@ -341,6 +341,30 @@ class TestRunCertify:
         captured = capsys.readouterr()
         assert captured.out == "" and "beta" in captured.err
 
+    def test_design_file_tail_follows_last_sample(self, tmp_path, cap_descriptor, capsys):
+        # the loader reads h, y, c and beta; a file without tail_mode certifies
+        # exactly as the same file with it, for a plateau and a held tail
+        inst = str(tmp_path / "inst.json")
+        run_cli(["gen", "--family", "adwords_triangular", "--n", "20", "--phase-len", "5",
+                 "--out", inst])
+        log1p = tmp_path / "log1p.json"
+        log1p.write_text(json.dumps({"kind": "log1p"}))
+        for name, flags, objective in (("cap", ["--horizon", "1.0", "--plateau"], cap_descriptor),
+                                       ("log1p", ["--horizon", "20"], str(log1p))):
+            design = str(tmp_path / f"{name}_design")
+            run_cli(["design", "--objective", objective, "--grid", "200", *flags, "--out", design])
+            d = json.loads(Path(design + ".json").read_text())
+            assert d["tail_mode"] == ("zero" if name == "cap" else "hold_last")
+            bare = tmp_path / f"{name}_bare.json"
+            bare.write_text(json.dumps({k: v for k, v in d.items() if k != "tail_mode"}))
+            outs = []
+            for path in (design + ".json", str(bare)):
+                capsys.readouterr()
+                assert run_cli(["certify", "--instance", inst, "--objective", objective,
+                                "--smoothing", path]) == cli.EXIT_OK, (name, path)
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1] and outs[0], name
+
     def test_bad_repeat_exit_code(self, tmp_path, capsys):
         # a malformed run length is bad input, rejected before any computation
         inst, bad = tmp_path / "inst.json", tmp_path / "bad.json"
@@ -476,10 +500,12 @@ _BAD_INPUTS = {
     "sweep family": ("sweep --family lp_random --out {out}", "adwords_triangular family", None),
     "design file one sample": ("certify --instance {ad} --smoothing {bad}",
                                "at least two derivative samples", ("design", ("y",), [1.0])),
-    "design file tail_mode": ("certify --instance {ad} --smoothing {bad}", "bad tail_mode",
-                              ("design", ("tail_mode",), "wrap")),
-    "design file zero tail": ("certify --instance {ad} --smoothing {bad}", "zero tail requires",
-                              ("design", ("y",), [1.0, 0.5, 0.25])),
+    "design file non-finite": ("certify --instance {ad} --smoothing {bad}",
+                               "must be finite, got y[0] = inf, y[2] = nan",
+                               ("design", ("y",), [math.inf, 0.5, math.nan])),
+    "design file boolean sample": ("certify --instance {ad} --smoothing {bad}",
+                                   "y must be a list of numbers",
+                                   ("design", ("y",), [True, False, False])),
     "design file increasing": ("certify --instance {ad} --smoothing {bad}", "non-increasing",
                                ("design", ("y",), [0.5, 1.0, 0.0])),
     "ill-conditioned base": ("certify --instance {g400}", "condition number", None),

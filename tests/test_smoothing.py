@@ -81,7 +81,7 @@ class TestSmoothedScalar:
             assert sm.conjugate(z) + sm.value(u) == pytest.approx(z * u, abs=1e-10)
 
     def test_deriv_inverses(self):
-        grid = SmoothedScalar(0.25, [1.0, 1.0, 0.5, 0.5, 0.0], tail_mode="zero")
+        grid = SmoothedScalar(0.25, [1.0, 1.0, 0.5, 0.5, 0.0])
         assert grid.deriv_inv_hi(1.0) == pytest.approx(0.25)
         assert grid.deriv_inv_lo(0.5) == pytest.approx(0.5)
         assert grid.deriv_inv_hi(0.5) == pytest.approx(0.75)
@@ -91,13 +91,50 @@ class TestSmoothedScalar:
 
     def test_monotone_grid_required(self):
         with pytest.raises(ValueError):
-            SmoothedScalar(0.5, [0.0, 1.0, 0.0], tail_mode="zero")
+            SmoothedScalar(0.5, [0.0, 1.0, 0.0])
+
+    def test_nonfinite_grid_rejected(self):
+        # a NaN sample passes the monotonicity comparison, so finiteness is
+        # checked by name before anything reads the samples
+        with pytest.raises(ValueError, match=r"must be finite, got y\[1\] = nan, y\[2\] = -inf"):
+            SmoothedScalar(0.5, [1.0, math.nan, -math.inf])
+        for h in (0.0, -0.5, math.nan, math.inf, True):
+            with pytest.raises(ValueError, match="SmoothedScalar: h must be finite and positive"):
+                SmoothedScalar(h, [1.0, 0.0])
+
+    def test_zero_last_sample_is_a_plateau(self):
+        sm = from_base(Cap(1.0), 1.0, 64, plateau=True)
+        assert sm.y[-1] == 0.0 and sm.u_end == 1.0
+        us = np.array([1.0, 1.5, 10.0, 1e6])
+        np.testing.assert_array_equal(sm.deriv(us), 0.0)
+        np.testing.assert_array_equal(sm.value(us), sm.value(1.0))
+        assert sm.deriv_inv_hi(0.0) == sm.deriv_inv_hi(-1.0) == math.inf
+        assert sm.deriv_inv_lo(-1e-12) == math.inf
+        assert sm.deriv_inv_lo(0.0) == pytest.approx(1.0)
+        assert sm.deriv_inv_hi(1e-12) <= 1.0
+        assert sm.conj_dom_lo() == 0.0
+        assert sm.conjugate(-1e-9) == -math.inf
+        assert sm.conjugate(0.0) == -sm.value(1.0)
+
+    def test_negative_last_sample_is_held(self):
+        sm = SmoothedScalar(0.5, [1.0, 0.0, -0.5])
+        assert not sm.monotone
+        us = np.array([1.0, 2.0, 5.0])
+        np.testing.assert_array_equal(sm.deriv(us), -0.5)
+        np.testing.assert_allclose(sm.value(us), sm.value(1.0) - 0.5 * (us - 1.0), atol=1e-15)
+        assert sm.deriv_inv_hi(-0.5) == math.inf and sm.deriv_inv_lo(-0.6) == math.inf
+        assert sm.deriv_inv_lo(-0.5) == pytest.approx(1.0)
+        assert sm.deriv_inv_hi(-0.25) == pytest.approx(0.75)
+        assert sm.conj_dom_lo() == -0.5
+        assert sm.conjugate(-0.6) == -math.inf
+        assert sm.conjugate(-0.5) == pytest.approx(-0.5 * 1.0 - sm.value(1.0), abs=1e-15)
 
     def test_descriptor_round_trip(self):
-        sm = from_base(Cap(1.0), 1.0, 64, tail_mode="zero")
-        back = SmoothedScalar(**sm.to_descriptor()["params"], require_nonneg=False)
+        sm = from_base(Cap(1.0), 1.0, 64, plateau=True)
+        assert sm.to_descriptor()["params"].keys() == {"h", "y"}
+        back = SmoothedScalar(**sm.to_descriptor()["params"])
         np.testing.assert_array_equal(back.y, sm.y)
-        assert back.h == sm.h and back.tail_mode == sm.tail_mode
+        assert back.h == sm.h
 
 
     def test_smoothings_share_the_scalar_protocol(self):
@@ -113,7 +150,7 @@ class TestSmoothedScalar:
             sg = sm.supergrad(0.5)
             assert sg.lo == sg.hi == sm.deriv(0.5)
             assert sm.conj1(sg.lo) == sm.conjugate(sg.lo)
-            back = SmoothedScalar(**sm.to_descriptor()["params"], require_nonneg=False)
+            back = SmoothedScalar(**sm.to_descriptor()["params"])
             np.testing.assert_array_equal(back.y, sm.y)
 
 
@@ -188,7 +225,7 @@ class TestNesterovClosedForms:
 
 class TestVerifyBeta:
     def test_unsmoothed_cap_is_two(self):
-        sm = from_base(Cap(1.0), 1.0, 1000, tail_mode="zero")
+        sm = from_base(Cap(1.0), 1.0, 1000, plateau=True)
         sup, arg, res = verify_beta(sm, Cap(1.0))
         assert sup == pytest.approx(2.0, abs=2e-3)
         assert np.max(res) <= 1e-12
@@ -199,7 +236,7 @@ class TestVerifyBeta:
         assert sup == pytest.approx(E / (E - 1), abs=1e-3)
 
     def test_linear_is_one(self):
-        sm = from_base(Linear(1.0), 2.0, 200, tail_mode="hold_last")
+        sm = from_base(Linear(1.0), 2.0, 200)
         sup, _, _ = verify_beta(sm, Linear(1.0))
         assert sup == pytest.approx(1.0, abs=1e-12)
 
@@ -449,7 +486,7 @@ class TestSequentialDesigner:
 
 class TestKappa:
     def test_constant_gradient_is_zero(self):
-        sm = from_base(Linear(1.0), 2.0, 100, tail_mode="hold_last")
+        sm = from_base(Linear(1.0), 2.0, 100)
         assert kappa_of(sm, Linear(1.0), 0.3) == 0.0
 
     def test_zero_c_is_zero(self):
