@@ -183,19 +183,27 @@ def _record_lines(records):
 
     Each line is the strict (no NaN or inf) JSON of that dict.  Runs repeat
     few distinct x, so each is encoded once, keyed by its bytes (which keep
-    -0.0 apart from 0.0); the memo is emptied when full.
+    -0.0 apart from 0.0); the memo is emptied when full, and a record sharing
+    the x array of the one before reuses its text.  The floats are written
+    by ``float.__repr__``, as the json encoder writes them.
     """
     memo = {}
+    prev_x = xs = None
     for rec in records:
-        x = np.atleast_1d(rec.x)
-        key = x.tobytes()
-        xs = memo.get(key)
-        if xs is None:
-            if len(memo) >= _X_MEMO:
-                memo.clear()
-            xs = memo[key] = _STRICT_JSON.encode(x.tolist())
-        rest = _STRICT_JSON.encode({"sigma": rec.sigma, "inner": rec.inner, "gain": rec.gain})
-        yield f'{{"t": {rec.t}, "x": {xs}, {rest[1:]}\n'
+        if rec.x is not prev_x:
+            prev_x = rec.x
+            x = np.atleast_1d(rec.x)
+            key = x.tobytes()
+            xs = memo.get(key)
+            if xs is None:
+                if len(memo) >= _X_MEMO:
+                    memo.clear()
+                xs = memo[key] = _STRICT_JSON.encode(x.tolist())
+        floats = rec.sigma, rec.inner, rec.gain
+        if not math.isfinite(sum(floats)):     # the encoder names a non-finite one
+            _STRICT_JSON.encode(floats)
+        yield '{"t": %s, "x": %s, "sigma": %s, "inner": %s, "gain": %s}\n' % (
+            rec.t, xs, *map(float.__repr__, floats))
 
 
 def cmd_run(args) -> int:

@@ -160,6 +160,14 @@ class SeparableObjective:
         u = np.asarray(u, dtype=float)
         return float(np.sum(coordwise(self.coords, self._uniform, "value", u)))
 
+    def row_values(self, U):
+        """``value`` of each row of the states U, bit for bit: one pass on shared
+        coordinates; mixed ones go by scalars, as numpy's scalar pow can round
+        apart from its vectorized one."""
+        if self._uniform:
+            return np.sum(np.asarray(self.coords[0].value(U), dtype=float), axis=1)
+        return np.array([np.sum(coordwise(self.coords, False, "value", u)) for u in U])
+
     def grad_lo(self, u):
         """Minimal supergradient, coordinatewise."""
         u = np.asarray(u, dtype=float)
@@ -209,6 +217,10 @@ class PenaltyLPObjective:
     def value(self, state):
         u = np.asarray(state[1:], dtype=float)
         return float(state[0]) + float(np.sum(self.pen.value(u)))
+
+    def row_values(self, U):
+        """``value`` of each row of the states U, bit for bit, in one pass."""
+        return U[:, 0] + np.sum(self.pen.value(U[:, 1:]), axis=1)
 
     def grad_lo(self, state):
         """Minimal supergradient (1, dG)."""

@@ -21,10 +21,13 @@ allocation and packing); the engines differ only in how a step's point is
 chosen and whether the loop tracks the saddle residual or the correction.
 A step's ``StepRecord`` holds x, sigma, the inner product and the gain in
 the engine objective; an orthant step with A x = 0 moves neither the state
-nor the dual, so it records a gain of exactly 0.0 without evaluating the
-objective, and the same Step object arriving next is not solved again: its
-x, sigma and inner product are those of the arrival before.  Runs with
-``keep_records=False`` evaluate no per-step value.
+nor the dual, so it records a gain of exactly 0.0, and the same Step object
+arriving next is not solved again: its x, sigma and inner product are those
+of the arrival before.  Gains are evaluated in bulk, to the bits of
+differencing the objective after every step: the orthant loop evaluates the
+states of every _GAIN_CHUNK moving steps in one ``row_values`` pass, and the
+PSD loop its budget penalty over the run in one pass.  Runs with
+``keep_records=False`` make neither pass.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from smoothgreed.objectives import (
 from smoothgreed.scalar import PiecewiseLinear
 
 INTERIOR_SHIFT = 1e-8
+_GAIN_CHUNK = 128    # moving orthant steps whose record gains are evaluated in one pass
 CERT_TOL = 1e-9     # absolute tolerance of every certificate inequality
 
 
@@ -749,8 +753,8 @@ def _run_orthant(obj, steps, algo, keep_records):
         plateau = coordwise(eng.coords, eng._uniform, "deriv_inv_lo", np.zeros(eng.n))
     sigma_sum = corr = sqsum = resid = 0.0
     y_low = np.inf      # running minimum of the sim steps' duals
-    prev_val = eng.value(u) if keep_records else None
     records = []
+    rows, pending = [u], []     # states since the last gain pass, and their moving records
     still = None    # the last step, when its image was 0
     for t, st in enumerate(steps, 1):
         if st is still:     # the same step at the same state and dual: the same answer
@@ -782,12 +786,15 @@ def _run_orthant(obj, steps, algo, keep_records):
                 y = y_next
         sigma_sum += sigma
         if keep_records:
-            gain = 0.0
+            records.append(StepRecord(t, x, sigma, inner, 0.0))
             if moved:
-                val = eng.value(u)
-                gain = val - prev_val
-                prev_val = val
-            records.append(StepRecord(t, x, sigma, inner, gain))
+                rows.append(u)
+                pending.append(records[-1])
+                if len(pending) == _GAIN_CHUNK:
+                    _set_gains(eng, rows, pending)
+                    rows, pending = [u], []
+    if pending:
+        _set_gains(eng, rows, pending)
     if algo == "sim":
         # D bounds OPT only if y lies below every step's dual: the LP step can
         # hold a kink that w + Bx misses by rounding, where the slope reads above
@@ -797,14 +804,19 @@ def _run_orthant(obj, steps, algo, keep_records):
                     sigma_sum, corr, sqsum, records, shift, resid)
 
 
+def _set_gains(eng, rows, records):
+    """Each record's gain: the engine value of its state minus that of the one before."""
+    for rec, gain in zip(records, np.diff(eng.row_values(np.array(rows))).tolist()):
+        rec.gain = gain
+
+
 def _run_psd(obj, steps, algo, keep_records):
     """Log-det with a scalar budget over the product of the PSD cone and R+."""
     state = LogDetState(obj.A0, obj.lam_min)
     pen = obj.engine.pen
     used = reward = sigma_sum = corr = sqsum = resid = 0.0
-    prev_pen = float(pen.value(0.0))
     yb = float(pen.deriv_right(0.0))
-    records = []
+    records, useds = [], [0.0]
     for t, st in enumerate(steps, 1):
         a = st.A.a
         q = state.quad(a)
@@ -820,9 +832,6 @@ def _run_psd(obj, steps, algo, keep_records):
             state.apply(a, x, q)
         used += x
         reward += gain_logdet
-        pen_now = float(pen.value(used))
-        gain = gain_logdet + pen_now - prev_pen
-        prev_pen = pen_now
         if algo == "sim":
             resid = max(resid, abs(sigma * min(x, 1.0) - x * z))
         elif x > 0.0:   # a step of x = 0 moves neither the state nor the dual
@@ -832,8 +841,14 @@ def _run_psd(obj, steps, algo, keep_records):
             sqsum += (float(a @ a) ** 2 + 1.0) * x * x
             yb = yb_next
         sigma_sum += sigma
-        if keep_records:
-            records.append(StepRecord(t, np.array([x]), sigma, x * z, gain))
+        if keep_records:     # the gain holds the log-det part until the penalty pass
+            records.append(StepRecord(t, np.array([x]), sigma, x * z, gain_logdet))
+            useds.append(used)
+    if keep_records:
+        pens = np.asarray(pen.value(np.array(useds)), dtype=float)
+        gains = np.array([rec.gain for rec in records]) + pens[1:] - pens[:-1]
+        for rec, gain in zip(records, gains.tolist()):
+            rec.gain = gain
     y_final = (np.linalg.inv(state.Asum), float(pen.deriv_right(used)))
     return RunTrace(algo, len(steps), (state.U, used), y_final,
                     reward + float(obj.pen.value(used)), reward + float(pen.value(used)),

@@ -67,14 +67,20 @@ class SmoothedScalar(ScalarConcave):
             bad = np.flatnonzero(~np.isfinite(y))
             raise ValueError(f"SmoothedScalar: derivative samples must be finite, got "
                              f"{', '.join(f'y[{i}] = {y[i]}' for i in bad[:5])}")
-        if np.any(np.diff(y) > 1e-12):
-            raise ValueError("SmoothedScalar: derivative grid must be non-increasing")
         self.h = float(h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dy = np.diff(y)
+            self.cumint = np.concatenate(([0.0], np.cumsum(0.5 * self.h * (y[1:] + y[:-1]))))
+            finite = np.isfinite(dy / self.h).all() and np.isfinite(self.cumint[-1])
+        if np.any(dy > 1e-12):
+            raise ValueError("SmoothedScalar: derivative grid must be non-increasing")
+        if not finite:
+            raise ValueError("SmoothedScalar: derivative grid overflows: a slope diff(y)/h "
+                             "or the integral is not finite")
         self.y = y
         self.d = len(y) - 1
         self.ugrid = self.h * np.arange(self.d + 1)
         self.u_end = self.h * self.d
-        self.cumint = np.concatenate(([0.0], np.cumsum(0.5 * self.h * (y[1:] + y[:-1]))))
         self.monotone = bool(y[-1] >= -1e-12)
 
     # -- evaluation ------------------------------------------------------

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from smoothgreed.objectives import LogDetObjective, PenaltyLPObjective, SeparableObjective, Step, coordwise
-from smoothgreed.online import INTERIOR_SHIFT, _sim_step
+from smoothgreed.objectives import (LogDetObjective, LogDetState, PenaltyLPObjective, SeparableObjective,
+                                    Step, coordwise, logdet_step_gain)
+from smoothgreed.online import INTERIOR_SHIFT, _logdet_step, _sim_step
 from smoothgreed.scalar import SLOPE_CAP, ScalarConcave
 from smoothgreed.smoothing import FEAS_TOL, SmoothedScalar, make_monotone
 
@@ -322,6 +323,39 @@ def every_step_orthant(obj, steps, algo):
     if algo == "sim":
         y = np.minimum(eng.grad_lo(u), y_low)
     return records, obj.value(u), sigma_sum - obj.conj(y), corr
+
+
+def every_step_psd(obj, steps, algo):
+    """The PSD engine loop evaluating the budget penalty after every step.
+
+    Returns the records as (t, x, sigma, inner, gain) tuples.
+    """
+    state = LogDetState(obj.A0, obj.lam_min)
+    pen = obj.engine.pen
+    used = 0.0
+    prev_pen = float(pen.value(0.0))
+    yb = float(pen.deriv_right(0.0))
+    records = []
+    for t, st in enumerate(steps, 1):
+        a = st.A.a
+        q = state.quad(a)
+        if algo == "sim":
+            x, q_post, yb = _logdet_step(pen, q, used)
+            z = q_post + yb
+        else:
+            z = q + yb
+            x = 1.0 if z > 0.0 else 0.0
+        gain_logdet = logdet_step_gain(state, a, x, q)
+        if x > 0.0:
+            state.apply(a, x, q)
+        used += x
+        pen_now = float(pen.value(used))
+        records.append((t, x, max(0.0, z), x * z, gain_logdet + pen_now - prev_pen))
+        prev_pen = pen_now
+        if algo == "seq" and x > 0.0:
+            state.quad(a)       # the engine's correction read, which may refactorize Y
+            yb = float(pen.deriv_right(used))
+    return records
 
 
 def from_base(base: ScalarConcave, u_end: float, d: int, plateau: bool = False):

@@ -508,6 +508,10 @@ _BAD_INPUTS = {
                                    ("design", ("y",), [True, False, False])),
     "design file increasing": ("certify --instance {ad} --smoothing {bad}", "non-increasing",
                                ("design", ("y",), [0.5, 1.0, 0.0])),
+    "design file slope overflow": ("certify --instance {ad} --smoothing {bad}", "grid overflows",
+                                   ("design", ("y",), [1e308, 0.5, 0.0])),
+    "design file sum overflow": ("certify --instance {ad} --smoothing {bad}", "grid overflows",
+                                 ("design", ("y",), [1.7e308, -1.7e308, -1.7e308])),
     "ill-conditioned base": ("certify --instance {g400}", "condition number", None),
 }
 
@@ -515,6 +519,7 @@ _BAD_INPUTS = {
 class TestBadInput:
     """Each input check exits 4 with a message naming its cause and prints nothing."""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")     # a check, not an overflow, rejects
     @pytest.mark.parametrize("case", list(_BAD_INPUTS))
     def test_exit_code_names_the_cause(self, case, tmp_path, capsys):
         argv, message, edit = _BAD_INPUTS[case]

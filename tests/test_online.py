@@ -1,4 +1,5 @@
 import copy
+import functools
 import math
 from unittest import mock
 
@@ -33,9 +34,11 @@ from smoothgreed.online import (
     run_sequential,
     run_simultaneous,
 )
-from smoothgreed.scalar import Cap, Linear, Log1p, NegPlusPenalty, PiecewiseLinear, Sqrt
+from smoothgreed.scalar import Cap, Linear, Log1p, NegPlusPenalty, PiecewiseLinear, Power, Sqrt
 from smoothgreed.smoothing import (
+    DesignSpec,
     adwords_closed_form_smoothing,
+    design_optimal,
     nesterov_logdet_smoothing,
     nesterov_penalty_smoothing,
     nesterov_pl_smoothing,
@@ -44,6 +47,7 @@ from smoothgreed.smoothing import (
 from oracles import (
     enumerate_offline_best,
     every_step_orthant,
+    every_step_psd,
     logdet_relaxation_grid,
     lp_step_highs,
     sequential_fill_deficit,
@@ -519,18 +523,19 @@ def _orthant_runs():
 
 class TestZeroSteps:
     """A step with A x = 0 leaves u and the dual where they were: the orthant
-    loop skips the engine value and the seq dual refresh there."""
+    loop skips the seq dual refresh there, and record gains are evaluated
+    in row passes after the steps, never one value per step."""
 
     @staticmethod
-    def count_values(monkeypatch, eng):
+    def count_values(monkeypatch, owner, name="value"):
         calls = []
-        value = eng.value
+        value = getattr(owner, name)
 
         def counted(u):
             calls.append(1)
             return value(u)
 
-        monkeypatch.setattr(eng, "value", counted)
+        monkeypatch.setattr(owner, name, counted)
         return calls
 
     @pytest.mark.parametrize("algo", ["sim", "seq"])
@@ -540,11 +545,14 @@ class TestZeroSteps:
         for name, obj, inst in _orthant_runs():
             want, P, D, corr = every_step_orthant(obj, inst.steps, algo)
             calls = self.count_values(monkeypatch, obj.engine)
+            passes = self.count_values(monkeypatch, obj.engine, "row_values")
             tr = run(obj, inst.steps)
             moving = sum(bool(rec.x.any()) for rec in tr.records)
             zero_steps += len(tr.records) - moving
-            # the first value, one per moving step, and the final P (and P_engine)
-            assert len(calls) == moving + 2 + (obj.engine is obj), name
+            # no per-step value: the final P (and P_engine), and one row pass
+            # per _GAIN_CHUNK moving steps
+            assert len(calls) == 1 + (obj.engine is obj), name
+            assert len(passes) == -(-moving // online._GAIN_CHUNK), name
             assert len(tr.records) == len(want)
             for rec, (t, x, sigma, inner, gain) in zip(tr.records, want):
                 assert rec.x.tobytes() == x.tobytes(), (name, t)
@@ -558,12 +566,26 @@ class TestZeroSteps:
     @pytest.mark.parametrize("algo", ["sim", "seq"])
     def test_no_per_step_values_without_records(self, algo, monkeypatch):
         run = run_simultaneous if algo == "sim" else run_sequential
-        for name, obj, inst in _orthant_runs():
+        ld = gen_logdet_stream(4, 20, 2.0, seed=3)
+        A0, l = np.asarray(ld.extras["A0"]), ld.extras["l"]
+        psd_runs = [(f"logdet-{pen is not None}", LogDetObjective(A0, 2.0, l=l, smoothed_budget=pen), ld)
+                    for pen in (None, nesterov_logdet_smoothing(4, l, 2.0))]
+        for name, obj, inst in [*_orthant_runs(), *psd_runs]:
             ref = run(obj, inst.steps)
-            calls = self.count_values(monkeypatch, obj.engine)
+            if obj.cone == "psd":
+                # the final P and P_engine on one penalty, or P_engine and the
+                # smoothed budget's conjugate; records add one penalty pass
+                calls = self.count_values(monkeypatch, obj.engine.pen)
+                run(obj, inst.steps)
+                assert len(calls) == 3, name
+                calls.clear()
+                passes = []
+            else:
+                calls = self.count_values(monkeypatch, obj.engine)
+                passes = self.count_values(monkeypatch, obj.engine, "row_values")
             tr = run(obj, inst.steps, keep_records=False)
-            assert len(calls) == 1 + (obj.engine is obj), name      # the final values only
-            assert tr.records == []
+            assert len(calls) == (2 if obj.cone == "psd" else 1 + (obj.engine is obj)), name
+            assert passes == [] and tr.records == []
             assert (tr.P_orig, tr.D_alg, tr.corr) == (ref.P_orig, ref.D_alg, ref.corr), name
 
     @pytest.mark.parametrize("algo", ["sim", "seq"])
@@ -603,6 +625,101 @@ class TestZeroSteps:
         still = [not st.A.apply(rec.x).any() for st, rec in zip(shared, tr.records)]
         replays = sum(shared[t] is shared[t - 1] and still[t - 1] for t in range(1, len(shared)))
         assert replays > 0 and shared_solves == len(shared) - replays
+
+
+_CHUNK_RUNS = (127, 128, 129, 257)   # moving steps: each side of one and of two gain passes
+
+
+@functools.cache
+def _designed_cap():
+    return design_optimal(DesignSpec(Cap(1.0), 1.0, d=50, plateau=True)).smoothed
+
+
+_COORDS = {"cap": lambda: Cap(1.0), "pl": lambda: PiecewiseLinear([0.5, 1.5], [1.0, 0.5, 0.1]),
+           "log1p": Log1p, "sqrt": Sqrt, "power": lambda: Power(0.7), "designed": _designed_cap,
+           "adwords": lambda: adwords_closed_form_smoothing(256)}
+
+
+def _bit_equal(got, want):
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestBulkGains:
+    """Record gains evaluated in row passes after the steps equal, byte for
+    byte, the engine value differenced after every step."""
+
+    @staticmethod
+    def check_orthant(obj, steps, algo, moving):
+        want = every_step_orthant(obj, steps, algo)[0]
+        # cut the stream right after its moving-th move: the steps before are unchanged
+        moves = np.cumsum([bool(x.any()) for _, x, _, _, _ in want])
+        assert moves[-1] >= moving
+        cut = int(np.searchsorted(moves, moving)) + 1
+        run = run_simultaneous if algo == "sim" else run_sequential
+        eng = obj.engine
+        with mock.patch.object(eng, "row_values", wraps=eng.row_values) as passes:
+            tr = run(obj, steps[:cut])
+        assert passes.call_count == -(-moving // online._GAIN_CHUNK)
+        assert len(tr.records) == cut
+        for rec, (t, x, sigma, inner, gain) in zip(tr.records, want):
+            assert rec.x.tobytes() == x.tobytes(), t
+            assert (rec.t, rec.sigma, rec.inner) == (t, sigma, inner), t
+            assert _bit_equal(rec.gain, gain), (t, rec.gain, gain)
+        return tr
+
+    @settings(max_examples=20, deadline=None)
+    @given(hs.sampled_from(_CHUNK_RUNS), hs.sampled_from(["sim", "seq"]),
+           hs.lists(hs.sampled_from(sorted(_COORDS)), min_size=1, max_size=3),
+           hs.integers(3, 6), hs.integers(0, 2 ** 16))
+    @example(129, "seq", ["sqrt"], 4, 0)              # the seq interior shift, uniform
+    @example(257, "seq", ["log1p", "sqrt"], 5, 1)     # ... and mixed
+    @example(128, "sim", ["adwords"], 3, 2)
+    @example(257, "sim", sorted(_COORDS), 7, 3)
+    @example(257, "seq", sorted(_COORDS), 7, 4)
+    def test_allocation(self, moving, algo, kinds, n, seed):
+        # a single kind shares one coordinate object; several alternate
+        # distinct objects.  Bids of at most 0.01 add at most 0.01 to the
+        # state's sum per step, so the capped coordinates, flat past 1, keep
+        # moving for the first n / 0.01 >= 300 arrivals with a bid
+        coords = ([_COORDS[kinds[0]]()] * n if len(kinds) == 1
+                  else [_COORDS[kinds[i % len(kinds)]]() for i in range(n)])
+        rng = np.random.default_rng(seed)
+        zero = Step(DiagMap(np.zeros(n)), FeasibleSet("simplex", n))
+        steps = []
+        while len(steps) < 330:
+            draw = rng.random()
+            if draw < 0.1:
+                steps += [zero] * int(rng.integers(1, 3))   # repeated arrivals are replayed
+            else:
+                steps.append(Step(DiagMap(rng.uniform(0.001, 0.01, n)), FeasibleSet("simplex", n)))
+        tr = self.check_orthant(SeparableObjective(coords), steps, algo, moving)
+        # the powers' slope is unbounded at 0
+        assert tr.interior_shift == (algo == "seq" and not {"power", "sqrt"}.isdisjoint(kinds))
+
+    @settings(max_examples=12, deadline=None)
+    @given(hs.sampled_from(_CHUNK_RUNS), hs.sampled_from(["sim", "seq"]), hs.booleans(),
+           hs.sampled_from([1, 3]), hs.integers(0, 2 ** 16))
+    def test_packing(self, moving, algo, smoothed, k, seed):
+        inst = gen_lp_random(4, 700, k, 0.7, seed=seed)
+        l, theta = inst.extras["l"], inst.extras["theta"]
+        pen = nesterov_penalty_smoothing(l, theta) if smoothed else None
+        self.check_orthant(PenaltyLPObjective(4, l, theta, smoothed_penalty=pen), inst.steps,
+                           algo, moving)
+
+    @settings(max_examples=12, deadline=None)
+    @given(hs.sampled_from(_CHUNK_RUNS), hs.sampled_from(["sim", "seq"]), hs.booleans(),
+           hs.integers(0, 2 ** 16))
+    def test_logdet(self, m, algo, smoothed, seed):
+        inst = gen_logdet_stream(4, m, 2.0, seed=seed)
+        A0, l = np.asarray(inst.extras["A0"]), inst.extras["l"]
+        pen = nesterov_logdet_smoothing(4, l, 2.0) if smoothed else None
+        obj = LogDetObjective(A0, 2.0, l=l, smoothed_budget=pen)
+        want = every_step_psd(obj, inst.steps, algo)
+        tr = (run_simultaneous if algo == "sim" else run_sequential)(obj, inst.steps)
+        assert len(tr.records) == len(want) == m
+        for rec, (t, x, sigma, inner, gain) in zip(tr.records, want):
+            assert (rec.t, float(rec.x[0]), rec.sigma, rec.inner) == (t, x, sigma, inner), t
+            assert _bit_equal(rec.gain, gain), (t, rec.gain, gain)
 
 
 class TestPackingRuns:
