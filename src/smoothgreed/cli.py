@@ -159,7 +159,8 @@ def _do_run(args, check: bool) -> int:
         "gap_ok": gap.passed,
         "alpha_realized": report.alpha_realized,
     })
-    if "offline_opt" in inst.extras:
+    if "offline_opt" in inst.extras and not args.objective:
+        # the optimum is the instance's own objective's: an --objective has another
         summary["true_ratio"] = trace.P_orig / inst.extras["offline_opt"]
     # JSON has no inf or NaN (ratio_lb is inf when D = 0)
     summary = {k: None if isinstance(v, float) and not math.isfinite(v) else v

@@ -21,13 +21,17 @@ allocation and packing); the engines differ only in how a step's point is
 chosen and whether the loop tracks the saddle residual or the correction.
 A step's ``StepRecord`` holds x, sigma, the inner product and the gain in
 the engine objective; an orthant step with A x = 0 moves neither the state
-nor the dual, so it records a gain of exactly 0.0, and the same Step object
-arriving next is not solved again: its x, sigma and inner product are those
-of the arrival before.  Gains are evaluated in bulk, to the bits of
-differencing the objective after every step: the orthant loop evaluates the
-states of every _GAIN_CHUNK moving steps in one ``row_values`` pass, and the
-PSD loop its budget penalty over the run in one pass.  Runs with
-``keep_records=False`` make neither pass.
+nor the dual, so it records a gain of exactly 0.0.  The orthant loop solves
+an arrival of the Step object before it only where x may change, with
+every output that of solving each arrival: after a zero image the run
+repeats x, and on simultaneous allocation with one shared coordinate
+function the uniform fill and the PL shared-bid fill repeat x while the
+fills of the moving coordinates to the plateau and to each positive
+piece's start equal the solved arrival's bit for bit (_block).  Gains are
+evaluated in bulk, to the bits of differencing the objective after every
+step: the orthant loop evaluates the states of every _GAIN_CHUNK moving
+steps in one ``row_values`` pass, and the PSD loop its budget penalty over
+the run in one pass.  Runs with ``keep_records=False`` make neither pass.
 """
 
 from __future__ import annotations
@@ -311,7 +315,7 @@ def _uniform_fill(x, act, cap):
 _TINY_BID = 2.0 ** -512
 
 
-def _waterfill(coords, uniform, a, w, plateau=None):
+def _waterfill(coords, uniform, a, w, plateau=None, level=None):
     """Exact coordinate maximization of sum_j f_j(w_j + a_j x_j) over the simplex.
 
     Equalizes marginals a_j * f_j'(.) at a shared level (_level); remaining
@@ -322,7 +326,8 @@ def _waterfill(coords, uniform, a, w, plateau=None):
     amount on every active coordinate (_uniform_fill), which by symmetry
     and concavity is the exact maximizer.  ``plateau``, when given, is
     every coordinate's deriv_inv_lo(0), where its strict gain ends; the
-    engine computes it once per run.
+    engine computes it once per run.  ``level``, when a list, receives the
+    level of the fill (0.0 where the simplex does not bind).
     Returns (x, y) with y a supergradient selection making x an exact
     support-function argmax for a * y.
     """
@@ -333,13 +338,34 @@ def _waterfill(coords, uniform, a, w, plateau=None):
     same = uniform and bool((aa == aa[0]).all())      # one f and one bid
     if (aa[0] if same else aa.min()) < _TINY_BID:
         with np.errstate(over="ignore"):    # v/a and (t - w)/a overflow; both are clipped
-            return _fill(coords, uniform, a, w, plateau, act, aa, same)
-    return _fill(coords, uniform, a, w, plateau, act, aa, same)
+            return _fill(coords, uniform, a, w, plateau, act, aa, same, level)
+    return _fill(coords, uniform, a, w, plateau, act, aa, same, level)
 
 
-def _fill(coords, uniform, a, w, plateau, act, aa, same):
+def _fill_at(t, ww, aa, pl):
+    """Fill of the states ww with the bids aa up to the state points t; being
+    elementwise, it fills a stack of rows of states as each row alone.
+
+    ``pl`` marks the piecewise-linear coordinates, or is None when none is:
+    their fill, when it ends at a breakpoint t, must reach it in the engine's
+    w + a*x, or the supergradient there misses the level.
+    """
+    x = ((t - ww) / aa).clip(0.0, 1.0)
+    if pl is None:
+        return x
+    short = pl & (ww + aa * x < t) & (x < 1.0)
+    while short.any():
+        step = np.maximum((t - (ww + aa * x)) / aa, 0.0)
+        x[short] = np.minimum(np.maximum(x + step, np.nextafter(x, 2.0)), 1.0)[short]
+        short &= (ww + aa * x < t) & (x < 1.0)
+    return x
+
+
+def _fill(coords, uniform, a, w, plateau, act, aa, same, level):
     """_waterfill past its checks: act marks the active bids aa = a[act], and
-    same says that one f and one bid are shared."""
+    same says that one f and one bid are shared.  Of its branches, the two
+    that read no continuous level (the uniform fill, the PL shared-bid fill)
+    and the one where the simplex does not bind are stepped by _block."""
     x = np.zeros(len(a))
     ww = w[act]
     if uniform:
@@ -349,27 +375,15 @@ def _fill(coords, uniform, a, w, plateau, act, aa, same):
         sub = [coords[j] for j in range(len(a)) if act[j]]
         pl = np.array([isinstance(f, PiecewiseLinear) for f in sub])
     snap = bool(pl.any())
-
-    def fill_at(t):
-        x = ((t - ww) / aa).clip(0.0, 1.0)
-        if not snap:
-            return x
-        # a fill that ends at a breakpoint t must reach it in the engine's
-        # w + a*x, or the supergradient there misses the level
-        short = pl & (ww + aa * x < t) & (x < 1.0)
-        while short.any():
-            step = np.maximum((t - (ww + aa * x)) / aa, 0.0)
-            x[short] = np.minimum(np.maximum(x + step, np.nextafter(x, 2.0)), 1.0)[short]
-            short &= (ww + aa * x < t) & (x < 1.0)
-        return x
+    mask = pl if snap else None
 
     def fill(v, inv):
-        return fill_at(coordwise(sub, uniform, inv, v / aa))
+        return _fill_at(coordwise(sub, uniform, inv, v / aa), ww, aa, mask)
 
     # Sums are taken over the full x, as callers take them: with inactive
     # zeros in between, pairwise summation can round differently.
     def total_at(t):
-        xa = fill_at(t)
+        xa = _fill_at(t, ww, aa, mask)
         x[act] = xa
         return xa, float(x.sum())
 
@@ -387,7 +401,8 @@ def _fill(coords, uniform, a, w, plateau, act, aa, same):
     elif same and not snap and bool((ww == ww[0]).all()):
         # one state point t = w0 + a0 * xs for every active coordinate
         xs = _uniform_fill(x, act, float(x_top[0]))
-        v_star = aa[0] * float(sub[0].deriv_right(ww[0] + aa[0] * xs))
+        # a one-element array, so that _block's rows take the same path
+        v_star = aa[0] * float(sub[0].deriv_right(ww[:1] + aa[0] * xs)[0])
     else:
         if same and snap:
             # The PL shared-bid fill.  Every marginal is a0 * s_i, and the
@@ -406,7 +421,7 @@ def _fill(coords, uniform, a, w, plateau, act, aa, same):
                 else:
                     j, x_max = mid, x_mid
             v_star = aa[0] * f.s[i] * (1.0 + _LEVEL_WIN)
-            x_min = fill_at(f._ends[i])
+            x_min = _fill_at(f._ends[i], ww, aa, mask)
         else:
             v_star = _level(sub, uniform, aa, ww, total, s0, snap)
             x_min = fill(v_star, "deriv_inv_lo")
@@ -419,7 +434,69 @@ def _fill(coords, uniform, a, w, plateau, act, aa, same):
         # left of u by the rounding of w + a*x, which can pass a breakpoint
         upper = coordwise(sub, uniform, "deriv_left", u[act] * (1.0 - _LEVEL_WIN))
         y[act] = np.clip(v_star / aa, y[act], upper)
+    if level is not None:
+        level.append(v_star)
     return x, y
+
+
+# The most arrivals of one Step that _block steps at a time, and the fewest
+# that the fills must keep in exact arithmetic for it to try
+_BLOCK_CAP, _BLOCK_MIN = 64, 2
+
+
+def _block(f, points, a, img, w, r, v_star):
+    """Step up to r more arrivals of the allocation step with bids a that
+    _waterfill solved at the state w, to the image img = a*x at the level
+    v_star, on the shared function f.
+
+    Only the fills _fill names block, with one bid on every active
+    coordinate and, for a smooth f, equal active states.  Their x is a
+    function of the fills of the active coordinates to the column
+    ``points``: the plateau and, for a piecewise-linear f, the starts of its
+    positive pieces.  Those are taken on the state before each arrival,
+    U[k] = w + img added k times (cumsum is sequential: bit for bit
+    u = u + img), and arrival k returns x while they equal those at w bit
+    for bit; only moving states can change theirs.  A moving state keeps
+    its fill to a point while a bid short of it or past it; rows are taken
+    as far as that holds in exact arithmetic, plus one, and none when that
+    is fewer than _BLOCK_MIN.  Returns None
+    when no arrival blocks, else (L, U, Y): the first L arrivals return x,
+    the state after arrival k is U[k + 1] and Y[k - 1] its dual, taken as
+    _fill takes it.
+    """
+    mov = img > 0.0
+    gap = points - w
+    if ((gap - a < _BLOCK_MIN * img) & (gap > 0.0) & mov).any():
+        return None
+    act = a > 0
+    aa, ww = a[act], w[act]
+    pl = isinstance(f, PiecewiseLinear)
+    if aa[0] < _TINY_BID or (aa != aa[0]).any() or not pl and (ww != ww[0]).any():
+        return None
+    gap = gap[:, mov]
+    with np.errstate(over="ignore"):    # a tiny image; the block is then capped by r
+        ahead = float(np.where(gap > 0.0, (gap - a[mov]) / img[mov], np.inf).min())
+    if ahead < r:
+        r = int(ahead) + 1
+    U = np.empty((r + 2, len(w)))
+    U[0], U[1:] = w, img
+    np.cumsum(U, axis=0, out=U)
+    fills = _fill_at(points, U[:r + 1, None, mov], aa[0], True if pl else None)
+    bits = fills.reshape(r + 1, -1).view(np.int64)
+    L = int(np.argmax((bits != bits[0]).any(axis=1))) - 1
+    if not L:
+        return None
+    L = r if L < 0 else L
+    post = U[2:L + 2]
+    Y = np.asarray(f.deriv_right(post), dtype=float)
+    if v_star > 0.0:
+        upper = np.asarray(f.deriv_left(post[:, act] * (1.0 - _LEVEL_WIN)), dtype=float)
+        if pl:
+            Y[:, act] = np.clip(v_star / aa, Y[:, act], upper)
+        else:       # the uniform fill's level at each row's common state point
+            v = aa[0] * np.asarray(f.deriv_right(post[:, int(act.argmax())]), dtype=float)[:, None]
+            Y[:, act] = np.where(v > 0.0, np.clip(v / aa, Y[:, act], upper), Y[:, act])
+    return L, U, Y
 
 
 def _lp_step_exact(obj: PenaltyLPObjective, st: Step, state):
@@ -593,11 +670,11 @@ def _lp_step_newton(obj: PenaltyLPObjective, st: Step, state):
     return x, np.asarray(pen.deriv_right(u), dtype=float)
 
 
-def _sim_step(obj, st: Step, u, plateau=None):
+def _sim_step(obj, st: Step, u, plateau=None, level=None):
     """Exact coordinate maximization of one orthant step at the state u.
 
     ``obj`` is the engine objective (``engine`` of the caller's objective);
-    ``plateau`` is passed on to _waterfill.
+    ``plateau`` and ``level`` are passed on to _waterfill.
 
     Separable allocation steps are water-filled (_waterfill); packing steps
     run a simplex on the step LP's dual when unsmoothed (_lp_step_exact),
@@ -608,7 +685,7 @@ def _sim_step(obj, st: Step, u, plateau=None):
     floating-point rounding.
     """
     if isinstance(obj, SeparableObjective):
-        return _waterfill(obj.coords, obj._uniform, st.A.a, u, plateau)
+        return _waterfill(obj.coords, obj._uniform, st.A.a, u, plateau, level)
     if obj.smoothed_penalty is None:
         x, y_pen = _lp_step_exact(obj, st, u)
     elif st.A.B.shape[1] == 1:
@@ -738,7 +815,13 @@ def run_sequential(obj, steps, keep_records: bool = True) -> RunTrace:
 
 def _run_orthant(obj, steps, algo, keep_records):
     """Allocation and packing: sim solves each step exactly, seq assigns
-    against the previous dual and tracks the dual-movement correction."""
+    against the previous dual and tracks the dual-movement correction.
+
+    The arrivals of the Step object solved last repeat its x without a
+    solve: all of them after a zero image, which moves neither the state
+    nor the dual, and those that _block steps on sim allocation with one
+    shared coordinate function.
+    """
     eng = obj.engine
     u = np.zeros(obj.n + 1 if isinstance(obj, PenaltyLPObjective) else obj.n)
     shift = False
@@ -751,32 +834,42 @@ def _run_orthant(obj, steps, algo, keep_records):
     plateau = None      # each allocation coordinate's deriv_inv_lo(0), a constant of eng
     if algo == "sim" and isinstance(eng, SeparableObjective):
         plateau = coordwise(eng.coords, eng._uniform, "deriv_inv_lo", np.zeros(eng.n))
+    points = None       # the state points whose fills decide _block, as a column
+    if plateau is not None and eng._uniform:
+        # the plateau, and a piecewise-linear f's piece starts past 0 (its fill is empty)
+        f = eng.coords[0]
+        points = (f._ends[1:np.count_nonzero(f.s > 0.0) + 1] if isinstance(f, PiecewiseLinear)
+                  else plateau[:1])[:, None]
     sigma_sum = corr = sqsum = resid = 0.0
     y_low = np.inf      # running minimum of the sim steps' duals
     records = []
     rows, pending = [u], []     # states since the last gain pass, and their moving records
-    still = None    # the last step, when its image was 0
-    for t, st in enumerate(steps, 1):
-        if st is still:     # the same step at the same state and dual: the same answer
-            sigma_sum += sigma
-            if keep_records:
-                records.append(StepRecord(t, x, sigma, inner, 0.0))
-            continue
+
+    def stage(states, recs):
+        """Queue moving records and their states for the gain passes."""
+        rows.extend(states)
+        pending.extend(recs)
+        while len(pending) >= _GAIN_CHUNK:
+            _set_gains(eng, rows[:_GAIN_CHUNK + 1], pending[:_GAIN_CHUNK])
+            del rows[:_GAIN_CHUNK], pending[:_GAIN_CHUNK]
+
+    t, run = 0, (None, 0)      # the Step of the run that _block last stepped, and its end
+    while t < len(steps):
+        st, w = steps[t], u
         if algo == "sim":
-            x, y_step = _sim_step(eng, st, u, plateau)
+            level = [] if points is not None else None
+            x, y_step = _sim_step(eng, st, u, plateau, level)
             z, y_low = st.A.adjoint(y_step), np.minimum(y_low, y_step)
             sigma = max(0.0, float(np.max(z)))
             inner = float(x @ z)
-            resid = max(resid, abs(sigma * min(float(x.sum()), 1.0) - inner))
+            x_sum = min(float(x.sum()), 1.0)
+            resid = max(resid, abs(sigma * x_sum - inner))
         else:
             sigma, x = st.F.support(st.A.adjoint(y))
         img = st.A.apply(x)
-        # a step whose image is 0 moves neither u nor the dual, and gains 0.0;
-        # the same step arriving next is replayed from its answer
-        moved = img.any()
+        moved = img.any()       # else neither u nor the dual moves, and the gain is 0.0
         if moved:
             u = u + img
-        still = None if moved else st
         if algo == "seq":
             inner = float(img @ y)
             if moved:
@@ -785,14 +878,44 @@ def _run_orthant(obj, steps, algo, keep_records):
                 sqsum += float(np.sum(img ** 2))
                 y = y_next
         sigma_sum += sigma
+        t += 1
         if keep_records:
             records.append(StepRecord(t, x, sigma, inner, 0.0))
             if moved:
-                rows.append(u)
-                pending.append(records[-1])
-                if len(pending) == _GAIN_CHUNK:
-                    _set_gains(eng, rows, pending)
-                    rows, pending = [u], []
+                stage([u], records[-1:])
+        if not moved:
+            while t < len(steps) and steps[t] is st:
+                t += 1
+                sigma_sum += sigma
+                if keep_records:
+                    records.append(StepRecord(t, x, sigma, inner, 0.0))
+            continue
+        while points is not None:
+            if run[0] is not st:
+                end = t
+                while end < len(steps) and steps[end] is st:
+                    end += 1
+                run = st, end
+            r = min(run[1] - t, _BLOCK_CAP)
+            got = _block(eng.coords[0], points, st.A.a, img, w, r, level[0]) if r >= _BLOCK_MIN else None
+            if got is None:
+                break
+            L, U, Y = got
+            Z = st.A.adjoint(Y)
+            y_low = np.minimum(y_low, Y.min(axis=0))
+            sigmas = [max(0.0, s) for s in Z.max(axis=1).tolist()]
+            inners = [float(x @ z) for z in Z]      # on contiguous rows, as on a solve's z
+            for s, i in zip(sigmas, inners):
+                resid = max(resid, abs(s * x_sum - i))
+                sigma_sum += s
+            if keep_records:
+                recs = [StepRecord(t + k, x, s, i, 0.0) for k, s, i in zip(range(1, L + 1), sigmas, inners)]
+                records.extend(recs)
+                stage(U[2:L + 2], recs)
+            t += L
+            w, u = U[L], U[L + 1]
+            if L < len(U) - 2:
+                break
     if pending:
         _set_gains(eng, rows, pending)
     if algo == "sim":

@@ -287,6 +287,12 @@ def every_step_orthant(obj, steps, algo):
 
     Returns the records as (t, x, sigma, inner, gain) tuples, P, D and corr.
     """
+    return every_step_orthant_run(obj, steps, algo)[:4]
+
+
+def every_step_orthant_run(obj, steps, algo):
+    """every_step_orthant, also returning the final dual and the largest sim
+    saddle residual: (records, P, D, corr, y_final, saddle_residual)."""
     eng = obj.engine
     u = np.zeros(obj.n + 1 if isinstance(obj, PenaltyLPObjective) else obj.n)
     if algo == "seq":
@@ -297,7 +303,7 @@ def every_step_orthant(obj, steps, algo):
     plateau = None
     if algo == "sim" and isinstance(eng, SeparableObjective):
         plateau = coordwise(eng.coords, eng._uniform, "deriv_inv_lo", np.zeros(eng.n))
-    sigma_sum = corr = 0.0
+    sigma_sum = corr = resid = 0.0
     y_low = np.inf
     prev_val = eng.value(u)
     records = []
@@ -307,6 +313,7 @@ def every_step_orthant(obj, steps, algo):
             z, y_low = st.A.adjoint(y_step), np.minimum(y_low, y_step)
             sigma = max(0.0, float(np.max(z)))
             inner = float(x @ z)
+            resid = max(resid, abs(sigma * min(float(x.sum()), 1.0) - inner))
         else:
             sigma, x = st.F.support(st.A.adjoint(y))
         img = st.A.apply(x)
@@ -322,7 +329,7 @@ def every_step_orthant(obj, steps, algo):
         sigma_sum += sigma
     if algo == "sim":
         y = np.minimum(eng.grad_lo(u), y_low)
-    return records, obj.value(u), sigma_sum - obj.conj(y), corr
+    return records, obj.value(u), sigma_sum - obj.conj(y), corr, y, resid
 
 
 def every_step_psd(obj, steps, algo):

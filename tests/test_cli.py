@@ -179,6 +179,22 @@ class TestRunCertify:
                         "--objective", str(coord), "--out", out]) == 0
         assert json.loads(Path(out + ".json").read_text())["gap_ok"]
 
+    def test_no_true_ratio_under_another_objective(self, tmp_path, capsys):
+        # the adversary's offline optimum n is the cap's; log1p has another
+        inst = str(tmp_path / "inst.json")
+        run_cli(["gen", "--family", "adwords_triangular", "--n", "10",
+                 "--phase-len", "3", "--out", inst])
+        coord = tmp_path / "log1p.json"
+        coord.write_text(json.dumps({"kind": "log1p"}))
+        out = str(tmp_path / "log1p_run")
+        capsys.readouterr()
+        assert run_cli(["certify", "--instance", inst, "--algo", "sim",
+                        "--objective", str(coord), "--out", out]) == 0
+        printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        summary = json.loads(Path(out + ".json").read_text())
+        assert "true_ratio" not in printed and "true_ratio" not in summary
+        assert printed["ratio_lb"] == summary["ratio_lb"] > 0.5
+
     def test_lp_and_logdet_families(self, tmp_path):
         lp = str(tmp_path / "lp.json")
         run_cli(["gen", "--family", "lp_random", "--n", "3", "--m", "10",

@@ -47,6 +47,7 @@ from smoothgreed.smoothing import (
 from oracles import (
     enumerate_offline_best,
     every_step_orthant,
+    every_step_orthant_run,
     every_step_psd,
     logdet_relaxation_grid,
     lp_step_highs,
@@ -621,10 +622,15 @@ class TestZeroSteps:
             assert (rec.t, rec.sigma, rec.inner, rec.gain) == (want.t, want.sigma, want.inner, want.gain)
         assert (tr.P_orig, tr.D_alg, tr.saddle_residual) == (ref.P_orig, ref.D_alg, ref.saddle_residual)
         np.testing.assert_array_equal(tr.y_final, ref.y_final)
-        # one solve per run of arrivals that move nothing
+        # one solve per run of arrivals that move nothing; sim also steps runs
+        # of the shared fills in blocks, so it solves strictly fewer
         still = [not st.A.apply(rec.x).any() for st, rec in zip(shared, tr.records)]
         replays = sum(shared[t] is shared[t - 1] and still[t - 1] for t in range(1, len(shared)))
-        assert replays > 0 and shared_solves == len(shared) - replays
+        assert replays > 0
+        if algo == "seq":
+            assert shared_solves == len(shared) - replays
+        else:
+            assert shared_solves < len(shared) - replays
 
 
 _CHUNK_RUNS = (127, 128, 129, 257)   # moving steps: each side of one and of two gain passes
@@ -720,6 +726,81 @@ class TestBulkGains:
         for rec, (t, x, sigma, inner, gain) in zip(tr.records, want):
             assert (rec.t, float(rec.x[0]), rec.sigma, rec.inner) == (t, x, sigma, inner), t
             assert _bit_equal(rec.gain, gain), (t, rec.gain, gain)
+
+
+def _run_stream(n, runs):
+    """Allocation steps in runs of one Step object: (length, bids, seed) each,
+    with one bid on most coordinates, unequal bids, or none."""
+    steps = []
+    for length, bids, seed in runs:
+        rng = np.random.default_rng(seed)
+        if bids == "equal":
+            a = np.where(rng.random(n) < 0.8, rng.uniform(0.002, 0.01), 0.0)
+        else:
+            a = rng.uniform(0.002, 0.01, n) if bids == "unequal" else np.zeros(n)
+        steps += [Step(DiagMap(a), FeasibleSet("simplex", n))] * length
+    return steps
+
+
+class TestBlockSteps:
+    """Sim allocation steps the arrivals of one Step object in blocks while
+    they keep x; records, P, D, the final dual and the saddle residual equal,
+    byte for byte, solving every arrival."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(hs.sampled_from((*_CHUNK_RUNS, None)), hs.sampled_from(sorted(_COORDS)), hs.integers(2, 6),
+           hs.lists(hs.tuples(hs.integers(1, 300), hs.sampled_from(["equal", "unequal", "zero"]),
+                              hs.integers(0, 2 ** 16)), min_size=1, max_size=5),
+           hs.booleans())
+    @example(257, "cap", 3, [(300, "equal", 1), (2, "zero", 0), (300, "equal", 2)], True)
+    @example(129, "adwords", 4, [(300, "equal", 3), (40, "unequal", 4), (200, "equal", 5)], False)
+    @example(128, "pl", 5, [(7, "equal", 6)] * 30, True)
+    @example(None, "pl", 3, [(300, "equal", 6)] * 3, True)      # states pass 0.5 and 1.5
+    def test_matches_every_step_loop(self, moving, kind, n, runs, keep_records):
+        obj = SeparableObjective([_COORDS[kind]()] * n)
+        steps = _run_stream(n, runs)
+        want, P, D, _, y_final, resid = every_step_orthant_run(obj, steps, "sim")
+        # cut the stream right after its moving-th move, when it has that many
+        moves = np.cumsum([bool(x.any()) for _, x, _, _, _ in want])
+        cut = len(steps)
+        if moving is not None and moves[-1] >= moving:
+            cut = int(np.searchsorted(moves, moving)) + 1
+        if cut < len(steps):
+            want, P, D, _, y_final, resid = every_step_orthant_run(obj, steps[:cut], "sim")
+        eng, blocks, block = obj.engine, [], online._block
+
+        def recorded(*args):
+            blocks.append((args, block(*args)))
+            return blocks[-1][1]
+
+        with mock.patch.object(eng, "row_values", wraps=eng.row_values) as passes, \
+                mock.patch.object(online, "_block", recorded):
+            tr = run_simultaneous(obj, steps[:cut], keep_records=keep_records)
+        # each blocked arrival's image and dual are the solve's at its state
+        plateau = np.asarray(obj.coords[0].deriv_inv_lo(np.zeros(n)), dtype=float)
+        for (f, _, a, img, _, _, _), got in blocks:
+            for k in range(1, got[0] + 1 if got else 1):
+                x, y = _waterfill([f] * n, True, a, got[1][k], plateau)
+                assert (a * x).tobytes() == img.tobytes() and y.tobytes() == got[2][k - 1].tobytes()
+        assert _bit_equal(tr.P_orig, P) and _bit_equal(tr.D_alg, D)
+        assert _bit_equal(tr.saddle_residual, resid)
+        assert tr.y_final.tobytes() == y_final.tobytes()
+        if not keep_records:
+            assert tr.records == [] and passes.call_count == 0
+            return
+        assert passes.call_count == -(-int(moves[cut - 1]) // online._GAIN_CHUNK)
+        assert len(tr.records) == cut
+        for rec, (t, x, sigma, inner, gain) in zip(tr.records, want):
+            assert rec.x.tobytes() == x.tobytes(), t
+            assert rec.t == t and _bit_equal(rec.sigma, sigma) and _bit_equal(rec.inner, inner), t
+            assert _bit_equal(rec.gain, gain), (t, rec.gain, gain)
+
+    @pytest.mark.parametrize("smoothed", [False, True], ids=["plain", "closed_form"])
+    def test_adversary_solves_few_arrivals(self, smoothed, monkeypatch):
+        # 5,000 arrivals in runs of 50; each run's x changes once or twice
+        solves = record_results(monkeypatch, "_sim_step")
+        run_simultaneous(adwords_obj(100, smoothed), gen_adwords_triangular(100, 50).steps)
+        assert len(solves) <= 200
 
 
 class TestPackingRuns:
