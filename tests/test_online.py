@@ -682,22 +682,25 @@ class TestBulkGains:
     @example(128, "sim", ["adwords"], 3, 2)
     @example(257, "sim", sorted(_COORDS), 7, 3)
     @example(257, "seq", sorted(_COORDS), 7, 4)
+    @example(257, "sim", ["adwords"], 3, 3319)        # 256 bids in the first 330 arrivals
     def test_allocation(self, moving, algo, kinds, n, seed):
         # a single kind shares one coordinate object; several alternate
         # distinct objects.  Bids of at most 0.01 add at most 0.01 to the
         # state's sum per step, so the capped coordinates, flat past 1, keep
-        # moving for the first n / 0.01 >= 300 arrivals with a bid
+        # moving for the first n / 0.01 >= 300 arrivals with a bid; the stream
+        # counts those, so it always holds more than the largest moving run
         coords = ([_COORDS[kinds[0]]()] * n if len(kinds) == 1
                   else [_COORDS[kinds[i % len(kinds)]]() for i in range(n)])
         rng = np.random.default_rng(seed)
         zero = Step(DiagMap(np.zeros(n)), FeasibleSet("simplex", n))
-        steps = []
-        while len(steps) < 330:
+        steps, bids = [], 0
+        while bids < 300:
             draw = rng.random()
             if draw < 0.1:
                 steps += [zero] * int(rng.integers(1, 3))   # repeated arrivals are replayed
             else:
                 steps.append(Step(DiagMap(rng.uniform(0.001, 0.01, n)), FeasibleSet("simplex", n)))
+                bids += 1
         tr = self.check_orthant(SeparableObjective(coords), steps, algo, moving)
         # the powers' slope is unbounded at 0
         assert tr.interior_shift == (algo == "seq" and not {"power", "sqrt"}.isdisjoint(kinds))
