@@ -27,7 +27,10 @@ every output that of solving each arrival: after a zero image the run
 repeats x, and on simultaneous allocation with one shared coordinate
 function the uniform fill and the PL shared-bid fill repeat x while the
 fills of the moving coordinates to the plateau and to each positive
-piece's start equal the solved arrival's bit for bit (_block).  Gains are
+piece's start equal the solved arrival's bit for bit (_block).  On
+sequential allocation with one shared coordinate function the picks of a
+run merge the coordinates' falling values (_seq_block), and elsewhere a
+separable dual is refreshed only where the step moved the state.  Gains are
 evaluated in bulk, to the bits of differencing the objective after every
 step: the orthant loop evaluates the states of every _GAIN_CHUNK moving
 steps in one ``row_values`` pass, and the PSD loop its budget penalty over
@@ -36,6 +39,7 @@ the run in one pass.  Runs with ``keep_records=False`` make neither pass.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -439,8 +443,9 @@ def _fill(coords, uniform, a, w, plateau, act, aa, same, level):
     return x, y
 
 
-# The most arrivals of one Step that _block steps at a time, and the fewest
-# that the fills must keep in exact arithmetic for it to try
+# The most arrivals of one Step that _block and _seq_block step at a time,
+# and the fewest left in the run (for _block: that the fills must keep in
+# exact arithmetic) for them to try
 _BLOCK_CAP, _BLOCK_MIN = 64, 2
 
 
@@ -497,6 +502,58 @@ def _block(f, points, a, img, w, r, v_star):
             v = aa[0] * np.asarray(f.deriv_right(post[:, int(act.argmax())]), dtype=float)[:, None]
             Y[:, act] = np.where(v > 0.0, np.clip(v / aa, Y[:, act], upper), Y[:, act])
     return L, U, Y
+
+
+def _seq_block(f, a, u, y, r):
+    """Step up to r arrivals of the allocation step with bids a as the
+    sequential engine does, from the state u with the dual y = f'(u) on the
+    shared function f.
+
+    Each arrival picks argmax(a*y), ties to the lowest index, and moves
+    only the picked coordinate's state and dual, so the picks merge the
+    active coordinates' own sequences of values: per active coordinate j,
+    the states S[j, c] = u_j + c*a_j by one cumsum (bit for bit u = u + img),
+    their duals Yc = f'(S) and the values V = a_j*Yc, as DiagMap.adjoint
+    takes them.  While every row falls, a stable sort of -V read row by row
+    orders the entries on (-V, j, c): the greedy's picks.  From a row's first
+    value that rises (rounding can break the fall) or is not finite, the row
+    keeps its last good value, so that its next entry sorts right after that
+    value is picked: the block stops there, where the greedy would read an
+    unknown value, and before the first value <= 0, where support returns
+    x = 0.  Returns None when no arrival blocks, else per pick its
+    coordinate, sigma (= inner), corr term a_j*(y_next - y)_j and a_j**2, as
+    lists, then the state after each pick as rows and the dual after them.
+    """
+    # np.max passes on a nan (0*inf), which support's argmax would pick
+    if not np.max(a * y) > 0.0:
+        return None
+    act = np.flatnonzero(a > 0.0)
+    aa = a[act, None]
+    S = np.empty((len(act), r + 1))
+    S[:, 0], S[:, 1:] = u[act], aa
+    np.cumsum(S, axis=1, out=S)
+    Yc = np.asarray(f.deriv_right(S), dtype=float)
+    V = aa * Yc[:, :r]
+    bad = ~np.isfinite(V)
+    bad[:, 1:] |= V[:, 1:] > V[:, :-1]
+    key = V
+    if bad.any():
+        bad = np.logical_or.accumulate(bad, axis=1)
+        key = np.minimum.accumulate(np.where(bad, np.inf, V), axis=1)
+    order = np.argsort(-key.ravel(), kind="stable")[:r]
+    L = int(np.argmax(np.append(bad.ravel()[order] | (key.ravel()[order] <= 0.0), True)))
+    if not L:
+        return None
+    J, C = np.divmod(order[:L], r)
+    j = np.arange(len(act))
+    count = np.cumsum(J[:, None] == j, axis=0)     # each coordinate's picks so far
+    U = np.tile(u, (L, 1))
+    U[:, act] = S[j, count]
+    y = y.copy()
+    y[act] = Yc[j, count[-1]]
+    bid = aa[J, 0]
+    return (act[J].tolist(), V[J, C].tolist(), (bid * (Yc[J, C + 1] - Yc[J, C])).tolist(),
+            (bid * bid).tolist(), U, y)
 
 
 def _lp_step_exact(obj: PenaltyLPObjective, st: Step, state):
@@ -820,7 +877,10 @@ def _run_orthant(obj, steps, algo, keep_records):
     The arrivals of the Step object solved last repeat its x without a
     solve: all of them after a zero image, which moves neither the state
     nor the dual, and those that _block steps on sim allocation with one
-    shared coordinate function.
+    shared coordinate function.  On seq allocation with one shared
+    coordinate function, _seq_block steps a run's arrivals before any
+    support call; the first that it does not take is assigned alone.
+    Both blocks end with the run, as run_left finds it, or at _BLOCK_CAP.
     """
     eng = obj.engine
     u = np.zeros(obj.n + 1 if isinstance(obj, PenaltyLPObjective) else obj.n)
@@ -840,6 +900,8 @@ def _run_orthant(obj, steps, algo, keep_records):
         f = eng.coords[0]
         points = (f._ends[1:np.count_nonzero(f.s > 0.0) + 1] if isinstance(f, PiecewiseLinear)
                   else plateau[:1])[:, None]
+    separable = isinstance(eng, SeparableObjective)
+    seq_f = eng.coords[0] if algo == "seq" and separable and eng._uniform else None
     sigma_sum = corr = sqsum = resid = 0.0
     y_low = np.inf      # running minimum of the sim steps' duals
     records = []
@@ -853,9 +915,40 @@ def _run_orthant(obj, steps, algo, keep_records):
             _set_gains(eng, rows[:_GAIN_CHUNK + 1], pending[:_GAIN_CHUNK])
             del rows[:_GAIN_CHUNK], pending[:_GAIN_CHUNK]
 
-    t, run = 0, (None, 0)      # the Step of the run that _block last stepped, and its end
+    run = [None, 0]     # a Step object and the end of its run, as run_left last found them
+    # the x of each coordinate that _seq_block picks, shared by its records
+    one_hot = functools.cache(lambda j: np.eye(1, obj.n, j)[0])
+
+    def run_left(st):
+        """Arrivals from t on before the run of the Step object st ends."""
+        if run[0] is not st or run[1] <= t:
+            end = t
+            while end < len(steps) and steps[end] is st:
+                end += 1
+            run[:] = st, end
+        return run[1] - t
+
+    t = 0
     while t < len(steps):
-        st, w = steps[t], u
+        st = steps[t]
+        if seq_f is not None:
+            r = min(run_left(st), _BLOCK_CAP)
+            got = _seq_block(seq_f, st.A.a, u, y, r) if r >= _BLOCK_MIN else None
+            if got is not None:
+                picks, sigmas, dcorr, dsq, U, y = got
+                for s, c, q in zip(sigmas, dcorr, dsq):
+                    sigma_sum += s
+                    corr += c
+                    sqsum += q
+                if keep_records:
+                    recs = [StepRecord(t + k, one_hot(j), s, s, 0.0)
+                            for k, j, s in zip(range(1, len(picks) + 1), picks, sigmas)]
+                    records.extend(recs)
+                    stage(U, recs)
+                t, u = t + len(picks), U[-1]
+                if len(picks) == r:
+                    continue
+        w = u
         if algo == "sim":
             level = [] if points is not None else None
             x, y_step = _sim_step(eng, st, u, plateau, level)
@@ -873,7 +966,12 @@ def _run_orthant(obj, steps, algo, keep_records):
         if algo == "seq":
             inner = float(img @ y)
             if moved:
-                y_next = eng.grad_lo(u)
+                if separable:   # only the moved coordinates' duals change
+                    y_next, j = y.copy(), np.flatnonzero(img)
+                    y_next[j] = coordwise(eng.coords if eng._uniform else [eng.coords[i] for i in j],
+                                          eng._uniform, "deriv_right", u[j])
+                else:
+                    y_next = eng.grad_lo(u)
                 corr += float(img @ (y_next - y))
                 sqsum += float(np.sum(img ** 2))
                 y = y_next
@@ -891,12 +989,7 @@ def _run_orthant(obj, steps, algo, keep_records):
                     records.append(StepRecord(t, x, sigma, inner, 0.0))
             continue
         while points is not None:
-            if run[0] is not st:
-                end = t
-                while end < len(steps) and steps[end] is st:
-                    end += 1
-                run = st, end
-            r = min(run[1] - t, _BLOCK_CAP)
+            r = min(run_left(st), _BLOCK_CAP)
             got = _block(eng.coords[0], points, st.A.a, img, w, r, level[0]) if r >= _BLOCK_MIN else None
             if got is None:
                 break

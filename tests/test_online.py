@@ -37,6 +37,7 @@ from smoothgreed.online import (
 from smoothgreed.scalar import Cap, Linear, Log1p, NegPlusPenalty, PiecewiseLinear, Power, Sqrt
 from smoothgreed.smoothing import (
     DesignSpec,
+    SmoothedScalar,
     adwords_closed_form_smoothing,
     design_optimal,
     nesterov_logdet_smoothing,
@@ -622,15 +623,12 @@ class TestZeroSteps:
             assert (rec.t, rec.sigma, rec.inner, rec.gain) == (want.t, want.sigma, want.inner, want.gain)
         assert (tr.P_orig, tr.D_alg, tr.saddle_residual) == (ref.P_orig, ref.D_alg, ref.saddle_residual)
         np.testing.assert_array_equal(tr.y_final, ref.y_final)
-        # one solve per run of arrivals that move nothing; sim also steps runs
-        # of the shared fills in blocks, so it solves strictly fewer
+        # one solve per run of arrivals that move nothing; both engines also
+        # step runs of one Step object in blocks, so they solve strictly fewer
         still = [not st.A.apply(rec.x).any() for st, rec in zip(shared, tr.records)]
         replays = sum(shared[t] is shared[t - 1] and still[t - 1] for t in range(1, len(shared)))
         assert replays > 0
-        if algo == "seq":
-            assert shared_solves == len(shared) - replays
-        else:
-            assert shared_solves < len(shared) - replays
+        assert shared_solves < len(shared) - replays
 
 
 _CHUNK_RUNS = (127, 128, 129, 257)   # moving steps: each side of one and of two gain passes
@@ -731,9 +729,10 @@ class TestBulkGains:
             assert _bit_equal(rec.gain, gain), (t, rec.gain, gain)
 
 
-def _run_stream(n, runs):
+def _run_stream(n, runs, scale=1.0):
     """Allocation steps in runs of one Step object: (length, bids, seed) each,
-    with one bid on most coordinates, unequal bids, or none."""
+    with one bid on most coordinates, unequal bids, or none; bids lie in
+    [0.002, 0.01] times ``scale``."""
     steps = []
     for length, bids, seed in runs:
         rng = np.random.default_rng(seed)
@@ -741,7 +740,7 @@ def _run_stream(n, runs):
             a = np.where(rng.random(n) < 0.8, rng.uniform(0.002, 0.01), 0.0)
         else:
             a = rng.uniform(0.002, 0.01, n) if bids == "unequal" else np.zeros(n)
-        steps += [Step(DiagMap(a), FeasibleSet("simplex", n))] * length
+        steps += [Step(DiagMap(a * scale), FeasibleSet("simplex", n))] * length
     return steps
 
 
@@ -804,6 +803,76 @@ class TestBlockSteps:
         solves = record_results(monkeypatch, "_sim_step")
         run_simultaneous(adwords_obj(100, smoothed), gen_adwords_triangular(100, 50).steps)
         assert len(solves) <= 200
+
+
+# a derivative grid that rises by 1e-13 on [0.05, 0.1], within the
+# SmoothedScalar tolerance, and is flat on [0.15, 0.2]
+_SEQ_COORDS = {**_COORDS, "rising": lambda: SmoothedScalar(0.05, [1.0, 0.9, 0.9 + 1e-13, 0.6, 0.6, 0.3, 0.0])}
+
+
+class TestSeqBlocks:
+    """Seq allocation steps the arrivals of one Step object in blocks that
+    merge the coordinates' values; records, P, D, corr, the squared step
+    norms and the final dual equal, byte for byte, assigning every arrival."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(hs.sampled_from((*_CHUNK_RUNS, None)),
+           hs.lists(hs.sampled_from(sorted(_SEQ_COORDS)), min_size=1, max_size=3), hs.integers(2, 6),
+           hs.lists(hs.tuples(hs.integers(1, 300), hs.sampled_from(["equal", "unequal", "zero"]),
+                              hs.integers(0, 2 ** 16)), min_size=1, max_size=5),
+           hs.sampled_from([1.0, 10.0, 40.0]), hs.booleans())
+    @example(None, ["cap"], 4, [(300, "equal", 1)], 1.0, True)            # ties: equal states and bids
+    @example(257, ["rising"], 3, [(200, "equal", 2), (100, "unequal", 3)], 1.0, True)
+    @example(None, ["cap"], 2, [(300, "equal", 3)], 40.0, False)          # every budget spent
+    @example(129, ["adwords", "sqrt"], 5, [(300, "unequal", 4), (2, "zero", 5)], 10.0, True)
+    @example(128, ["power"], 6, [(1, "unequal", 6)] * 200, 1.0, True)     # runs of one arrival
+    def test_matches_every_step_loop(self, moving, kinds, n, runs, scale, keep_records):
+        # a single kind shares one coordinate object; several alternate distinct ones
+        coords = ([_SEQ_COORDS[kinds[0]]()] * n if len(kinds) == 1
+                  else [_SEQ_COORDS[kinds[i % len(kinds)]]() for i in range(n)])
+        obj = SeparableObjective(coords)
+        steps = _run_stream(n, runs, scale)
+        want = every_step_orthant_run(obj, steps, "seq")[0]
+        # cut the stream right after its moving-th move, when it has that many
+        moves = np.cumsum([bool(x.any()) for _, x, _, _, _ in want])
+        cut = len(steps)
+        if moving is not None and moves[-1] >= moving:
+            cut = int(np.searchsorted(moves, moving)) + 1
+        want, P, D, corr, y_final, _ = every_step_orthant_run(obj, steps[:cut], "seq")
+        sq = 0.0
+        for st, (_, x, _, _, _) in zip(steps, want):
+            if x.any():
+                sq += float(np.sum(st.A.apply(x) ** 2))
+        eng = obj.engine
+        with mock.patch.object(eng, "row_values", wraps=eng.row_values) as passes:
+            tr = run_sequential(obj, steps[:cut], keep_records=keep_records)
+        assert _bit_equal(tr.P_orig, P) and _bit_equal(tr.D_alg, D)
+        assert _bit_equal(tr.corr, corr) and _bit_equal(tr.sq_norm_sum, sq)
+        assert tr.y_final.tobytes() == y_final.tobytes()
+        if not keep_records:
+            assert tr.records == [] and passes.call_count == 0
+            return
+        assert passes.call_count == -(-int(moves[cut - 1]) // online._GAIN_CHUNK)
+        assert len(tr.records) == cut
+        for rec, (t, x, sigma, inner, gain) in zip(tr.records, want):
+            assert rec.x.tobytes() == x.tobytes(), t
+            assert rec.t == t and _bit_equal(rec.sigma, sigma) and _bit_equal(rec.inner, inner), t
+            assert _bit_equal(rec.gain, gain), (t, rec.gain, gain)
+
+    @pytest.mark.parametrize("smoothed", [False, True], ids=["plain", "closed_form"])
+    def test_adversary_calls_support_rarely(self, smoothed, monkeypatch):
+        # 5,000 arrivals in runs of 50: a block covers each run up to its
+        # first value <= 0, whose support call starts the zero-image replay
+        calls = []
+        support = FeasibleSet.support
+
+        def counted(*args):
+            calls.append(1)
+            return support(*args)
+
+        monkeypatch.setattr(FeasibleSet, "support", counted)
+        run_sequential(adwords_obj(100, smoothed), gen_adwords_triangular(100, 50).steps)
+        assert len(calls) <= 200
 
 
 class TestPackingRuns:
