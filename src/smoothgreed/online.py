@@ -29,8 +29,7 @@ function the uniform fill and the PL shared-bid fill repeat x while the
 fills of the moving coordinates to the plateau and to each positive
 piece's start equal the solved arrival's bit for bit (_block).  On
 sequential allocation with one shared coordinate function the picks of a
-run merge the coordinates' falling values (_seq_block), and elsewhere a
-separable dual is refreshed only where the step moved the state.  Gains are
+run merge the coordinates' falling values (_seq_block).  Gains are
 evaluated in bulk, to the bits of differencing the objective after every
 step: the orthant loop evaluates the states of every _GAIN_CHUNK moving
 steps in one ``row_values`` pass, and the PSD loop its budget penalty over
@@ -900,8 +899,8 @@ def _run_orthant(obj, steps, algo, keep_records):
         f = eng.coords[0]
         points = (f._ends[1:np.count_nonzero(f.s > 0.0) + 1] if isinstance(f, PiecewiseLinear)
                   else plateau[:1])[:, None]
-    separable = isinstance(eng, SeparableObjective)
-    seq_f = eng.coords[0] if algo == "seq" and separable and eng._uniform else None
+    seq_f = (eng.coords[0] if algo == "seq" and isinstance(eng, SeparableObjective) and eng._uniform
+             else None)
     sigma_sum = corr = sqsum = resid = 0.0
     y_low = np.inf      # running minimum of the sim steps' duals
     records = []
@@ -966,12 +965,7 @@ def _run_orthant(obj, steps, algo, keep_records):
         if algo == "seq":
             inner = float(img @ y)
             if moved:
-                if separable:   # only the moved coordinates' duals change
-                    y_next, j = y.copy(), np.flatnonzero(img)
-                    y_next[j] = coordwise(eng.coords if eng._uniform else [eng.coords[i] for i in j],
-                                          eng._uniform, "deriv_right", u[j])
-                else:
-                    y_next = eng.grad_lo(u)
+                y_next = eng.grad_lo(u)
                 corr += float(img @ (y_next - y))
                 sqsum += float(np.sum(img ** 2))
                 y = y_next
