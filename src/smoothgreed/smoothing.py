@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -394,6 +394,9 @@ class DesignResult:
     max_residual: float
     certified: bool
     spec: DesignSpec
+    # (beta, feasible, miss) of each construction the beta search ran, in
+    # order; miss is a plateau grid's unclamped last sample, else None
+    probes: list = field(default_factory=list)
 
     @property
     def ratio(self) -> float:
@@ -495,7 +498,8 @@ def _greedy_construct(spec: DesignSpec, beta: float, psis: list):
     Chooses at each knot the smallest feasible derivative sample, which
     keeps the accumulated integral (the only coupling across knots) as
     small as possible.  ``psis`` lists the base at the knots.  Returns the
-    grid or None when construction fails.
+    grid, its last sample unclamped, or None when a knot has no feasible
+    sample; ``_design`` applies the plateau check to the last sample.
     """
     base, d, c = spec.base, spec.d, spec.c
     h = spec.u_end / d
@@ -533,14 +537,42 @@ def _greedy_construct(spec: DesignSpec, beta: float, psis: list):
             cum = h * y[1]
         else:
             cum += half_h * (y[t - 1] + y[t])
-    if spec.plateau and y[d] > FEAS_TOL:
-        return None
-    if spec.plateau:
-        y[d] = 0.0
     return np.array(y)
 
 
+def _miss_root(misses):
+    """Secant root of y[d](beta) = FEAS_TOL through the last two (beta, y[d]) misses.
+
+    None with fewer than two misses or when the last two do not fall in beta.
+    """
+    if len(misses) < 2:
+        return None
+    (b1, m1), (b2, m2) = misses[-2:]
+    return b2 + (FEAS_TOL - m2) * (b2 - b1) / (m2 - m1) if m2 < m1 else None
+
+
 def _design(spec: DesignSpec) -> DesignResult:
+    """Smallest beta, to ``beta_tol``, at which the greedy construction succeeds.
+
+    The search follows the bisection of beta over [1, beta_hi], its
+    midpoints and its stopping rule, but does not construct every midpoint.
+    Feasibility is taken to be monotone in beta: a midpoint at or above a
+    feasible construction is feasible, one at or below an infeasible one is
+    infeasible.  A plateau construction that fails only at the last knot
+    leaves its miss, the unclamped last sample y[d] > FEAS_TOL, which falls
+    almost linearly in beta.  Once two misses are known, the remaining
+    midpoints are decided by the secant root of y[d](beta) = FEAS_TOL, and
+    only the replayed path's final hi and lo are constructed to confirm it.
+    Where no estimate exists (horizon designs fail at a knot and leave no
+    miss) the midpoint is constructed, as in the plain bisection.  A failed
+    confirmation replays the path from the start, taking plain midpoints
+    until the midpoints it decides without a construction cover the
+    constructions off its path; only then does it predict again.  So the
+    search constructs at most two betas more than the bisection.  The result
+    is the bisection's wherever feasibility is monotone in beta, and
+    ``verify_beta`` certifies the returned grid either way.  ``probes`` on
+    the result records every construction.
+    """
     if not spec.base.monotone or float(spec.base.value(spec.u_end)) <= 0:
         raise ValueError("design: base must be monotone with positive values on (0, u_end]")
     # A guaranteed-feasible upper bracket: the base's own derivative
@@ -554,24 +586,69 @@ def _design(spec: DesignSpec) -> DesignResult:
     if np.any(psis[1:] <= 0):
         raise ValueError("design: base must be positive on the grid interior")
     psis = psis.tolist()
+    probes = []         # (beta, feasible, miss) of every construction, in order
+    misses = []         # (beta, y[d]) of the plateau constructions that missed zero
+    f_min, i_max, y_best = math.inf, 1.0, None    # the bisection's lo is 1.0
+    tried = set()
+
+    def construct(beta):
+        nonlocal f_min, i_max, y_best
+        y = _greedy_construct(spec, beta, psis)
+        miss = float(y[-1]) if y is not None and spec.plateau else None
+        ok = y is not None and (miss is None or miss <= FEAS_TOL)
+        probes.append((beta, ok, miss))
+        tried.add(beta)
+        if ok:
+            if spec.plateau:
+                y[-1] = 0.0
+            if beta < f_min:
+                f_min, y_best = beta, y
+        else:
+            i_max = max(i_max, beta)
+            if miss is not None:
+                misses.append((beta, miss))
+        return ok
+
     tries = 0
-    while (y_best := _greedy_construct(spec, beta_hi, psis)) is None:
+    while not construct(beta_hi):
         beta_hi *= 1.5
         tries += 1
         if tries > 60:
             raise RuntimeError("design: could not bracket a feasible beta")
-    lo, hi = 1.0, beta_hi
-    # past the float spacing near beta the midpoint is lo or hi: stop there
-    while hi - lo > spec.beta_tol and lo < (mid := 0.5 * (lo + hi)) < hi:
-        y_mid = _greedy_construct(spec, mid, psis)
-        if y_mid is None:
-            lo = mid
-        else:
-            hi, y_best = mid, y_mid
+    n_bracket = len(probes)
+    while True:
+        lo, hi, est = 1.0, beta_hi, None
+        on_path = free = 0      # midpoints so far that were constructed, that never were
+        # past the float spacing near beta the midpoint is lo or hi: stop there
+        while hi - lo > spec.beta_tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+            if mid >= f_min or mid <= i_max:
+                feasible = mid >= f_min
+                if mid in tried:
+                    on_path += 1
+                else:
+                    free += 1
+            else:
+                # predict once the midpoints skipped so far cover the
+                # constructions off this path (failed confirmations): a wrong
+                # prediction costs at most two more
+                if est is None and len(probes) - n_bracket - on_path <= free:
+                    est = _miss_root(misses)
+                if est is None:
+                    feasible = construct(mid)
+                    on_path += 1
+                else:
+                    feasible = mid >= est
+            if feasible:
+                hi = mid
+            else:
+                lo = mid
+        if est is None or ((hi >= f_min or construct(hi)) and (lo <= i_max or not construct(lo))):
+            break
     sm = SmoothedScalar(spec.u_end / spec.d, make_monotone(y_best))
     sup_beta, _, residuals = verify_beta(sm, spec.base, c=spec.c, refine=4)
     return DesignResult(smoothed=sm, beta=max(1.0, sup_beta),
-                        max_residual=float(np.max(residuals)), certified=True, spec=spec)
+                        max_residual=float(np.max(residuals)), certified=True, spec=spec,
+                        probes=probes)
 
 
 def design_optimal(spec: DesignSpec) -> DesignResult:

@@ -16,8 +16,9 @@ import numpy as np
 from smoothgreed.objectives import (LogDetObjective, LogDetState, PenaltyLPObjective, SeparableObjective,
                                     Step, coordwise, logdet_step_gain)
 from smoothgreed.online import INTERIOR_SHIFT, _logdet_step, _sim_step
-from smoothgreed.scalar import SLOPE_CAP, ScalarConcave
-from smoothgreed.smoothing import FEAS_TOL, SmoothedScalar, make_monotone
+from smoothgreed import smoothing
+from smoothgreed.scalar import SLOPE_CAP, ScalarConcave, alpha_bar
+from smoothgreed.smoothing import FEAS_TOL, DesignResult, SmoothedScalar, make_monotone, verify_beta
 
 
 def conjugate_grid(value_fn, y, u_max=1e4, n=60_000):
@@ -201,7 +202,8 @@ def greedy_construct_reference(spec, beta, psis):
     Chooses at each knot the smallest feasible derivative sample, which
     keeps the accumulated integral (the only coupling across knots) as
     small as possible.  ``psis`` lists the base at the knots.  Returns the
-    grid or None when construction fails.
+    grid, its last sample unclamped, or None when a knot has no feasible
+    sample.
     """
     base, d, c = spec.base, spec.d, spec.c
     h = spec.u_end / d
@@ -235,11 +237,54 @@ def greedy_construct_reference(spec, beta, psis):
             cum = h * yt
         else:
             cum += 0.5 * h * (y[t - 1] + yt)
-    if spec.plateau and y[d] > FEAS_TOL:
-        return None
-    if spec.plateau:
-        y[d] = 0.0
     return np.array(y)
+
+
+def design_bisection_reference(spec):
+    """The designer's beta search as it was before it decided midpoints from
+    the plateau misses: a bisection that constructs every midpoint; kept as
+    the reference for bit identity.
+
+    The construction is the library's ``_greedy_construct``, looked up at
+    call time, with the plateau check it once applied itself.  Returns the
+    ``DesignResult``.
+    """
+    def construct(beta):
+        y = smoothing._greedy_construct(spec, beta, psis)
+        if y is None or (spec.plateau and y[-1] > FEAS_TOL):
+            return None
+        if spec.plateau:
+            y[-1] = 0.0
+        return y
+
+    if not spec.base.monotone or float(spec.base.value(spec.u_end)) <= 0:
+        raise ValueError("design: base must be monotone with positive values on (0, u_end]")
+    beta_hi = max(1.0, 1.0 - alpha_bar(spec.base, spec.u_end)) + 0.05
+    if spec.c > 0:
+        beta_hi += spec.c * spec.base.slope0() / max(spec.base.value(spec.u_end), 1e-12) + spec.c
+    h = spec.u_end / spec.d
+    psis = np.asarray(spec.base.value(h * np.arange(spec.d + 1)), dtype=float)
+    if np.any(psis[1:] <= 0):
+        raise ValueError("design: base must be positive on the grid interior")
+    psis = psis.tolist()
+    tries = 0
+    while (y_best := construct(beta_hi)) is None:
+        beta_hi *= 1.5
+        tries += 1
+        if tries > 60:
+            raise RuntimeError("design: could not bracket a feasible beta")
+    lo, hi = 1.0, beta_hi
+    # past the float spacing near beta the midpoint is lo or hi: stop there
+    while hi - lo > spec.beta_tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        y_mid = construct(mid)
+        if y_mid is None:
+            lo = mid
+        else:
+            hi, y_best = mid, y_mid
+    sm = SmoothedScalar(spec.u_end / spec.d, make_monotone(y_best))
+    sup_beta, _, residuals = verify_beta(sm, spec.base, c=spec.c, refine=4)
+    return DesignResult(smoothed=sm, beta=max(1.0, sup_beta),
+                        max_residual=float(np.max(residuals)), certified=True, spec=spec)
 
 
 def lp_step_highs(obj: PenaltyLPObjective, st: Step, state):

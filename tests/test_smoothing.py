@@ -34,6 +34,7 @@ from smoothgreed.smoothing import (
 
 from oracles import (
     adwords_certificate_check,
+    design_bisection_reference,
     dp_design_beta,
     from_base,
     greedy_construct_reference,
@@ -422,7 +423,8 @@ class TestGreedyIdentity:
                 y = smoothing._greedy_construct(spec, beta, psis)
                 ref = greedy_construct_reference(spec, beta, psis)
                 assert (y is None) == (ref is None), (spec, beta)
-                outcomes.add(y is None)
+                # the plateau check on the unclamped last sample, as _design does it
+                outcomes.add(y is None or (spec.plateau and y[-1] > FEAS_TOL))
                 if y is not None:
                     assert np.array_equal(y, ref) and y.tobytes() == ref.tobytes(), (spec, beta)
             assert outcomes == {True, False}, spec
@@ -456,6 +458,107 @@ class TestBetaBisection:
                                                    beta_tol=tol)).beta)
             assert calls[0] <= 64, tol
         assert betas[0] == betas[1]
+
+
+BENCH_DESIGN_SPECS = (DesignSpec(Cap(1.0), 1.0, d=1000, plateau=True),
+                      DesignSpec(Cap(1.0), 1.0, d=1000, plateau=True, c=0.5),
+                      DesignSpec(FIG_PL, 1.0, d=1000, plateau=True),
+                      DesignSpec(Log1p(), 100.0, d=2000))
+FIG_2A_SPECS = tuple(DesignSpec(FIG_PL, 1.0, d=500, plateau=True, c=float(c), beta_tol=2e-5)
+                     for c in np.linspace(0.02, 1.0, 6))
+
+
+def _count_constructs(monkeypatch):
+    construct, calls = smoothing._greedy_construct, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return construct(*args)
+
+    monkeypatch.setattr(smoothing, "_greedy_construct", counted)
+    return calls
+
+
+class TestBetaSearch:
+    """The beta search returns the bisection's result in fewer constructions."""
+
+    @staticmethod
+    def _assert_same(spec):
+        res, ref = smoothing._design(spec), design_bisection_reference(spec)
+        assert res.beta == ref.beta, spec
+        assert res.smoothed.y.tobytes() == ref.smoothed.y.tobytes(), spec
+        return res
+
+    def test_matches_bisection(self):
+        for spec in (*TestGreedyIdentity._specs(), *BENCH_DESIGN_SPECS, *FIG_2A_SPECS):
+            self._assert_same(spec)
+
+    @given(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4), st.floats(0.0, 1.0))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_bisection_on_plateau_bases(self, gaps, drops, c):
+        # a monotone piecewise-linear base that is flat past its last breakpoint
+        k = min(len(gaps), len(drops))
+        b = np.cumsum(gaps[:k])
+        s = np.append(1.0 + np.cumsum(drops[:k - 1][::-1])[::-1], [1.0, 0.0])
+        base = PiecewiseLinear(b.tolist(), s.tolist())
+        self._assert_same(DesignSpec(base, float(b[-1]), d=60, plateau=True, c=c))
+
+    def test_probes_record_the_search(self):
+        res = design_optimal(BENCH_DESIGN_SPECS[0])
+        assert [p[0] for p in res.probes][:2] == [2.05, 1.525]
+        for beta, feasible, miss in res.probes:
+            assert feasible == (miss <= FEAS_TOL), beta
+        # the last two constructions confirm the final bracket
+        feasible = min(b for b, ok, _ in res.probes if ok)
+        infeasible = max(b for b, ok, _ in res.probes if not ok)
+        assert {p[0] for p in res.probes[-2:]} == {feasible, infeasible}
+        assert 0.0 < feasible - infeasible <= res.spec.beta_tol
+        assert "probes" not in res.summary()
+
+    def test_construct_counts(self, monkeypatch):
+        calls = _count_constructs(monkeypatch)
+        pins = [(spec, pin) for spec, pin in zip(BENCH_DESIGN_SPECS[:3], (10, 11, 10))]
+        for spec, pin in pins + [(spec, 11) for spec in FIG_2A_SPECS]:
+            calls[0] = 0
+            res = smoothing._design(spec)
+            assert calls[0] == len(res.probes) <= pin, (spec, res.probes)
+            assert any(miss is not None and miss > FEAS_TOL for _, _, miss in res.probes)
+
+    def test_horizon_designs_take_no_more_than_the_bisection(self, monkeypatch):
+        calls = _count_constructs(monkeypatch)
+        for spec in (BENCH_DESIGN_SPECS[3], DesignSpec(Sqrt(), 100.0, d=400)):
+            res = smoothing._design(spec)
+            assert all(miss is None for _, _, miss in res.probes)
+            calls[0] = 0
+            design_bisection_reference(spec)
+            assert len(res.probes) <= calls[0], spec
+
+    @pytest.mark.parametrize("skew", [1e-7, -1e-7, 1e-5, -1e-5, 3e-4, -3e-4, 0.05, -0.05])
+    def test_bad_estimate_costs_at_most_two_constructs(self, monkeypatch, skew):
+        # misses pushed away from FEAS_TOL by a factor: feasibility is
+        # unchanged, the secant root is not
+        construct = smoothing._greedy_construct
+
+        def skewed(spec, beta, psis):
+            y = construct(spec, beta, psis)
+            if y is not None and y[-1] > FEAS_TOL:
+                y[-1] = FEAS_TOL + (y[-1] - FEAS_TOL) * (1.0 + skew * 1e3 * beta)
+            return y
+
+        specs = [DesignSpec(Cap(1.0), 1.0, d=200, plateau=True),
+                 DesignSpec(FIG_PL, 1.0, d=200, plateau=True),
+                 DesignSpec(Cap(1.0), 1.0, d=200, plateau=True, c=0.5),
+                 DesignSpec(FIG_PL, 1.0, d=200, plateau=True, c=0.6, beta_tol=2e-5)]
+        monkeypatch.setattr(smoothing, "_greedy_construct", skewed)
+        calls = _count_constructs(monkeypatch)
+        for spec in specs:
+            calls[0] = 0
+            ref = design_bisection_reference(spec)
+            bisection = calls[0]
+            res = smoothing._design(spec)
+            assert len(res.probes) <= bisection + 2, (spec, skew, res.probes)
+            assert res.beta == ref.beta and res.smoothed.y.tobytes() == ref.smoothed.y.tobytes()
 
 
 class TestSequentialDesigner:
