@@ -487,7 +487,6 @@ class TestBetaSearch:
         res, ref = smoothing._design(spec), design_bisection_reference(spec)
         assert res.beta == ref.beta, spec
         assert res.smoothed.y.tobytes() == ref.smoothed.y.tobytes(), spec
-        return res
 
     def test_matches_bisection(self):
         for spec in (*TestGreedyIdentity._specs(), *BENCH_DESIGN_SPECS, *FIG_2A_SPECS):
@@ -518,8 +517,8 @@ class TestBetaSearch:
 
     def test_construct_counts(self, monkeypatch):
         calls = _count_constructs(monkeypatch)
-        pins = [(spec, pin) for spec, pin in zip(BENCH_DESIGN_SPECS[:3], (10, 11, 10))]
-        for spec, pin in pins + [(spec, 11) for spec in FIG_2A_SPECS]:
+        pins = list(zip(BENCH_DESIGN_SPECS[:3], (10, 11, 10))) + [(spec, 11) for spec in FIG_2A_SPECS]
+        for spec, pin in pins:
             calls[0] = 0
             res = smoothing._design(spec)
             assert calls[0] == len(res.probes) <= pin, (spec, res.probes)
@@ -534,16 +533,16 @@ class TestBetaSearch:
             design_bisection_reference(spec)
             assert len(res.probes) <= calls[0], spec
 
-    @pytest.mark.parametrize("skew", [1e-7, -1e-7, 1e-5, -1e-5, 3e-4, -3e-4, 0.05, -0.05])
-    def test_bad_estimate_costs_at_most_two_constructs(self, monkeypatch, skew):
-        # misses pushed away from FEAS_TOL by a factor: feasibility is
-        # unchanged, the secant root is not
+    @pytest.mark.parametrize("power", [-40, -10, -1, 0.3, 1, 3, 40])
+    def test_bad_estimate_costs_at_most_two_constructs(self, monkeypatch, power):
+        # misses scaled by beta**power: feasibility is unchanged, the secant
+        # root is not, and the last two misses may not fall at all
         construct = smoothing._greedy_construct
 
         def skewed(spec, beta, psis):
             y = construct(spec, beta, psis)
             if y is not None and y[-1] > FEAS_TOL:
-                y[-1] = FEAS_TOL + (y[-1] - FEAS_TOL) * (1.0 + skew * 1e3 * beta)
+                y[-1] = FEAS_TOL + (y[-1] - FEAS_TOL) * beta ** power
             return y
 
         specs = [DesignSpec(Cap(1.0), 1.0, d=200, plateau=True),
