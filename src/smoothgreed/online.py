@@ -84,7 +84,6 @@ class RunTrace:
     D_engine: float
     sigma_sum: float
     corr: float
-    sq_norm_sum: float      # summed on sequential runs only, for the regret check
     records: list = field(default_factory=list)
     interior_shift: bool = False
     saddle_residual: float = 0.0
@@ -520,8 +519,8 @@ def _seq_block(f, a, u, y, r):
     value is picked: the block stops there, where the greedy would read an
     unknown value, and before the first value <= 0, where support returns
     x = 0.  Returns None when no arrival blocks, else per pick its
-    coordinate, sigma (= inner), corr term a_j*(y_next - y)_j and a_j**2, as
-    lists, then the state after each pick as rows and the dual after them.
+    coordinate, sigma (= inner) and corr term a_j*(y_next - y)_j, as lists,
+    then the state after each pick as rows and the dual after them.
     """
     # np.max passes on a nan (0*inf), which support's argmax would pick
     if not np.max(a * y) > 0.0:
@@ -551,8 +550,7 @@ def _seq_block(f, a, u, y, r):
     y = y.copy()
     y[act] = Yc[j, count[-1]]
     bid = aa[J, 0]
-    return (act[J].tolist(), V[J, C].tolist(), (bid * (Yc[J, C + 1] - Yc[J, C])).tolist(),
-            (bid * bid).tolist(), U, y)
+    return act[J].tolist(), V[J, C].tolist(), (bid * (Yc[J, C + 1] - Yc[J, C])).tolist(), U, y
 
 
 def _lp_step_exact(obj: PenaltyLPObjective, st: Step, state):
@@ -901,7 +899,7 @@ def _run_orthant(obj, steps, algo, keep_records):
                   else plateau[:1])[:, None]
     seq_f = (eng.coords[0] if algo == "seq" and isinstance(eng, SeparableObjective) and eng._uniform
              else None)
-    sigma_sum = corr = sqsum = resid = 0.0
+    sigma_sum = corr = resid = 0.0
     y_low = np.inf      # running minimum of the sim steps' duals
     records = []
     rows, pending = [u], []     # states since the last gain pass, and their moving records
@@ -934,11 +932,10 @@ def _run_orthant(obj, steps, algo, keep_records):
             r = min(run_left(st), _BLOCK_CAP)
             got = _seq_block(seq_f, st.A.a, u, y, r) if r >= _BLOCK_MIN else None
             if got is not None:
-                picks, sigmas, dcorr, dsq, U, y = got
-                for s, c, q in zip(sigmas, dcorr, dsq):
+                picks, sigmas, dcorr, U, y = got
+                for s, c in zip(sigmas, dcorr):
                     sigma_sum += s
                     corr += c
-                    sqsum += q
                 if keep_records:
                     recs = [StepRecord(t + k, one_hot(j), s, s, 0.0)
                             for k, j, s in zip(range(1, len(picks) + 1), picks, sigmas)]
@@ -967,7 +964,6 @@ def _run_orthant(obj, steps, algo, keep_records):
             if moved:
                 y_next = eng.grad_lo(u)
                 corr += float(img @ (y_next - y))
-                sqsum += float(np.sum(img ** 2))
                 y = y_next
         sigma_sum += sigma
         t += 1
@@ -1011,7 +1007,7 @@ def _run_orthant(obj, steps, algo, keep_records):
         y = np.minimum(eng.grad_lo(u), y_low)
     return RunTrace(algo, len(steps), u, y, obj.value(u), eng.value(u),
                     sigma_sum - obj.conj(y), sigma_sum - eng.conj(y),
-                    sigma_sum, corr, sqsum, records, shift, resid)
+                    sigma_sum, corr, records, shift, resid)
 
 
 def _set_gains(eng, rows, records):
@@ -1024,7 +1020,7 @@ def _run_psd(obj, steps, algo, keep_records):
     """Log-det with a scalar budget over the product of the PSD cone and R+."""
     state = LogDetState(obj.A0, obj.lam_min)
     pen = obj.engine.pen
-    used = reward = sigma_sum = corr = sqsum = resid = 0.0
+    used = reward = sigma_sum = corr = resid = 0.0
     yb = float(pen.deriv_right(0.0))
     records, useds = [], [0.0]
     for t, st in enumerate(steps, 1):
@@ -1048,7 +1044,6 @@ def _run_psd(obj, steps, algo, keep_records):
             yb_next = float(pen.deriv_right(used))
             # <A_t x, y_next - y_t> over the product cone
             corr += x * (state.quad(a) - q) + x * (yb_next - yb)
-            sqsum += (float(a @ a) ** 2 + 1.0) * x * x
             yb = yb_next
         sigma_sum += sigma
         if keep_records:     # the gain holds the log-det part until the penalty pass
@@ -1063,7 +1058,7 @@ def _run_psd(obj, steps, algo, keep_records):
     return RunTrace(algo, len(steps), (state.U, used), y_final,
                     reward + float(obj.pen.value(used)), reward + float(pen.value(used)),
                     sigma_sum - obj.conj(y_final), sigma_sum - obj.engine.conj(y_final),
-                    sigma_sum, corr, sqsum, records, False, resid)
+                    sigma_sum, corr, records, False, resid)
 
 
 # ----------------------------------------------------------------------
@@ -1079,6 +1074,7 @@ class CertificateReport:
     identity_ok: bool
     structural_ok: bool
     alpha_realized: float | None = None
+    reasons: tuple = ()     # one line per failed inequality, with its margin
 
     @property
     def passed(self) -> bool:
@@ -1102,6 +1098,8 @@ def certify(trace: RunTrace, obj, steps) -> CertificateReport:
       sequential runs on monotone objectives with the dual-lag rescaling.
       A sequential run on a non-monotone objective carries no ratio
       theorem, so only the identity is enforced there.
+
+    The report's ``reasons`` name each failed inequality.
     """
     P, D = trace.P_orig, trace.D_alg
     conj_at_final = obj.conj(trace.y_final)
@@ -1110,32 +1108,29 @@ def certify(trace: RunTrace, obj, steps) -> CertificateReport:
     alpha_real = None
     if P > 0 and obj.engine is obj:   # the classical realized parameter
         alpha_real = conj_at_final / P
+    identity_ok = trace.slack >= -CERT_TOL
+    reasons = [] if identity_ok else [f"identity: slack {trace.slack:.4g} < -CERT_TOL {-CERT_TOL:g}"]
     structural, structural_ok = None, True
     if trace.algo == "sim" or isinstance(obj, SeparableObjective):
-        structural = obj.ratio_bound()
+        structural = floor = obj.ratio_bound()
+        lag = None
         if trace.algo == "seq" and D > 0:
-            structural = structural * max(0.0, 1.0 + trace.corr / D)
+            lag = max(0.0, 1.0 + trace.corr / D)
+            structural = structural * lag
         structural_ok = trace.ratio_lb >= structural - CERT_TOL
-    return CertificateReport(trace.ratio_lb, structural, realized, trace.slack >= -CERT_TOL,
-                             structural_ok, alpha_real)
+        if not structural_ok:
+            lagged = "" if lag is None else f" * lag 1 + corr/D {lag:.4g} = {structural:.4g}"
+            reasons.append(f"floor: ratio_lb {trace.ratio_lb:.4g} < floor {floor:.4g}{lagged}"
+                           f" by {structural - trace.ratio_lb:.4g}")
+    return CertificateReport(trace.ratio_lb, structural, realized, identity_ok,
+                             structural_ok, alpha_real, tuple(reasons))
 
 
 @dataclass
 class GapReport:
     passed: bool
-    passed_regret: bool | None
 
 
-def duality_gap_diagnostics(trace: RunTrace, obj, mu: float | None = None) -> GapReport:
-    """Assert the duality-gap identities on the engine objective.
-
-    The simultaneous gap P_engine - D_engine is at least conj(y_final); the
-    sequential gap adds the dual-movement correction.  The conjugates
-    cancel, so both read ``trace.slack >= -CERT_TOL``, the identity
-    ``certify`` checks.  With a Lipschitz-gradient surrogate the sequential
-    correction is bounded below by minus the squared step norms over 2*mu.
-    """
-    reg_ok = None
-    if mu is not None and trace.algo == "seq":
-        reg_ok = trace.slack + trace.corr >= -trace.sq_norm_sum / (2.0 * mu) - CERT_TOL
-    return GapReport(trace.slack >= -CERT_TOL, reg_ok)
+def duality_gap_diagnostics(trace: RunTrace, obj) -> GapReport:
+    """The identity ``certify`` checks, ``trace.slack >= -CERT_TOL``, alone."""
+    return GapReport(trace.slack >= -CERT_TOL)

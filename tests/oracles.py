@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from smoothgreed.objectives import (LogDetObjective, LogDetState, PenaltyLPObjective, SeparableObjective,
-                                    Step, coordwise, logdet_step_gain)
-from smoothgreed.online import INTERIOR_SHIFT, _logdet_step, _sim_step
+from smoothgreed.objectives import (LogDetObjective, LogDetState, PenaltyLPObjective, RankOneMap,
+                                    SeparableObjective, Step, coordwise, logdet_step_gain)
+from smoothgreed.online import CERT_TOL, INTERIOR_SHIFT, _logdet_step, _sim_step
 from smoothgreed import smoothing
 from smoothgreed.scalar import SLOPE_CAP, ScalarConcave, alpha_bar
 from smoothgreed.smoothing import FEAS_TOL, DesignResult, SmoothedScalar, make_monotone, verify_beta
@@ -408,6 +408,25 @@ def every_step_psd(obj, steps, algo):
             state.quad(a)       # the engine's correction read, which may refactorize Y
             yb = float(pen.deriv_right(used))
     return records
+
+
+def regret_form_ok(trace, steps, mu, sq_norm_sum=None):
+    """The sequential regret form of weak duality for a surrogate whose
+    gradient is 1/mu-Lipschitz: P_engine - sum_t sigma_t >= -S / (2 mu) - CERT_TOL.
+
+    S = sum_t ||A_t x_t||^2 is recomputed from the run's records and steps
+    unless given; on the PSD cone A_t x = (x a a^T, x), whose squared norm
+    is (||a||^4 + 1) x^2.
+    """
+    if sq_norm_sum is None:
+        assert len(trace.records) == len(steps), "the regret form needs every record"
+        sq_norm_sum = 0.0
+        for rec, st in zip(trace.records, steps):
+            if isinstance(st.A, RankOneMap):
+                sq_norm_sum += (float(st.A.a @ st.A.a) ** 2 + 1.0) * float(rec.x[0]) ** 2
+            else:
+                sq_norm_sum += float(np.sum(st.A.apply(rec.x) ** 2))
+    return trace.P_engine - trace.sigma_sum >= -sq_norm_sum / (2.0 * mu) - CERT_TOL
 
 
 def from_base(base: ScalarConcave, u_end: float, d: int, plateau: bool = False):

@@ -248,6 +248,31 @@ class TestRunCertify:
         assert run_cli(["certify", "--instance", inst]) == cli.EXIT_CERT_BREACH
         assert run_cli(["run", "--instance", inst]) == 0  # run only reports
 
+    def test_real_breach_names_the_floor(self, tmp_path, monkeypatch, capsys):
+        # the unsmoothed log-det floor 0.5 is a placeholder that this run
+        # misses while its identity holds; the nesterov smoothing passes both
+        reports, certify = [], cli.certify
+
+        def recorded(*args):
+            reports.append(certify(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "certify", recorded)
+        ld = str(tmp_path / "ld.json")
+        run_cli(["gen", "--family", "logdet_stream", "--n", "3", "--m", "8",
+                 "--b", "2.0", "--seed", "1", "--out", ld])
+        capsys.readouterr()
+        for extra, rc, err in (
+                ([], cli.EXIT_CERT_BREACH,
+                 "certificate breach: floor: ratio_lb 0.2472 < floor 0.5 by 0.2528\n"),
+                (["--smoothing", "nesterov"], cli.EXIT_OK, "")):
+            assert run_cli(["certify", "--instance", ld, "--algo", "sim", *extra]) == rc, extra
+            captured = capsys.readouterr()
+            printed = json.loads(captured.out)
+            assert printed["certificate_ok"] is (rc == cli.EXIT_OK) and captured.err == err, extra
+            # gap_ok is certify's identity verdict
+            assert printed["gap_ok"] is reports[-1].identity_ok is True, extra
+
     def test_bad_instance_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

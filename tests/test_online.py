@@ -52,6 +52,7 @@ from oracles import (
     every_step_psd,
     logdet_relaxation_grid,
     lp_step_highs,
+    regret_form_ok,
     sequential_fill_deficit,
 )
 
@@ -812,8 +813,8 @@ _SEQ_COORDS = {**_COORDS, "rising": lambda: SmoothedScalar(0.05, [1.0, 0.9, 0.9 
 
 class TestSeqBlocks:
     """Seq allocation steps the arrivals of one Step object in blocks that
-    merge the coordinates' values; records, P, D, corr, the squared step
-    norms and the final dual equal, byte for byte, assigning every arrival."""
+    merge the coordinates' values; records, P, D, corr and the final dual
+    equal, byte for byte, assigning every arrival."""
 
     @settings(max_examples=30, deadline=None)
     @given(hs.sampled_from((*_CHUNK_RUNS, None)),
@@ -839,15 +840,11 @@ class TestSeqBlocks:
         if moving is not None and moves[-1] >= moving:
             cut = int(np.searchsorted(moves, moving)) + 1
         want, P, D, corr, y_final, _ = every_step_orthant_run(obj, steps[:cut], "seq")
-        sq = 0.0
-        for st, (_, x, _, _, _) in zip(steps, want):
-            if x.any():
-                sq += float(np.sum(st.A.apply(x) ** 2))
         eng = obj.engine
         with mock.patch.object(eng, "row_values", wraps=eng.row_values) as passes:
             tr = run_sequential(obj, steps[:cut], keep_records=keep_records)
         assert _bit_equal(tr.P_orig, P) and _bit_equal(tr.D_alg, D)
-        assert _bit_equal(tr.corr, corr) and _bit_equal(tr.sq_norm_sum, sq)
+        assert _bit_equal(tr.corr, corr)
         assert tr.y_final.tobytes() == y_final.tobytes()
         if not keep_records:
             assert tr.records == [] and passes.call_count == 0
@@ -963,6 +960,11 @@ class TestDeterminantRuns:
                 rep = certify(tr, obj, inst.steps)
                 gap = duality_gap_diagnostics(tr, obj)
                 assert rep.passed and gap.passed, (seed, run, rep)
+            # the seq run's regret form on the product cone: the reward's curvature is at
+            # most 1/lambda_min(A0)^2, the budget smoothing's that of its deriv2
+            curv = max(1.0 / obj.lam_min ** 2,
+                       float(np.max(np.abs(pen.deriv2(np.linspace(0.0, pen.u_clip, 1001))))))
+            assert regret_form_ok(tr, inst.steps, 1.0 / curv), seed
 
     def test_smoothed_budget_needs_second_derivative(self):
         # the exact step is closed form on a piecewise-linear budget penalty
@@ -1209,15 +1211,26 @@ class TestCertificates:
             y = np.array([0.5, 0.5])      # conj(y) = -1
             tr = RunTrace(algo, 2, np.ones(2), y, P_orig=4.0, P_engine=4.0,
                           D_alg=sigma_sum + 1.0, D_engine=sigma_sum + 1.0, sigma_sum=sigma_sum,
-                          corr=corr, sq_norm_sum=0.5)
+                          corr=corr)
             assert tr.slack == pytest.approx(slack, abs=1e-15)
             assert obj.conj(y) == -1.0 and CERT_TOL == 1e-9
             rep = certify(tr, obj, [])
-            gap = duality_gap_diagnostics(tr, obj, mu=1.0)
             assert rep.identity_ok is ok and rep.passed is ok, slack
-            assert gap.passed is ok, slack
-            # the regret form: slack + corr >= -sq_norm_sum / (2 mu) - CERT_TOL
-            assert gap.passed_regret is (ok if algo == "seq" else None), slack
+            assert duality_gap_diagnostics(tr, obj).passed is ok, slack
+            assert rep.reasons == (() if ok else (f"identity: slack {tr.slack:.4g} < -CERT_TOL -1e-09",))
+            if algo == "seq":
+                # the regret form: slack + corr >= -0.5 / (2 mu) - CERT_TOL
+                assert regret_form_ok(tr, [], mu=1.0, sq_norm_sum=0.5) is ok, slack
+
+    def test_breach_reasons_name_each_inequality(self):
+        # slack -1 and ratio_lb 0.25 below the floor 0.5 times the lag 1 - 1/4
+        obj, y = adwords_obj(2), np.array([0.5, 0.5])
+        tr = RunTrace("seq", 2, np.ones(2), y, P_orig=1.0, P_engine=1.0, D_alg=4.0, D_engine=4.0,
+                      sigma_sum=3.0, corr=-1.0)
+        rep = certify(tr, obj, [])
+        assert not rep.identity_ok and not rep.structural_ok
+        assert rep.reasons == ("identity: slack -1 < -CERT_TOL -1e-09",
+                               "floor: ratio_lb 0.25 < floor 0.5 * lag 1 + corr/D 0.75 = 0.375 by 0.125")
 
     def test_gap_identities_all_families(self):
         inst = gen_adwords_triangular(5, 3)
@@ -1234,8 +1247,7 @@ class TestCertificates:
         sm = obj.engine.coords[0]
         mu = sm.h / float(np.max(np.abs(np.diff(sm.y))))   # 1 / max curvature
         assert mu == pytest.approx((E - 1) / E, abs=1e-3)
-        gap = duality_gap_diagnostics(tr, obj, mu=mu)
-        assert gap.passed and gap.passed_regret
+        assert duality_gap_diagnostics(tr, obj).passed and regret_form_ok(tr, inst.steps, mu)
 
     def test_sequential_smoothed_large_adversary(self):
         # vanishing bid-to-budget ratio: the sequential engine with the
