@@ -373,6 +373,7 @@ def l_bound_lp(steps) -> float:
 
 
 PROBE_TOL = 1e-9   # certified relative error of every a^T Asum^{-1} a read off Y
+_PENDING = 16      # rank-one updates LogDetState defers before one BLAS-3 flush
 
 
 class LogDetState:
@@ -388,6 +389,17 @@ class LogDetState:
     of the residual product itself (order n eps ||Asum|| ||Y a||).  A failed
     probe refactorizes Y = inv(Asum) once; a fresh inverse that still
     fails raises FloatingPointError, so an uncertified q is never returned.
+    ``quads(A)`` reads the rows of A with two matrix products and quad's
+    probe on each, so every row that passes has that guarantee; it never
+    refactorizes.
+
+    ``apply`` defers up to _PENDING updates as rows Y a, x/(1 + x q) and
+    a, x; reads apply them in Woodbury form, Y a - W (c o W^T a) and
+    Asum v + V (x o V^T v), so a read with updates pending has the same
+    guarantee, with the rounding of those low-rank products added to that of
+    the residual.  ``flush`` applies them with one product per matrix (one
+    pending update with the eager rank-one arithmetic); a full queue, a
+    refactorization and every access to ``Y``, ``Asum`` or ``U`` flush first.
 
     ``lam_min`` is the computed lambda_min(A0) (from ``eigvalsh`` when
     omitted); ``eigvalsh`` is backward stable, so deflating it by
@@ -395,8 +407,8 @@ class LogDetState:
 
     ``quad`` keeps its last a, Y a and q, and ``apply`` reuses that Y a when
     handed the same array before Y has changed (Y changes only through
-    ``apply`` and a refactorization in ``quad``), unless a^T (Y a) no longer
-    reproduces q: the array was changed in place.
+    ``apply``, a flush and a refactorization in ``quad``), unless a^T (Y a)
+    no longer reproduces q: the array was changed in place.
     """
 
     def __init__(self, A0, lam_min: float | None = None):
@@ -407,27 +419,55 @@ class LogDetState:
         self.lam_lo = lam_min - 4.0 * n * np.finfo(float).eps * float(np.linalg.norm(self.A0))
         if not self.lam_lo > 0.0:
             raise ValueError("LogDetState: A0 must be positive definite")
-        self.Asum = self.A0.copy()
-        self.Y = np.linalg.inv(self.A0)
-        self._buf = np.empty_like(self.Y)   # rank-one update scratch
+        self._Asum = self.A0.copy()
+        self._Y = np.linalg.inv(self.A0)
+        self._buf = np.empty_like(self._Y)  # update scratch
+        # pending updates: rows Y a and a, with their weights x/(1 + x q) and x
+        self._W, self._V = np.empty((_PENDING, n)), np.empty((_PENDING, n))
+        self._c, self._x = np.empty(_PENDING), np.empty(_PENDING)
+        self._k = 0
         self._last = None                   # (a, Y a, q) of the last quad under this Y
         self.refactors = 0
+
+    def _ya(self, a):
+        """Y a with the pending updates."""
+        Ya = self._Y @ a
+        k = self._k
+        if k:
+            Ya -= (self._c[:k] * (self._W[:k] @ a)) @ self._W[:k]
+        return Ya
 
     def quad(self, a) -> float:
         """a^T Asum^{-1} a, within PROBE_TOL relative (see the class docstring)."""
         for fresh in (False, True):
-            Ya = self.Y @ a
+            Ya = self._ya(a)
             q = float(a @ Ya)
-            r = self.Asum @ Ya - a
+            r = self._Asum @ Ya - a
+            k = self._k
+            if k:
+                r += (self._x[:k] * (self._V[:k] @ Ya)) @ self._V[:k]
             if float(r @ r) <= PROBE_TOL * PROBE_TOL * q * self.lam_lo:
                 self._last = (a, Ya, q)
                 return q
             if fresh:
                 raise FloatingPointError(
                     "LogDetState: a fresh inverse fails the residual probe (Asum too "
-                    f"ill-conditioned, condition number {np.linalg.cond(self.Asum):.3g})")
-            self.Y = np.linalg.inv(self.Asum)
+                    f"ill-conditioned, condition number {np.linalg.cond(self._Asum):.3g})")
+            self.flush()
+            self._Y = np.linalg.inv(self._Asum)
             self.refactors += 1
+
+    def quads(self, A):
+        """a^T Y a of each row a of A, and whether each passed quad's probe."""
+        YA = A @ self._Y.T
+        k = self._k
+        if k:
+            YA -= (A @ self._W[:k].T * self._c[:k]) @ self._W[:k]
+        R = YA @ self._Asum.T - A
+        if k:
+            R += (YA @ self._V[:k].T * self._x[:k]) @ self._V[:k]
+        q = np.einsum("ij,ij->i", A, YA)
+        return q, np.einsum("ij,ij->i", R, R) <= PROBE_TOL * PROBE_TOL * q * self.lam_lo
 
     def apply(self, a, x: float, q: float | None = None):
         """Add x * a a^T; ``q`` is the step's a^T Y a when the caller has it."""
@@ -439,19 +479,58 @@ class LogDetState:
             q = self.quad(a)
         if 1.0 + x * q <= 0:
             raise FloatingPointError("LogDetState: update would leave the PSD cone")
-        buf = self._buf
         last = self._last
         if last is not None and last[0] is a and float(a @ last[1]) == last[2]:
             Ya = last[1]
         else:
-            Ya = self.Y @ a
-        np.outer(Ya, Ya, out=buf)
-        buf *= x / (1.0 + x * q)
-        self.Y -= buf
+            Ya = self._ya(a)
+        k = self._k
+        self._W[k], self._c[k], self._V[k], self._x[k] = Ya, x / (1.0 + x * q), a, x
+        self._k = k + 1
         self._last = None
-        np.outer(a, a, out=buf)
-        buf *= x
-        self.Asum += buf
+        if self._k == _PENDING:
+            self.flush()
+
+    def flush(self):
+        """Apply the pending updates to Y and Asum."""
+        k, buf = self._k, self._buf
+        if not k:
+            return
+        if k == 1:
+            np.outer(self._W[0], self._W[0], out=buf)
+            buf *= self._c[0]
+            self._Y -= buf
+            np.outer(self._V[0], self._V[0], out=buf)
+            buf *= self._x[0]
+            self._Asum += buf
+        else:
+            # G G^T with G = W^T diag(sqrt c): numpy takes a product with its
+            # own transpose as one symmetric rank-k update
+            G = self._W[:k].T * np.sqrt(self._c[:k])
+            self._Y -= np.matmul(G, G.T, out=buf)
+            G = self._V[:k].T * np.sqrt(self._x[:k])
+            self._Asum += np.matmul(G, G.T, out=buf)
+        self._k, self._last = 0, None
+
+    @property
+    def Y(self):
+        self.flush()
+        return self._Y
+
+    @Y.setter
+    def Y(self, value):
+        self.flush()
+        self._Y = value
+
+    @property
+    def Asum(self):
+        self.flush()
+        return self._Asum
+
+    @Asum.setter
+    def Asum(self, value):
+        self.flush()
+        self._Asum = value
 
     @property
     def U(self):

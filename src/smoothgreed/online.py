@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from smoothgreed.objectives import (
+    PROBE_TOL,
     DiagMap,
     LogDetObjective,
     LogDetState,
@@ -61,6 +62,7 @@ from smoothgreed.scalar import PiecewiseLinear
 INTERIOR_SHIFT = 1e-8
 _GAIN_CHUNK = 128    # moving orthant steps whose record gains are evaluated in one pass
 CERT_TOL = 1e-9     # absolute tolerance of every certificate inequality
+_CLEAR = 4 * PROBE_TOL    # relative margin of a q that _run_psd's blocks take as x = 0
 
 
 @dataclass
@@ -441,9 +443,9 @@ def _fill(coords, uniform, a, w, plateau, act, aa, same, level):
     return x, y
 
 
-# The most arrivals of one Step that _block and _seq_block step at a time,
-# and the fewest left in the run (for _block: that the fills must keep in
-# exact arithmetic) for them to try
+# The most arrivals of one Step that _block and _seq_block step at a time (and
+# the most zero steps one _run_psd block reads), and the fewest left in the
+# run (for _block: that the fills must keep in exact arithmetic) for them to try
 _BLOCK_CAP, _BLOCK_MIN = 64, 2
 
 
@@ -811,7 +813,9 @@ def _check_steps(obj, steps):
 
     Errors name the offending step by its record index t (from 1).  A Step
     object is checked once, at its first t: generated streams repeat one
-    object per phase.
+    object per phase.  Rank-one streams, whose arrivals are distinct, are
+    checked in one pass over their stacked (m, n) rows, which are returned;
+    only a stream failing it is walked step by step, for the first bad t.
     """
     if isinstance(obj, SeparableObjective):
         want, kind, what = DiagMap, "simplex", "separable objectives take diagonal simplex steps"
@@ -823,6 +827,13 @@ def _check_steps(obj, steps):
     else:
         raise TypeError(f"unsupported objective {type(obj).__name__}")
     n = obj.n
+    if want is RankOneMap and all(isinstance(st.A, RankOneMap) and st.F.kind == kind for st in steps):
+        try:
+            rows = np.array([st.A.a for st in steps], dtype=float)
+        except ValueError:      # rows of unequal shapes
+            rows = None
+        if rows is not None and rows.shape == (len(steps), n) and np.isfinite(rows).all():
+            return rows
     seen = set()
     for t, st in enumerate(steps, 1):
         if id(st) in seen:
@@ -857,14 +868,18 @@ def run_simultaneous(obj, steps, keep_records: bool = True) -> RunTrace:
         if not (isinstance(pen, PiecewiseLinear) or hasattr(pen, "deriv2")):
             # the exact step is closed form or Newton on the second derivative
             raise ValueError("run_simultaneous: a smoothed budget must be a SmoothedScalar")
-    _check_steps(obj, steps)
-    return (_run_psd if obj.cone == "psd" else _run_orthant)(obj, steps, "sim", keep_records)
+    rows = _check_steps(obj, steps)
+    if obj.cone == "psd":
+        return _run_psd(obj, steps, "sim", keep_records, rows)
+    return _run_orthant(obj, steps, "sim", keep_records)
 
 
 def run_sequential(obj, steps, keep_records: bool = True) -> RunTrace:
     """Run the sequential-update engine (assign, then refresh the dual)."""
-    _check_steps(obj, steps)
-    return (_run_psd if obj.cone == "psd" else _run_orthant)(obj, steps, "seq", keep_records)
+    rows = _check_steps(obj, steps)
+    if obj.cone == "psd":
+        return _run_psd(obj, steps, "seq", keep_records, rows)
+    return _run_orthant(obj, steps, "seq", keep_records)
 
 
 def _run_orthant(obj, steps, algo, keep_records):
@@ -1016,15 +1031,29 @@ def _set_gains(eng, rows, records):
         rec.gain = gain
 
 
-def _run_psd(obj, steps, algo, keep_records):
-    """Log-det with a scalar budget over the product of the PSD cone and R+."""
+def _run_psd(obj, steps, algo, keep_records, rows):
+    """Log-det with a scalar budget over the product of the PSD cone and R+.
+
+    ``rows`` holds the arrivals' vectors a, stacked.  After a step with
+    x = 0, which moves neither the state nor the dual, the next arrivals'
+    q are read together (LogDetState.quads).  The leading rows whose probe
+    passes and whose q is below the x = 0 boundary at the unchanged budget
+    use by _CLEAR relative, so that every certified read of them takes
+    x = 0, are recorded as their steps record them (x, sigma and gain 0.0,
+    inner -0.0, or 0.0 on a kink of the budget penalty); the first other
+    arrival takes its step alone.  A block reads twice the rows of a full
+    one before it, up to _BLOCK_CAP, and after one that stops at its first
+    row the next zero step reads none.
+    """
     state = LogDetState(obj.A0, obj.lam_min)
     pen = obj.engine.pen
     used = reward = sigma_sum = corr = resid = 0.0
     yb = float(pen.deriv_right(0.0))
     records, useds = [], [0.0]
-    for t, st in enumerate(steps, 1):
-        a = st.A.a
+    t, size = 0, 1
+    while t < len(steps):
+        a = steps[t].A.a
+        t += 1
         q = state.quad(a)
         if algo == "sim":
             x, q_post, yb = _logdet_step(pen, q, used)
@@ -1049,6 +1078,33 @@ def _run_psd(obj, steps, algo, keep_records):
         if keep_records:     # the gain holds the log-det part until the penalty pass
             records.append(StepRecord(t, np.array([x]), sigma, x * z, gain_logdet))
             useds.append(used)
+        if x > 0.0:
+            continue
+        if not size:
+            size = 1
+            continue
+        # x = 0 at q <= top: -pen'(used+) on sim, -yb on seq.  Its inner x*z is
+        # -0.0 below kink (z < 0) and 0.0 above it, where used sits on a kink
+        # of a piecewise-linear pen and the sim step's yb = -q makes z = 0
+        if algo == "sim":
+            top, kink = -float(pen.deriv_right(used)), -float(pen.deriv_left(used))
+        else:
+            top = kink = -yb
+        while t < len(steps):
+            qs, ok = state.quads(rows[t:t + size])
+            below = qs < kink * (1.0 - _CLEAR)
+            clear = ok & (qs < top * (1.0 - _CLEAR)) & (below | (qs > kink * (1.0 + _CLEAR)))
+            L = len(qs) if clear.all() else int(np.argmin(clear))
+            if keep_records:
+                zero = np.zeros(1)
+                records.extend(StepRecord(s, zero, 0.0, i, 0.0) for s, i in
+                               zip(range(t + 1, t + L + 1), np.where(below[:L], -0.0, 0.0).tolist()))
+                useds.extend([used] * L)
+            t += L
+            if L < len(qs):
+                size = size if L else 0
+                break
+            size = min(2 * size, _BLOCK_CAP)
     if keep_records:
         pens = np.asarray(pen.value(np.array(useds)), dtype=float)
         gains = np.array([rec.gain for rec in records]) + pens[1:] - pens[:-1]

@@ -181,7 +181,11 @@ class EntropyPenaltySmoothing(SmoothedScalar):
         h = u_clip / _ENTROPY_SAMPLES
         super().__init__(h, self.deriv(h * np.arange(_ENTROPY_SAMPLES + 1)))
 
+    # On a float, deriv and deriv2 take the array path's operations in its
+    # order (np.exp, not math.exp, which rounds apart) without its overhead.
     def deriv(self, u):
+        if isinstance(u, float):
+            return float(min(max(self.scale * (1.0 - np.exp(self.gamma * u / self.budget)), -self.l), 0.0))
         y = self.scale * (1.0 - np.exp(self.gamma * np.asarray(u, dtype=float) / self.budget))
         return _scalar(np.clip(y, -self.l, 0.0))
 
@@ -193,8 +197,11 @@ class EntropyPenaltySmoothing(SmoothedScalar):
         return _scalar(inner - self.l * np.maximum(u - u_clip, 0.0))
 
     def deriv2(self, u):
-        u = np.asarray(u, dtype=float)
         b, gamma, u_clip = self.budget, self.gamma, self.u_clip
+        if isinstance(u, float):
+            dy = -self.scale * gamma / b * np.exp(gamma * min(u, u_clip) / b)
+            return float(dy) if u < u_clip else 0.0
+        u = np.asarray(u, dtype=float)
         dy = -self.scale * gamma / b * np.exp(gamma * np.minimum(u, u_clip) / b)
         return _scalar(np.where(u < u_clip, dy, 0.0))
 

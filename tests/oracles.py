@@ -17,6 +17,7 @@ from smoothgreed.objectives import (LogDetObjective, LogDetState, PenaltyLPObjec
                                     SeparableObjective, Step, coordwise, logdet_step_gain)
 from smoothgreed.online import CERT_TOL, INTERIOR_SHIFT, _logdet_step, _sim_step
 from smoothgreed import smoothing
+from smoothgreed.instances import gen_logdet_stream
 from smoothgreed.scalar import SLOPE_CAP, ScalarConcave, alpha_bar
 from smoothgreed.smoothing import FEAS_TOL, DesignResult, SmoothedScalar, make_monotone, verify_beta
 
@@ -410,6 +411,43 @@ def every_step_psd(obj, steps, algo):
     return records
 
 
+def per_arrival_psd(obj, steps, algo):
+    """The PSD engine loop with one quad per arrival and each rank-one update
+    applied as it is made (no block reads, no deferred updates).
+
+    Returns P, D and corr, the list of every arrival's x, and the number of
+    refactorizations.
+    """
+    state = LogDetState(obj.A0, obj.lam_min)
+    pen = obj.engine.pen
+    used = reward = sigma_sum = corr = 0.0
+    yb = float(pen.deriv_right(0.0))
+    xs = []
+    for st in steps:
+        a = st.A.a
+        q = state.quad(a)
+        if algo == "sim":
+            x, q_post, yb = _logdet_step(pen, q, used)
+            z = q_post + yb
+        else:
+            z = q + yb
+            x = 1.0 if z > 0.0 else 0.0
+        reward += logdet_step_gain(state, a, x, q)
+        if x > 0.0:
+            state.apply(a, x, q)
+            state.flush()
+        used += x
+        if algo == "seq" and x > 0.0:
+            yb_next = float(pen.deriv_right(used))
+            corr += x * (state.quad(a) - q) + x * (yb_next - yb)
+            yb = yb_next
+        sigma_sum += max(0.0, z)
+        xs.append(x)
+    y_final = (np.linalg.inv(state.Asum), float(pen.deriv_right(used)))
+    return (reward + float(obj.pen.value(used)), sigma_sum - obj.conj(y_final), corr, xs,
+            state.refactors)
+
+
 def regret_form_ok(trace, steps, mu, sq_norm_sum=None):
     """The sequential regret form of weak duality for a surrogate whose
     gradient is 1/mu-Lipschitz: P_engine - sum_t sigma_t >= -S / (2 mu) - CERT_TOL.
@@ -427,6 +465,18 @@ def regret_form_ok(trace, steps, mu, sq_norm_sum=None):
             else:
                 sq_norm_sum += float(np.sum(st.A.apply(rec.x) ** 2))
     return trace.P_engine - trace.sigma_sum >= -sq_norm_sum / (2.0 * mu) - CERT_TOL
+
+
+def path_graph_stream(n, m, b, seed):
+    """Path-graph base (cond ~ n^3 / pi^2) plus m seeded random edges."""
+    rng = np.random.default_rng(seed)
+    stream = []
+    while len(stream) < m:
+        i, j = (int(v) for v in rng.integers(0, n, size=2))
+        if i != j:
+            stream.append((i, j))
+    edges = {"base": [(i, i + 1) for i in range(n - 1)], "stream": stream}
+    return gen_logdet_stream(n, m, b, source="graph_incidence", seed=seed, edges=edges)
 
 
 def from_base(base: ScalarConcave, u_end: float, d: int, plateau: bool = False):

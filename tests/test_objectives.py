@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from smoothgreed.smoothing import (
     nesterov_penalty_smoothing,
 )
 
-from oracles import AntitoneReport, antitone_check
+from oracles import AntitoneReport, antitone_check, path_graph_stream
 
 
 class TestSupport:
@@ -151,24 +152,14 @@ class TestLogDetMachinery:
         assert acc == pytest.approx(dense, abs=1e-8)
         assert float(np.max(np.abs(st.Y @ st.Asum - np.eye(5)))) <= 1e-6
 
-    @staticmethod
-    def _path_graph_stream(n, m, b, seed):
-        """Path-graph base (cond ~ n^3 / pi^2) plus m seeded random edges."""
-        rng = np.random.default_rng(seed)
-        stream = []
-        while len(stream) < m:
-            i, j = (int(v) for v in rng.integers(0, n, size=2))
-            if i != j:
-                stream.append((i, j))
-        edges = {"base": [(i, i + 1) for i in range(n - 1)], "stream": stream}
-        return gen_logdet_stream(n, m, b, source="graph_incidence", seed=seed, edges=edges)
-
     @pytest.mark.parametrize("source", ["random_vectors", "graph_incidence"])
     def test_every_quad_is_certified(self, source, monkeypatch):
         # every a^T Y a, read by a raw stream of updates or by either engine,
-        # agrees with a dense solve to within PROBE_TOL relative
+        # one at a time or in a block, agrees with a dense solve to within
+        # PROBE_TOL relative; Asum is summed here, as reading it would apply
+        # the state's pending updates
         if source == "graph_incidence":
-            inst = self._path_graph_stream(100, 300, 60.0, seed=4)
+            inst = path_graph_stream(100, 300, 60.0, seed=4)
         else:
             inst = gen_logdet_stream(30, 300, 60.0, seed=4)
         A0 = np.asarray(inst.extras["A0"])
@@ -176,15 +167,31 @@ class TestLogDetMachinery:
             eigs = np.linalg.eigvalsh(A0)
             assert eigs[-1] / eigs[0] > 5e4
         errors = []
-        quad = LogDetState.quad
+        quad, quads, apply = LogDetState.quad, LogDetState.quads, LogDetState.apply
+        sums = weakref.WeakKeyDictionary()     # each state's A0 + sum x a a^T
+
+        def check(self, a, q):
+            exact = float(a @ np.linalg.solve(sums.get(self, self.A0), a))
+            errors.append(abs(q - exact) / exact)
 
         def checked_quad(self, a):
             q = quad(self, a)
-            exact = float(a @ np.linalg.solve(self.Asum, a))
-            errors.append(abs(q - exact) / exact)
+            check(self, a, q)
             return q
 
+        def checked_quads(self, A):
+            q, ok = quads(self, A)
+            for a, qa in zip(A[ok], q[ok]):
+                check(self, a, qa)
+            return q, ok
+
+        def summed_apply(self, a, x, q=None):
+            apply(self, a, x, q)
+            sums[self] = sums.get(self, self.A0) + x * np.outer(a, a)
+
         monkeypatch.setattr(LogDetState, "quad", checked_quad)
+        monkeypatch.setattr(LogDetState, "quads", checked_quads)
+        monkeypatch.setattr(LogDetState, "apply", summed_apply)
         rng = np.random.default_rng(6)
         st = LogDetState(A0)
         for step in inst.steps:
@@ -222,7 +229,7 @@ class TestLogDetMachinery:
 
     def test_lam_min_is_a_lower_bound(self):
         n = 100
-        A0 = np.asarray(self._path_graph_stream(n, 1, 1.0, seed=0).extras["A0"])
+        A0 = np.asarray(path_graph_stream(n, 1, 1.0, seed=0).extras["A0"])
         exact = 4.0 * math.sin(math.pi / (2 * n)) ** 2   # path Laplacian's lambda_2
         lam = LogDetState(A0).lam_lo
         assert exact * (1.0 - 1e-7) <= lam < exact
@@ -241,6 +248,35 @@ class TestLogDetMachinery:
         assert st.refactors == before + 1
         assert abs(q - float(a @ np.linalg.solve(st.Asum, a))) <= PROBE_TOL * q
         assert st.quad(a) == q and st.refactors == before + 1   # the fresh inverse is kept
+
+    def test_block_read_matches_quad(self):
+        # quads reads rows as quad reads each, with updates pending or flushed
+        rng = np.random.default_rng(7)
+        st = LogDetState(np.eye(6) + 0.1)
+        A = rng.normal(size=(9, 6))
+        for pending in (3, 0):
+            for _ in range(pending):
+                st.apply(rng.normal(size=6), float(rng.uniform()))
+            q, ok = st.quads(A)
+            assert ok.all()
+            for a, qa in zip(A, q):
+                assert abs(qa - st.quad(a)) <= 1e-13 * qa
+                assert abs(qa - float(a @ np.linalg.solve(st.Asum, a))) <= PROBE_TOL * qa
+        assert st.refactors == 0
+
+    def test_block_read_flags_a_corrupted_inverse(self):
+        # a block read never refactorizes: rows failing the probe are flagged
+        rng = np.random.default_rng(5)
+        st = LogDetState(np.eye(6))
+        for _ in range(20):
+            st.apply(rng.normal(size=6), float(rng.uniform()))
+        E = rng.normal(size=(6, 6))
+        st.Y += 1e-6 * (E + E.T)
+        for _ in range(3):      # pending, with q given so that no quad refactorizes
+            a = rng.normal(size=6)
+            st.apply(a, float(rng.uniform()), float(a @ np.linalg.solve(st.A0, a)))
+        q, ok = st.quads(rng.normal(size=(5, 6)))
+        assert not ok.any() and st.refactors == 0
 
     def test_probe_failing_on_fresh_inverse_raises(self):
         # 8x8 Hilbert matrix, cond ~ 1.5e10: even inv(A0) misses the probe

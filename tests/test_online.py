@@ -11,6 +11,7 @@ from hypothesis import strategies as hs
 from smoothgreed import online
 from smoothgreed.instances import gen_adwords_triangular, gen_logdet_stream, gen_lp_random
 from smoothgreed.objectives import (
+    PROBE_TOL,
     DiagMap,
     FeasibleSet,
     LogDetObjective,
@@ -52,6 +53,8 @@ from oracles import (
     every_step_psd,
     logdet_relaxation_grid,
     lp_step_highs,
+    path_graph_stream,
+    per_arrival_psd,
     regret_form_ok,
     sequential_fill_deficit,
 )
@@ -509,6 +512,24 @@ class TestEngineInvariants:
             for run in (run_simultaneous, run_sequential):
                 with pytest.raises(ValueError, match=r"^step 4: "):
                     run(adwords_obj(3), steps)
+
+    def test_check_steps_names_first_bad_rank_one_step(self):
+        # a rank-one stream is checked in one pass over its stacked rows, yet
+        # every error names its first bad step
+        inst = gen_logdet_stream(4, 600, 2.0, seed=0)
+        obj = LogDetObjective(np.asarray(inst.extras["A0"]), 2.0, l=inst.extras["l"])
+        flat = Step(RankOneMap(np.ones(4)), FeasibleSet("simplex", 1))
+        for bad, message in ((RankOneMap(np.array([1.0, math.nan, 0.0, 0.0])), "non-finite map entries"),
+                             (RankOneMap(np.ones(3)), "map size does not match"),
+                             (DiagMap(np.ones(4)), "determinant objectives take")):
+            steps = list(inst.steps)
+            steps[536] = Step(bad, FeasibleSet("unit_interval"))
+            for later in ([], [flat]):
+                for run in (run_simultaneous, run_sequential):
+                    with pytest.raises(ValueError, match=rf"^step 537: {message}"):
+                        run(obj, steps + later)
+        with pytest.raises(ValueError, match=r"^step 561: determinant objectives take"):
+            run_sequential(obj, inst.steps[:560] + [flat])
 
 
 def _orthant_runs():
@@ -1172,6 +1193,137 @@ class TestExactScalarSteps:
             assert tr.u_final[1] == 3.0 and spent < len(xs) - 1, seed
             assert np.all(xs[spent + 1:] == 0.0), seed
             assert applied == [x for x in xs if x > 0.0], seed
+
+
+def _recording_states(monkeypatch):
+    """The LogDetState of each engine run from now on, in order."""
+    states = []
+
+    class Recorded(LogDetState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            states.append(self)
+
+    monkeypatch.setattr(online, "LogDetState", Recorded)
+    return states
+
+
+class TestPsdBlocks:
+    """The PSD loop reads the arrivals after a zero step in blocks and defers
+    its rank-one updates; both engines match the loop with one read per
+    arrival and every update applied at once."""
+
+    @staticmethod
+    def _instance(name):
+        if name == "det":       # the benchmark's det stream: 700 zero steps after the budget
+            return gen_logdet_stream(200, 800, 100.0, seed=1), 100.0
+        if name == "graph":
+            return path_graph_stream(100, 600, 60.0, seed=1), 60.0
+        return path_graph_stream(200, 200, 60.0, seed=0), 60.0     # cond 8e5: refactors
+
+    @pytest.mark.parametrize("algo", ["sim", "seq"])
+    @pytest.mark.parametrize("smoothed", [False, True])
+    @pytest.mark.parametrize("name", ["det", "graph", "path200"])
+    def test_matches_per_arrival_loop(self, name, smoothed, algo, monkeypatch):
+        inst, b = self._instance(name)
+        A0, l = np.asarray(inst.extras["A0"]), inst.extras["l"]
+        pen = nesterov_logdet_smoothing(len(A0), l, b) if smoothed else None
+        obj = LogDetObjective(A0, b, l=l, smoothed_budget=pen)
+        P, D, corr, want, refactors = per_arrival_psd(obj, inst.steps, algo)
+        states = _recording_states(monkeypatch)
+        tr = (run_simultaneous if algo == "sim" else run_sequential)(obj, inst.steps)
+        got = [float(r.x[0]) for r in tr.records]
+        assert np.flatnonzero(got).tolist() == np.flatnonzero(want).tolist()
+        # a zero step's inner product is 0.0 * z, whose sign the block must
+        # write as the step does: 0.0 on the plain sim runs' spent budget
+        zeros = [r for r in tr.records if r.x[0] == 0.0]
+        assert all(r.sigma == 0.0 and r.gain == 0.0 for r in zeros)
+        signs = {math.copysign(1.0, r.inner) for r in zeros}
+        assert signs == ({1.0} if algo == "sim" and not smoothed else {-1.0}), signs
+        # x is a root on [0, 1], solved to an absolute tolerance
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        for value, ref in ((tr.P_orig, P), (tr.D_alg, D), (tr.corr, corr)):
+            assert abs(value - ref) <= 1e-12 * abs(ref), (value, ref)
+        assert states[0].refactors == refactors
+        # the streams take the block paths in question
+        zero_runs = [len(r) for r in "".join("0" if x == 0.0 else "1" for x in want).split("1")]
+        if name == "det" and not smoothed:
+            assert max(zero_runs) > online._BLOCK_CAP
+        if name == "det" and smoothed and algo == "sim":
+            assert sum(r >= 2 for r in zero_runs[1:-1]) >= 20      # moving arrivals between zero runs
+        if name == "path200":
+            assert refactors == 3
+
+    def test_margin_absorbs_certified_read_error(self, monkeypatch):
+        # block reads may differ from quad's by PROBE_TOL relative; arrivals
+        # within that of x = 0's boundary must still take quad's decision.
+        # Each arrival has its own coordinate of an identity base, so that
+        # q = a.a is read exactly: the first spends the budget, then runs of
+        # three clear zeros each put one arrival near q = l into a block.
+        ks = (5, -5, 2, -2, 9, -9, 1, -1, 30, -30)
+        scales = [1.0] + [s for k in ks for s in [0.5] * 3 + [math.sqrt(1.0 + k * 1e-10)]]
+        n, l = len(scales), 2.0 * (1.0 + 1e-6)
+        obj = LogDetObjective(np.eye(n), 1.0, l=l)
+        steps = [Step(RankOneMap(s * math.sqrt(l if j else 1.0) * np.eye(n)[j]), FeasibleSet("unit_interval"))
+                 for j, s in enumerate(scales)]
+        quad, quads = LogDetState.quad, LogDetState.quads
+        for skew in (1.0 - PROBE_TOL, 1.0 + PROBE_TOL):     # a block read and quad, skewed apart
+            monkeypatch.setattr(LogDetState, "quad", lambda self, a, skew=skew: quad(self, a) / skew)
+            monkeypatch.setattr(LogDetState, "quads", lambda self, A, skew=skew: (
+                lambda q, ok: (q * skew, ok))(*quads(self, A)))
+            for algo, run in (("sim", run_simultaneous), ("seq", run_sequential)):
+                want = per_arrival_psd(obj, steps, algo)[3]
+                assert 0 < sum(x > 0.0 for x in want[1:]) < len(ks), (skew, algo)
+                assert [float(r.x[0]) for r in run(obj, steps).records] == want, (skew, algo)
+
+    def test_rows_failing_the_probe_are_read_alone(self, monkeypatch):
+        # a block stops at a row whose probe fails, and quad reads that row
+        inst, b = self._instance("graph")
+        obj = LogDetObjective(np.asarray(inst.extras["A0"]), b, l=inst.extras["l"])
+        want = per_arrival_psd(obj, inst.steps, "seq")[3]
+        quad, quads = LogDetState.quad, LogDetState.quads
+        flagged, read = set(), set()
+
+        def failing_quads(self, A):
+            q, ok = quads(self, A)
+            ok[2::5] = False
+            flagged.update(a.tobytes() for a in A[2::5])
+            return q, ok
+
+        def recorded_quad(self, a):
+            read.add(np.asarray(a, dtype=float).tobytes())
+            return quad(self, a)
+
+        monkeypatch.setattr(LogDetState, "quads", failing_quads)
+        monkeypatch.setattr(LogDetState, "quad", recorded_quad)
+        tr = run_sequential(obj, inst.steps)
+        assert [float(r.x[0]) for r in tr.records] == want
+        assert len(flagged) > 10 and flagged <= read
+
+    @pytest.mark.parametrize("algo", ["sim", "seq"])
+    def test_reads_one_quad_per_block(self, algo, monkeypatch):
+        # on the benchmark's det-plain runs, only the moving arrivals (a read,
+        # and on seq the correction read) and the one after each block are read alone
+        inst, b = self._instance("det")
+        obj = LogDetObjective(np.asarray(inst.extras["A0"]), b, l=inst.extras["l"])
+        calls = {"quad": 0, "quads": 0}
+
+        def counted(method):
+            orig = getattr(LogDetState, method)
+
+            def wrapper(self, *args):
+                calls[method] += 1
+                return orig(self, *args)
+            return wrapper
+
+        for method in calls:
+            monkeypatch.setattr(LogDetState, method, counted(method))
+        tr = (run_simultaneous if algo == "sim" else run_sequential)(obj, inst.steps)
+        moving = sum(float(r.x[0]) > 0.0 for r in tr.records)
+        assert calls["quad"] <= 2 * moving + calls["quads"], (calls, moving)
+        # blocks double up to _BLOCK_CAP rows: at most 7 to reach it, then full ones
+        runs = "".join("0" if r.x[0] == 0.0 else "1" for r in tr.records).split("1")
+        assert calls["quads"] <= sum(8 + len(r) // online._BLOCK_CAP for r in runs if r), calls
 
 
 class TestCertificates:

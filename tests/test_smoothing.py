@@ -200,6 +200,19 @@ class TestNesterovClosedForms:
             # constant past the clip or the end of the grid
             assert sm.deriv2(end * 1.5 + 0.1) == 0.0
 
+    def test_scalar_derivatives_match_array_path(self):
+        # a float takes its own path through deriv and deriv2; its values
+        # must equal, bit for bit, the array path's on one point
+        for sm in (nesterov_penalty_smoothing(2.0, 1.0), nesterov_logdet_smoothing(200, 2.0, 100.0)):
+            c = sm.u_clip
+            us = np.concatenate(([0.0, c, math.nextafter(c, 0.0), math.nextafter(c, 2 * c), 1.5 * c, 4 * c],
+                                 np.linspace(0.0, 2.0 * c, 2001)))
+            for u in us.tolist():
+                for method in (sm.deriv, sm.deriv2):
+                    got, want = method(u), method(np.array(u))
+                    assert type(got) is float and got.hex() == want.hex(), (u, method, got, want)
+                    assert method(np.float64(u)).hex() == want.hex()
+
     def test_penalty_inactive_at_origin(self):
         assert nesterov_penalty_smoothing(2.0, 1.0).deriv(0.0) == 0.0
 
