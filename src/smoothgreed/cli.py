@@ -79,7 +79,8 @@ def _objective_for(inst: Instance, smoothing_arg, objective_arg=None):
     """Build the family-default objective, optionally smoothed.
 
     ``objective_arg`` may name a scalar descriptor file that replaces the
-    capped reward of allocation instances coordinatewise.  ``closed_form``
+    capped reward of allocation instances coordinatewise; the packing and
+    log-det families reject one, as they reject a design file.  ``closed_form``
     and ``nesterov`` both name the family's closed-form smoothing.
     """
     if smoothing_arg == "nesterov":
@@ -103,6 +104,9 @@ def _objective_for(inst: Instance, smoothing_arg, objective_arg=None):
     if fam in ("lp_random", "logdet_stream") and smoothing_arg not in (None, "closed_form"):
         raise ValueError(f"{fam} takes --smoothing 'closed_form' or 'nesterov' only, "
                          f"not a design file ({smoothing_arg!r})")
+    if fam in ("lp_random", "logdet_stream") and objective_arg:
+        raise ValueError(f"{fam} takes no --objective ({objective_arg!r}): "
+                         f"it replaces the allocation reward only")
     if fam == "lp_random":
         l, theta = inst.extras["l"], inst.extras["theta"]
         pen = sm.nesterov_penalty_smoothing(l, theta) if smoothing_arg else None

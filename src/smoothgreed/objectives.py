@@ -183,7 +183,8 @@ class SeparableObjective:
             if self.certified_beta is None:
                 raise ValueError("smoothed objective without a certified beta")
             return 1.0 / self.certified_beta
-        return 1.0 / (1.0 - min(alpha_bar(c, 1e4) for c in self.coords))
+        distinct = {id(c): c for c in self.coords}.values()    # a shared list is one function
+        return 1.0 / (1.0 - min(alpha_bar(c, 1e4) for c in distinct))
 
 
 def _twin(obj, pen):

@@ -82,13 +82,17 @@ class RunTrace:
     y_final: object
     P_orig: float
     P_engine: float
-    D_alg: float
-    D_engine: float
+    conj_final: float   # obj.conj(y_final), the one pricing of the final dual
     sigma_sum: float
     corr: float
     records: list = field(default_factory=list)
     interior_shift: bool = False
     saddle_residual: float = 0.0
+
+    @property
+    def D_alg(self) -> float:
+        """The certificate D = sum_t sigma_t - conj(y_final) >= OPT."""
+        return self.sigma_sum - self.conj_final
 
     @property
     def ratio_lb(self) -> float:
@@ -103,8 +107,7 @@ class RunTrace:
         return {
             "version": "v1",
             "algo": self.algo, "m": self.m, "P": self.P_orig,
-            "P_engine": self.P_engine, "D": self.D_alg,
-            "D_engine": self.D_engine, "ratio_lb": self.ratio_lb,
+            "P_engine": self.P_engine, "D": self.D_alg, "ratio_lb": self.ratio_lb,
             "corr": self.corr, "interior_shift": self.interior_shift,
         }
 
@@ -1020,8 +1023,7 @@ def _run_orthant(obj, steps, algo, keep_records):
         # D bounds OPT only if y lies below every step's dual: the LP step can
         # hold a kink that w + Bx misses by rounding, where the slope reads above
         y = np.minimum(eng.grad_lo(u), y_low)
-    return RunTrace(algo, len(steps), u, y, obj.value(u), eng.value(u),
-                    sigma_sum - obj.conj(y), sigma_sum - eng.conj(y),
+    return RunTrace(algo, len(steps), u, y, obj.value(u), eng.value(u), obj.conj(y),
                     sigma_sum, corr, records, shift, resid)
 
 
@@ -1113,8 +1115,7 @@ def _run_psd(obj, steps, algo, keep_records, rows):
     y_final = (np.linalg.inv(state.Asum), float(pen.deriv_right(used)))
     return RunTrace(algo, len(steps), (state.U, used), y_final,
                     reward + float(obj.pen.value(used)), reward + float(pen.value(used)),
-                    sigma_sum - obj.conj(y_final), sigma_sum - obj.engine.conj(y_final),
-                    sigma_sum, corr, records, False, resid)
+                    obj.conj(y_final), sigma_sum, corr, records, False, resid)
 
 
 # ----------------------------------------------------------------------
@@ -1155,15 +1156,16 @@ def certify(trace: RunTrace, obj, steps) -> CertificateReport:
       A sequential run on a non-monotone objective carries no ratio
       theorem, so only the identity is enforced there.
 
-    The report's ``reasons`` name each failed inequality.
+    The realized bound and alpha read the final dual's conjugate from
+    ``trace.conj_final``, priced once by the engine: no conjugate is
+    evaluated here.  The report's ``reasons`` name each failed inequality.
     """
     P, D = trace.P_orig, trace.D_alg
-    conj_at_final = obj.conj(trace.y_final)
-    denom = trace.P_engine - conj_at_final - trace.corr     # corr is 0.0 on sim runs
+    denom = trace.P_engine - trace.conj_final - trace.corr     # corr is 0.0 on sim runs
     realized = P / denom if (P > 0 and denom > 0) else None
     alpha_real = None
     if P > 0 and obj.engine is obj:   # the classical realized parameter
-        alpha_real = conj_at_final / P
+        alpha_real = trace.conj_final / P
     identity_ok = trace.slack >= -CERT_TOL
     reasons = [] if identity_ok else [f"identity: slack {trace.slack:.4g} < -CERT_TOL {-CERT_TOL:g}"]
     structural, structural_ok = None, True

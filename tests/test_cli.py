@@ -234,6 +234,28 @@ class TestRunCertify:
         assert rc == cli.EXIT_BAD_INPUT
         assert captured.out == "" and "closed_form" in captured.err, captured.err
 
+    @pytest.mark.parametrize("exists", [True, False], ids=["file", "missing"])
+    @pytest.mark.parametrize("gen", [
+        ["--family", "lp_random", "--n", "3", "--m", "10", "--k", "2", "--seed", "1"],
+        ["--family", "logdet_stream", "--n", "3", "--m", "8", "--b", "2.0", "--seed", "1"],
+    ], ids=lambda gen: gen[1])
+    def test_objective_on_packing_or_logdet_exit_code(self, tmp_path, cap_descriptor, capsys,
+                                                      gen, exists):
+        # an --objective replaces the allocation reward only: elsewhere it is
+        # refused before the run, whether or not the file exists
+        inst, runs = str(tmp_path / "inst.json"), tmp_path / "runs"
+        assert run_cli(["gen", *gen, "--out", inst]) == 0
+        runs.mkdir()
+        objective = cap_descriptor if exists else str(tmp_path / "nonexistent.json")
+        for command in ("run", "certify"):
+            capsys.readouterr()
+            rc = run_cli([command, "--instance", inst, "--objective", objective,
+                          "--out", str(runs / command)])
+            captured = capsys.readouterr()
+            assert rc == cli.EXIT_BAD_INPUT, command
+            assert captured.out == "" and "--objective" in captured.err, captured.err
+        assert list(runs.iterdir()) == []
+
     def test_breach_exit_code(self, tmp_path, monkeypatch):
         # force a failing report through the certify path
         from smoothgreed.online import CertificateReport

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from smoothgreed import objectives
 from smoothgreed.objectives import (
     DiagMap,
     FeasibleSet,
@@ -22,7 +23,7 @@ from smoothgreed.objectives import (
 )
 from smoothgreed.instances import gen_adwords_triangular, gen_logdet_stream, gen_lp_random
 from smoothgreed.online import certify, run_sequential, run_simultaneous
-from smoothgreed.scalar import Cap, Linear
+from smoothgreed.scalar import Cap, Linear, Log1p, Power, alpha_bar
 from smoothgreed.smoothing import (
     adwords_closed_form_smoothing,
     nesterov_logdet_smoothing,
@@ -353,6 +354,25 @@ class TestPenaltyLPObjective:
         obj = PenaltyLPObjective(2, l=2.0, theta=1.0)
         assert obj.conj(np.array([0.5, 0.0, 0.0])) == -math.inf
         assert obj.conj(np.array([1.0, -1.0, 0.0])) == pytest.approx(-1.0)
+
+
+class TestRatioBound:
+    def test_alpha_bar_once_per_distinct_coordinate(self, monkeypatch):
+        # the floor is 1/(1 - min alpha_bar) over the coordinates; a function
+        # listed n times is one function, and its alpha_bar is taken once
+        calls = []
+
+        def counted(f, u_max):
+            calls.append(f)
+            return alpha_bar(f, u_max)
+
+        monkeypatch.setattr(objectives, "alpha_bar", counted)
+        log1p = Log1p()
+        for coords, want in (([log1p] * 100, 1), ([Cap(1.0), Log1p(), Power(0.4)], 3)):
+            calls.clear()
+            floor = SeparableObjective(coords).ratio_bound()
+            assert len(calls) == want
+            assert floor == 1.0 / (1.0 - min(alpha_bar(c, 1e4) for c in coords))
 
 
 class TestEngineTwin:

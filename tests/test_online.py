@@ -596,19 +596,21 @@ class TestZeroSteps:
                     for pen in (None, nesterov_logdet_smoothing(4, l, 2.0))]
         for name, obj, inst in [*_orthant_runs(), *psd_runs]:
             ref = run(obj, inst.steps)
+            # the final P and P_engine on one objective, or P_engine alone on
+            # a smoothed engine (its conjugate is never taken)
+            finals = 1 + (obj.engine is obj)
             if obj.cone == "psd":
-                # the final P and P_engine on one penalty, or P_engine and the
-                # smoothed budget's conjugate; records add one penalty pass
+                # records add one penalty pass
                 calls = self.count_values(monkeypatch, obj.engine.pen)
                 run(obj, inst.steps)
-                assert len(calls) == 3, name
+                assert len(calls) == finals + 1, name
                 calls.clear()
                 passes = []
             else:
                 calls = self.count_values(monkeypatch, obj.engine)
                 passes = self.count_values(monkeypatch, obj.engine, "row_values")
             tr = run(obj, inst.steps, keep_records=False)
-            assert len(calls) == (2 if obj.cone == "psd" else 1 + (obj.engine is obj)), name
+            assert len(calls) == finals, name
             assert passes == [] and tr.records == []
             assert (tr.P_orig, tr.D_alg, tr.corr) == (ref.P_orig, ref.D_alg, ref.corr), name
 
@@ -1361,9 +1363,8 @@ class TestCertificates:
         for slack, ok in ((-2e-9, False), (-5e-10, True)):
             sigma_sum = 4.0 - corr - slack
             y = np.array([0.5, 0.5])      # conj(y) = -1
-            tr = RunTrace(algo, 2, np.ones(2), y, P_orig=4.0, P_engine=4.0,
-                          D_alg=sigma_sum + 1.0, D_engine=sigma_sum + 1.0, sigma_sum=sigma_sum,
-                          corr=corr)
+            tr = RunTrace(algo, 2, np.ones(2), y, P_orig=4.0, P_engine=4.0, conj_final=-1.0,
+                          sigma_sum=sigma_sum, corr=corr)
             assert tr.slack == pytest.approx(slack, abs=1e-15)
             assert obj.conj(y) == -1.0 and CERT_TOL == 1e-9
             rep = certify(tr, obj, [])
@@ -1377,12 +1378,50 @@ class TestCertificates:
     def test_breach_reasons_name_each_inequality(self):
         # slack -1 and ratio_lb 0.25 below the floor 0.5 times the lag 1 - 1/4
         obj, y = adwords_obj(2), np.array([0.5, 0.5])
-        tr = RunTrace("seq", 2, np.ones(2), y, P_orig=1.0, P_engine=1.0, D_alg=4.0, D_engine=4.0,
+        tr = RunTrace("seq", 2, np.ones(2), y, P_orig=1.0, P_engine=1.0, conj_final=-1.0,
                       sigma_sum=3.0, corr=-1.0)
+        assert tr.D_alg == 4.0
         rep = certify(tr, obj, [])
         assert not rep.identity_ok and not rep.structural_ok
         assert rep.reasons == ("identity: slack -1 < -CERT_TOL -1e-09",
                                "floor: ratio_lb 0.25 < floor 0.5 * lag 1 + corr/D 0.75 = 0.375 by 0.125")
+
+    @pytest.mark.parametrize("algo", ["sim", "seq"])
+    @pytest.mark.parametrize("smoothed", [False, True], ids=["plain", "closed_form"])
+    def test_final_dual_priced_once(self, algo, smoothed, monkeypatch):
+        # the run prices y_final once, with obj.conj, and certify reads that
+        # price from the trace; a smoothed engine's conjugate is never taken
+        def counting(fn, calls):
+            def counted(*args):
+                calls.append(value := fn(*args))
+                return value
+            return counted
+
+        run = run_simultaneous if algo == "sim" else run_sequential
+        hstar = []
+        monkeypatch.setattr(LogDetObjective, "hstar", counting(LogDetObjective.hstar, hstar))
+        lp = gen_lp_random(4, 20, 2, 0.7, seed=1)
+        ld = gen_logdet_stream(4, 40, 2.0, seed=1)
+        l, theta, l0 = lp.extras["l"], lp.extras["theta"], ld.extras["l"]
+        pen = nesterov_penalty_smoothing(l, theta) if smoothed else None
+        budget = nesterov_logdet_smoothing(4, l0, 2.0) if smoothed else None
+        cases = [(adwords_obj(10, smoothed), gen_adwords_triangular(10, 3)),
+                 (PenaltyLPObjective(4, l, theta, smoothed_penalty=pen), lp),
+                 (LogDetObjective(np.asarray(ld.extras["A0"]), 2.0, l=l0, smoothed_budget=budget), ld)]
+        for obj, inst in cases:
+            assert (obj.engine is not obj) == smoothed
+            conj, engine_conj = [], []
+            obj.conj = counting(obj.conj, conj)
+            if obj.engine is not obj:
+                obj.engine.conj = counting(obj.engine.conj, engine_conj)
+            hstar.clear()
+            tr = run(obj, inst.steps)
+            rep = certify(tr, obj, inst.steps)
+            assert (len(conj), len(engine_conj)) == (1, 0), inst.family
+            assert len(hstar) == (obj.cone == "psd"), inst.family
+            assert _bit_equal(tr.conj_final, conj[0]), inst.family
+            assert _bit_equal(tr.D_alg, tr.sigma_sum - conj[0]), inst.family
+            assert rep.realized_bound == tr.P_orig / (tr.P_engine - conj[0] - tr.corr), inst.family
 
     def test_gap_identities_all_families(self):
         inst = gen_adwords_triangular(5, 3)
