@@ -295,7 +295,7 @@ class LogDetObjective:
         sign, ld = np.linalg.slogdet(Y)
         if sign <= 0:
             return -math.inf
-        return float(self.n - np.trace(Y @ self.A0) + ld + self._logdet_A0)
+        return float(self.n - np.einsum("ij,ji->", Y, self.A0) + ld + self._logdet_A0)
 
     def conj(self, dual):
         Y, yb = dual

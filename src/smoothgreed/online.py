@@ -1045,7 +1045,8 @@ def _run_psd(obj, steps, algo, keep_records, rows):
     inner -0.0, or 0.0 on a kink of the budget penalty); the first other
     arrival takes its step alone.  A block reads twice the rows of a full
     one before it, up to _BLOCK_CAP, and after one that stops at its first
-    row the next zero step reads none.
+    row the next zero step reads none.  The final dual is the flushed,
+    certified inverse ``state.Y``; no inverse of Asum is taken at the end.
     """
     state = LogDetState(obj.A0, obj.lam_min)
     pen = obj.engine.pen
@@ -1073,8 +1074,9 @@ def _run_psd(obj, steps, algo, keep_records, rows):
             resid = max(resid, abs(sigma * min(x, 1.0) - x * z))
         elif x > 0.0:   # a step of x = 0 moves neither the state nor the dual
             yb_next = float(pen.deriv_right(used))
-            # <A_t x, y_next - y_t> over the product cone
-            corr += x * (state.quad(a) - q) + x * (yb_next - yb)
+            # <A_t x, y_next - y_t> over the product cone; the post-update read
+            # a^T (Asum + x a a^T)^{-1} a is q/(1 + x q) by Sherman-Morrison
+            corr += x * (q / (1.0 + x * q) - q) + x * (yb_next - yb)
             yb = yb_next
         sigma_sum += sigma
         if keep_records:     # the gain holds the log-det part until the penalty pass
@@ -1112,7 +1114,7 @@ def _run_psd(obj, steps, algo, keep_records, rows):
         gains = np.array([rec.gain for rec in records]) + pens[1:] - pens[:-1]
         for rec, gain in zip(records, gains.tolist()):
             rec.gain = gain
-    y_final = (np.linalg.inv(state.Asum), float(pen.deriv_right(used)))
+    y_final = (state.Y, float(pen.deriv_right(used)))
     return RunTrace(algo, len(steps), (state.U, used), y_final,
                     reward + float(obj.pen.value(used)), reward + float(pen.value(used)),
                     obj.conj(y_final), sigma_sum, corr, records, False, resid)

@@ -406,14 +406,15 @@ def every_step_psd(obj, steps, algo):
         records.append((t, x, max(0.0, z), x * z, gain_logdet + pen_now - prev_pen))
         prev_pen = pen_now
         if algo == "seq" and x > 0.0:
-            state.quad(a)       # the engine's correction read, which may refactorize Y
             yb = float(pen.deriv_right(used))
     return records
 
 
 def per_arrival_psd(obj, steps, algo):
     """The PSD engine loop with one quad per arrival and each rank-one update
-    applied as it is made (no block reads, no deferred updates).
+    applied as it is made (no block reads, no deferred updates).  The seq
+    correction reads a^T Asum^{-1} a again after each update, and the final
+    dual takes inv(Asum): the references for the engines' closed forms.
 
     Returns P, D and corr, the list of every arrival's x, and the number of
     refactorizations.

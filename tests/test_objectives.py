@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from smoothgreed import objectives
 from smoothgreed.objectives import (
@@ -10,6 +12,7 @@ from smoothgreed.objectives import (
     FeasibleSet,
     LogDetObjective,
     PROBE_TOL,
+    _PENDING,
     LogDetState,
     PenaltyLPObjective,
     RankOneMap,
@@ -227,6 +230,29 @@ class TestLogDetMachinery:
         st.quad(a)
         a[0] += 1.0                                     # a changed in place since
         check_apply(0.5, float(a @ np.linalg.solve(st.Asum, a)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(hs.integers(2, 8), hs.integers(0, 2 ** 32 - 1), hs.integers(0, _PENDING - 2),
+           hs.sampled_from([1e-3, 1.0, 30.0]), hs.one_of(hs.just(1.0), hs.floats(1e-6, 1.0)))
+    def test_post_update_read_is_closed_form(self, n, seed, prior, scale, x):
+        # after apply(a, x, q), a fresh certified read of a is q/(1 + x q)
+        # (Sherman-Morrison): both reads are within PROBE_TOL relative, and
+        # q -> q/(1 + x q) does not amplify a relative error.  Read with the
+        # prior updates and this one pending (fewer than _PENDING), then flushed
+        rng = np.random.default_rng(seed)
+        B = rng.normal(size=(n, n))
+        st = LogDetState(B @ B.T + np.eye(n))
+        for _ in range(prior):
+            st.apply(rng.normal(size=n), float(rng.uniform()))
+        a = scale * rng.normal(size=n)
+        q = st.quad(a)
+        st.apply(a, x, q)
+        want = q / (1.0 + x * q)
+        for flushed in (False, True):
+            if flushed:
+                st.flush()
+            post = st.quad(a)
+            assert abs(post - want) <= 2 * PROBE_TOL * want, (flushed, post, want)
 
     def test_lam_min_is_a_lower_bound(self):
         n = 100

@@ -1197,6 +1197,10 @@ class TestExactScalarSteps:
             assert applied == [x for x in xs if x > 0.0], seed
 
 
+def _record_bytes(trace):
+    return [(r.t, r.x.tobytes(), np.array([r.sigma, r.inner, r.gain]).tobytes()) for r in trace.records]
+
+
 def _recording_states(monkeypatch):
     """The LogDetState of each engine run from now on, in order."""
     states = []
@@ -1256,6 +1260,49 @@ class TestPsdBlocks:
         if name == "path200":
             assert refactors == 3
 
+    @pytest.mark.parametrize("algo", ["sim", "seq"])
+    @pytest.mark.parametrize("smoothed", [False, True])
+    @pytest.mark.parametrize("name", ["det", "graph", "path200"])
+    def test_final_dual_is_the_maintained_inverse(self, name, smoothed, algo, monkeypatch):
+        # the final dual is the flushed Y, no inverse is taken at the end, and
+        # the seq correction reads q/(1 + x q) in place of a second quad.  The
+        # reference run restores that read after every update (where it may
+        # refactorize): P, sigma_sum and the records keep their bytes
+        inst, b = self._instance(name)
+        A0, l = np.asarray(inst.extras["A0"]), inst.extras["l"]
+        pen = nesterov_logdet_smoothing(len(A0), l, b) if smoothed else None
+        obj = LogDetObjective(A0, b, l=l, smoothed_budget=pen)
+        run = run_simultaneous if algo == "sim" else run_sequential
+        states = _recording_states(monkeypatch)
+        inv, apply = np.linalg.inv, LogDetState.apply
+        inverses, drift = [], []
+
+        def counting_inv(M):
+            inverses.append(len(M))
+            return inv(M)
+
+        def reread_apply(self, a, x, q=None):
+            apply(self, a, x, q)
+            if x > 0.0:     # the two-read correction's term, less the closed form's
+                drift.append(x * (self.quad(a) - q / (1.0 + x * q)))
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        tr = run(obj, inst.steps)
+        assert len(inverses) == 1 + states[0].refactors, (inverses, states[0].refactors)
+        Y = inv(states[0].Asum)
+        assert tr.y_final[0] is states[0].Y
+        want = tr.sigma_sum - obj.conj((Y, tr.y_final[1]))
+        assert abs(tr.D_alg - want) <= 1e-12 * abs(want), (tr.D_alg, want)
+        if algo == "seq":
+            monkeypatch.setattr(LogDetState, "apply", reread_apply)
+        ref = run(obj, inst.steps)
+        assert states[1].refactors == states[0].refactors
+        for got, exp in ((tr.P_orig, ref.P_orig), (tr.P_engine, ref.P_engine), (tr.sigma_sum, ref.sigma_sum)):
+            assert _bit_equal(got, exp), (got, exp)
+        assert _record_bytes(tr) == _record_bytes(ref)
+        assert len(drift) == (algo == "seq") * sum(r.x[0] > 0.0 for r in tr.records)
+        assert abs(math.fsum(drift)) <= 1e-12 * abs(tr.corr), (math.fsum(drift), tr.corr)
+
     def test_margin_absorbs_certified_read_error(self, monkeypatch):
         # block reads may differ from quad's by PROBE_TOL relative; arrivals
         # within that of x = 0's boundary must still take quad's decision.
@@ -1304,17 +1351,21 @@ class TestPsdBlocks:
 
     @pytest.mark.parametrize("algo", ["sim", "seq"])
     def test_reads_one_quad_per_block(self, algo, monkeypatch):
-        # on the benchmark's det-plain runs, only the moving arrivals (a read,
-        # and on seq the correction read) and the one after each block are read alone
+        # on the benchmark's det-plain runs, only the moving arrivals and the
+        # one after each block are read alone, each once: the seq correction
+        # takes the post-update read in closed form
         inst, b = self._instance("det")
         obj = LogDetObjective(np.asarray(inst.extras["A0"]), b, l=inst.extras["l"])
         calls = {"quad": 0, "quads": 0}
+        read = []
 
         def counted(method):
             orig = getattr(LogDetState, method)
 
             def wrapper(self, *args):
                 calls[method] += 1
+                if method == "quad":
+                    read.append(id(args[0]))
                 return orig(self, *args)
             return wrapper
 
@@ -1322,7 +1373,8 @@ class TestPsdBlocks:
             monkeypatch.setattr(LogDetState, method, counted(method))
         tr = (run_simultaneous if algo == "sim" else run_sequential)(obj, inst.steps)
         moving = sum(float(r.x[0]) > 0.0 for r in tr.records)
-        assert calls["quad"] <= 2 * moving + calls["quads"], (calls, moving)
+        assert calls["quad"] <= moving + calls["quads"], (calls, moving)
+        assert len(set(read)) == len(read) == 101, calls      # 100 moving arrivals, then one zero step
         # blocks double up to _BLOCK_CAP rows: at most 7 to reach it, then full ones
         runs = "".join("0" if r.x[0] == 0.0 else "1" for r in tr.records).split("1")
         assert calls["quads"] <= sum(8 + len(r) // online._BLOCK_CAP for r in runs if r), calls
