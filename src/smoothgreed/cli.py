@@ -11,6 +11,7 @@ import argparse
 import concurrent.futures
 import json
 import math
+import operator
 import os
 import sys
 
@@ -30,6 +31,7 @@ EXIT_INFEASIBLE = 3
 EXIT_BAD_INPUT = 4
 _STRICT_JSON = json.JSONEncoder(allow_nan=False)   # json.dumps would build one per record
 _X_MEMO = 1024      # distinct encoded x kept at once by _record_lines
+_RECORD_CHUNK = 128     # records _record_lines formats and yields at once
 
 
 def _provenance(args) -> str:
@@ -185,29 +187,43 @@ def _do_run(args, check: bool) -> int:
 def _record_lines(records):
     """Records JSONL: one line per step with t, the dense x, sigma, inner and gain.
 
-    Each line is the strict (no NaN or inf) JSON of that dict.  Runs repeat
-    few distinct x, so each is encoded once, keyed by its bytes (which keep
-    -0.0 apart from 0.0); the memo is emptied when full, and a record sharing
-    the x array of the one before reuses its text.  The floats are written
-    by ``float.__repr__``, as the json encoder writes them.
+    Each line is the strict (no NaN or inf) JSON of that dict.  The text is
+    built _RECORD_CHUNK records at a time and yielded as one string, so memory
+    is bounded by the chunk.  Runs repeat few distinct x, so each is encoded
+    once, keyed by its bytes (which keep -0.0 apart from 0.0); the memo is
+    emptied when full, and a record sharing the x array of the one before
+    reuses its text.  The floats are written by ``float.__repr__``, as the
+    json encoder writes them, once per distinct bit pattern in the chunk.
     """
+    fields = operator.attrgetter("t", "x", "sigma", "inner", "gain")
+    line = ['{"t": ', None, ', "x": ', None, ', "sigma": ', None, ', "inner": ', None,
+            ', "gain": ', None, '}\n']
     memo = {}
     prev_x = xs = None
-    for rec in records:
-        if rec.x is not prev_x:
-            prev_x = rec.x
-            x = np.atleast_1d(rec.x)
-            key = x.tobytes()
-            xs = memo.get(key)
-            if xs is None:
-                if len(memo) >= _X_MEMO:
-                    memo.clear()
-                xs = memo[key] = _STRICT_JSON.encode(x.tolist())
-        floats = rec.sigma, rec.inner, rec.gain
-        if not math.isfinite(sum(floats)):     # the encoder names a non-finite one
-            _STRICT_JSON.encode(floats)
-        yield '{"t": %s, "x": %s, "sigma": %s, "inner": %s, "gain": %s}\n' % (
-            rec.t, xs, *map(float.__repr__, floats))
+    for lo in range(0, len(records), _RECORD_CHUNK):
+        ts, xcol, *floats = zip(*map(fields, records[lo:lo + _RECORD_CHUNK]))
+        xcol = list(xcol)
+        for j, x in enumerate(xcol):
+            if x is not prev_x:
+                prev_x = x
+                x = np.atleast_1d(x)
+                key = x.tobytes()
+                xs = memo.get(key)
+                if xs is None:
+                    if len(memo) >= _X_MEMO:
+                        memo.clear()
+                    xs = memo[key] = _STRICT_JSON.encode(x.tolist())
+            xcol[j] = xs
+        floats = np.array(floats, dtype=float)
+        if not np.isfinite(floats).all():       # the encoder names a non-finite one
+            _STRICT_JSON.encode(floats.tolist())
+        bits, inverse = np.unique(floats.view(np.int64), return_inverse=True)
+        text = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+        parts = line * len(ts)
+        parts[1::11] = map(str, ts)
+        parts[3::11] = xcol
+        parts[5::11], parts[7::11], parts[9::11] = text[inverse.reshape(floats.shape)].tolist()
+        yield "".join(parts)
 
 
 def cmd_run(args) -> int:

@@ -837,14 +837,13 @@ def _check_steps(obj, steps):
             rows = None
         if rows is not None and rows.shape == (len(steps), n) and np.isfinite(rows).all():
             return rows
-    seen = set()
-    for t, st in enumerate(steps, 1):
-        if id(st) in seen:
-            continue
-        seen.add(id(st))
+    def first_t(st):
+        return next(t for t, other in enumerate(steps, 1) if other is st)
+
+    for st in dict(zip(map(id, steps), steps)).values():    # each object once, in order
         A = st.A
         if not isinstance(A, want) or st.F.kind != kind:
-            raise ValueError(f"step {t}: {what}")
+            raise ValueError(f"step {first_t(st)}: {what}")
         if want is StackedMap:
             entries = (A.c, A.B)
             sized = (np.ndim(A.B) == 2 and np.shape(A.B)[0] == n
@@ -853,11 +852,11 @@ def _check_steps(obj, steps):
             entries = (A.a,)
             sized = np.shape(A.a) == (n,) and (want is RankOneMap or st.F.k == n)
         if not sized:
-            raise ValueError(f"step {t}: map size does not match the objective (n={n})")
+            raise ValueError(f"step {first_t(st)}: map size does not match the objective (n={n})")
         if not all(np.isfinite(v).all() for v in entries):
-            raise ValueError(f"step {t}: non-finite map entries")
+            raise ValueError(f"step {first_t(st)}: non-finite map entries")
         if want is not RankOneMap and any((v < 0).any() for v in entries):
-            raise ValueError(f"step {t}: step map must keep the orthant invariant")
+            raise ValueError(f"step {first_t(st)}: step map must keep the orthant invariant")
 
 
 def run_simultaneous(obj, steps, keep_records: bool = True) -> RunTrace:

@@ -5,10 +5,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from smoothgreed import cli
 from smoothgreed.instances import gen_logdet_stream
@@ -699,9 +702,45 @@ class TestRecordsJsonl:
         monkeypatch.setattr(cli, "_X_MEMO", 3)
         assert "".join(cli._record_lines(records)) == records_jsonl(records)
 
+    @settings(max_examples=40, deadline=None)
+    @given(hs.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 7)]),
+           hs.lists(hs.one_of(hs.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308]),
+                              hs.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=1, max_size=12),
+           hs.integers(0, 2 ** 32 - 1))
+    def test_chunks_match_oracle(self, chunks, pool, seed):
+        # record counts at and around the chunk length; shared x objects,
+        # distinct arrays of equal bytes, and np.float64 fields
+        count = chunks[0] * cli._RECORD_CHUNK + chunks[1]
+        rng = np.random.default_rng(seed)
+        pick = lambda: (np.float64 if rng.random() < 0.3 else float)(pool[rng.integers(len(pool))])
+        xs = [np.array([pick() for _ in range(rng.integers(1, 4))]) for _ in range(3)]
+        records = []
+        for t in range(1, count + 1):
+            x = xs[rng.integers(len(xs))]
+            records.append(StepRecord(t, x.copy() if rng.random() < 0.3 else x, pick(), pick(), pick()))
+        assert "".join(cli._record_lines(records)) == records_jsonl(records)
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # without chunks the writer would hold the whole file (about 40 MB)
+        # at once.  Each record has its own x array; 16 byte patterns keep
+        # the x memo small and the encoding off the test's time.
+        rng = np.random.default_rng(np.random.Philox(key=5))
+        pool = rng.uniform(0.0, 1.0, (16, 100))
+        records = [StepRecord(t, pool[t % 16].copy(), 1.0, 0.5, 0.25) for t in range(1, 20001)]
+        size = biggest = 0
+        tracemalloc.start()
+        try:
+            for chunk in cli._record_lines(records):
+                size, biggest = size + len(chunk), max(biggest, len(chunk))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 30 * 2 ** 20 and peak < 4 * biggest < size / 8, (size, biggest, peak)
+
     def test_nonfinite_record_exit_code(self, tmp_path, monkeypatch, capsys):
         inst = str(tmp_path / "inst.json")
-        run_cli(["gen", "--family", "adwords_triangular", "--n", "3", "--phase-len", "2",
+        run_cli(["gen", "--family", "adwords_triangular", "--n", "3", "--phase-len", "300",
                  "--out", inst])
         run = cli.run_simultaneous
 
@@ -709,18 +748,22 @@ class TestRecordsJsonl:
             rec.x = rec.x.copy()
             rec.x[1] = math.nan
 
-        for edit in (edit_x, lambda rec: setattr(rec, "gain", math.nan)):
-            def broken(obj, steps, edit=edit):
-                tr = run(obj, steps)
-                edit(tr.records[2])
-                return tr
+        edits = [edit_x] + [lambda rec, f=f: setattr(rec, f, math.nan) for f in ("sigma", "inner")]
+        edits.append(lambda rec: setattr(rec, "gain", -math.inf))
+        # the third record, in the first chunk, and the last of 900, in the last chunk
+        for at in (2, -1):
+            for edit in edits:
+                def broken(obj, steps, edit=edit):
+                    tr = run(obj, steps)
+                    edit(tr.records[at])
+                    return tr
 
-            monkeypatch.setattr(cli, "run_simultaneous", broken)
-            capsys.readouterr()
-            assert run_cli(["certify", "--instance", inst, "--out",
-                            str(tmp_path / "run")]) == cli.EXIT_BAD_INPUT
-            captured = capsys.readouterr()
-            assert captured.out == "" and "not JSON compliant" in captured.err
+                monkeypatch.setattr(cli, "run_simultaneous", broken)
+                capsys.readouterr()
+                assert run_cli(["certify", "--instance", inst, "--out",
+                                str(tmp_path / "run")]) == cli.EXIT_BAD_INPUT
+                captured = capsys.readouterr()
+                assert captured.out == "" and "not JSON compliant" in captured.err
 
 
 class TestSweep:

@@ -513,6 +513,19 @@ class TestEngineInvariants:
                 with pytest.raises(ValueError, match=r"^step 4: "):
                     run(adwords_obj(3), steps)
 
+    def test_check_steps_names_earlier_of_two_bad_objects(self):
+        # distinct objects are checked in order of first arrival, whatever
+        # their order of creation or later repeats
+        good = Step(DiagMap(np.full(3, 0.5)), FeasibleSet("simplex", 3))
+        narrow = Step(DiagMap(np.full(2, 0.5)), FeasibleSet("simplex", 2))
+        nan = Step(DiagMap(np.array([0.5, math.nan, 0.5])), FeasibleSet("simplex", 3))
+        for steps, t, message in (([good, nan, good, narrow, nan], 2, "non-finite"),
+                                  ([good] * 2 + [narrow, nan, narrow], 3, "map size"),
+                                  ([good, narrow] + [nan] * 3, 2, "map size")):
+            for run in (run_simultaneous, run_sequential):
+                with pytest.raises(ValueError, match=rf"^step {t}: {message}"):
+                    run(adwords_obj(3), steps)
+
     def test_check_steps_names_first_bad_rank_one_step(self):
         # a rank-one stream is checked in one pass over its stacked rows, yet
         # every error names its first bad step
