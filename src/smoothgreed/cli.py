@@ -20,7 +20,8 @@ import numpy as np
 from smoothgreed import __version__
 from smoothgreed import scalar as sc
 from smoothgreed import smoothing as sm
-from smoothgreed.instances import Instance, gen_adwords_triangular, gen_logdet_stream, gen_lp_random
+from smoothgreed.instances import (Instance, gen_adwords_triangular, gen_logdet_stream, gen_lp_random,
+                                   replace_on_success)
 from smoothgreed.objectives import (LogDetObjective, PenaltyLPObjective, SeparableObjective,
                                     theta_of_instance)
 from smoothgreed.online import certify, run_sequential, run_simultaneous
@@ -171,9 +172,9 @@ def _do_run(args, check: bool) -> int:
     summary = {k: None if isinstance(v, float) and not math.isfinite(v) else v
                for k, v in summary.items()}
     if args.out:
-        with open(args.out + ".jsonl", "w") as fh:
-            fh.writelines(_record_lines(trace.records))
-        with open(args.out + ".json", "w") as fh:
+        # both files or neither: a records file without its summary is not a run
+        with replace_on_success(args.out + ".jsonl", args.out + ".json") as (records, fh):
+            records.writelines(_record_lines(trace.records))
             json.dump(summary, fh, indent=1, allow_nan=False)
     print(json.dumps({k: v for k, v in summary.items()
                       if k in ("P", "D", "ratio_lb", "structural_bound",

@@ -2,15 +2,18 @@
 
 All randomness flows through counter-based Philox streams keyed by the
 instance seed, so identical parameters give bit-identical instances on any
-platform.  Instances round-trip through JSON exactly (floats are encoded
-with shortest round-trip repr).
+platform.  Instances round-trip through JSON exactly: step arrays are
+written as base64 binary64 blobs (``objectives.encode_array``), the
+extras' floats with shortest round-trip repr.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +30,8 @@ from smoothgreed.objectives import (
 )
 from smoothgreed.scalar import check_positive
 
-SCHEMA_VERSION = "v2"
-_READABLE = ("v1", SCHEMA_VERSION)
+SCHEMA_VERSION = "v3"
+_READABLE = ("v1", "v2", SCHEMA_VERSION)
 _ENCODE = json.JSONEncoder(allow_nan=False).encode   # json.dumps would build one per step
 
 
@@ -36,11 +39,13 @@ _ENCODE = json.JSONEncoder(allow_nan=False).encode   # json.dumps would build on
 class Instance:
     """A problem family's parameters, step stream and attached extras.
 
-    Schema v2 writes a run of one ``Step`` object once, with ``"repeat": r``
+    A run of one ``Step`` object is written once, with ``"repeat": r``
     (omitted when r = 1).  Runs go by identity, not equality, so equal
     steps held as distinct objects stay distinct entries; the loader shares
-    one object across a run's r steps.  Files of schema v1, which has no
-    ``repeat``, still load.
+    one object across a run's r steps.  Schema v3 writes each step array
+    as ``{"shape": [...], "f64": base64}``; a plain list of numbers still
+    loads, so files of schema v2 (decimal lists) and v1 (decimal lists, no
+    ``repeat``) load as before.
     """
 
     family: str
@@ -70,10 +75,11 @@ class Instance:
         """Write the strict JSON of self.to_jsonable() in pieces, one per step.
 
         json.dump would run the pure-Python streaming encoder; _ENCODE runs
-        the C one, and piecewise it never holds the whole document.
+        the C one, and piecewise it never holds the whole document.  An
+        error part way leaves no file (see replace_on_success).
         """
         enc = _ENCODE
-        with open(path, "w") as fh:
+        with replace_on_success(path) as (fh,):
             fh.write(f'{{"version": {enc(SCHEMA_VERSION)}, "family": {enc(self.family)}, '
                      f'"params": {enc(self.params)}, "steps": [')
             for i, d in enumerate(self._step_descriptors()):
@@ -86,16 +92,44 @@ class Instance:
             raise ValueError(f"unsupported instance version {d.get('version')!r}")
         steps = []
         for t, desc in enumerate(d["steps"]):
+            try:
+                step = step_from_descriptor(desc)
+            except KeyError as exc:
+                raise ValueError(f"steps[{t}]: missing key {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"steps[{t}]: {exc}") from exc
             r = desc.get("repeat", 1)
             if type(r) is not int or r < 1:
                 raise ValueError(f"steps[{t}]: repeat must be an integer >= 1, got {r!r}")
-            steps.extend([step_from_descriptor(desc)] * r)
+            steps.extend([step] * r)
         return Instance(d["family"], d["params"], steps, d.get("extras", {}))
 
     @staticmethod
     def load(path: str) -> "Instance":
         with open(path) as fh:
             return Instance.from_jsonable(json.load(fh))
+
+
+@contextlib.contextmanager
+def replace_on_success(*paths):
+    """Yield text files that replace ``paths`` only once the block succeeds.
+
+    Each is written under a temporary name beside its path and moved into
+    place by os.replace after all are closed, so a reader never meets a
+    partial file; on an error in the block the temporaries are removed and
+    no path is touched.
+    """
+    tmps = [f"{p}.{os.getpid()}.tmp" for p in paths]
+    try:
+        with contextlib.ExitStack() as stack:
+            yield [stack.enter_context(open(tmp, "w")) for tmp in tmps]
+        for tmp, p in zip(tmps, paths):
+            os.replace(tmp, p)
+    except BaseException:
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
 
 
 def _rng(seed: int) -> np.random.Generator:

@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 import math
@@ -15,6 +16,7 @@ from hypothesis import strategies as hs
 
 from smoothgreed import cli
 from smoothgreed.instances import gen_logdet_stream
+from smoothgreed.objectives import decode_array
 from smoothgreed.online import StepRecord
 
 from oracles import records_jsonl
@@ -22,6 +24,12 @@ from oracles import records_jsonl
 
 def run_cli(args):
     return cli.main(args)
+
+
+def _blob(a):
+    """An array's v3 blob, written without encode_array's finiteness check."""
+    a = np.asarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "f64": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
 @pytest.fixture
@@ -307,13 +315,17 @@ class TestRunCertify:
         inst = tmp_path / "inst.json"
         run_cli(["gen", "--family", "adwords_triangular", "--n", "3",
                  "--phase-len", "2", "--out", str(inst)])
-        for edit in (lambda a: a.__setitem__(0, math.nan), lambda a: a.pop()):
-            d = json.loads(inst.read_text())
-            edit(d["steps"][1]["A"]["a"])
-            bad.write_text(json.dumps(d))
-            capsys.readouterr()
-            assert run_cli(["certify", "--instance", str(bad)]) == cli.EXIT_BAD_INPUT
-            assert capsys.readouterr().out == ""
+        # each written as a base64 blob and as a v2 decimal list
+        nan_first = lambda a: np.where(np.arange(a.size) == 0, math.nan, a)
+        for form in (_blob, lambda a: a.tolist()):
+            for edit in (nan_first, lambda a: a[:-1]):
+                d = json.loads(inst.read_text())
+                d["steps"][1]["A"]["a"] = form(edit(decode_array(d["steps"][1]["A"]["a"])))
+                bad.write_text(json.dumps(d))
+                capsys.readouterr()
+                assert run_cli(["certify", "--instance", str(bad)]) == cli.EXIT_BAD_INPUT
+                captured = capsys.readouterr()
+                assert captured.out == "" and "step 3" in captured.err, captured.err
         # diagonal allocation steps in a packing instance: wrong map kind
         lp = tmp_path / "lp.json"
         run_cli(["gen", "--family", "lp_random", "--n", "3", "--out", str(lp)])
@@ -446,6 +458,28 @@ class TestRunCertify:
             captured = capsys.readouterr()
             assert captured.out == "" and "repeat" in captured.err, (value, captured.err)
             assert not os.path.exists(out + ".json")
+
+    @pytest.mark.parametrize("edit", [
+        lambda a: a.update(f64="!" + a["f64"]),            # not a base64 character
+        lambda a: a.update(f64=_blob(decode_array(a)[:-1])["f64"]),     # 8 bytes short
+        lambda a: a.update(shape=[-1]), lambda a: a.update(shape=[True], f64=_blob([0.5])["f64"]),
+        lambda a: a.update(shape=[2.0], f64=_blob([0.5, 0.5])["f64"]), lambda a: a.update(shape="3"),
+        lambda a: a.pop("f64"), lambda a: a.update(f64=None),
+    ])
+    def test_bad_step_array_exit_code(self, tmp_path, capsys, edit):
+        # a malformed blob names its step and is rejected before any computation
+        inst, bad = tmp_path / "inst.json", tmp_path / "bad.json"
+        run_cli(["gen", "--family", "adwords_triangular", "--n", "3", "--phase-len", "2",
+                 "--out", str(inst)])
+        d = json.loads(inst.read_text())
+        edit(d["steps"][1]["A"]["a"])
+        bad.write_text(json.dumps(d))
+        capsys.readouterr()
+        out = str(tmp_path / "run")
+        assert run_cli(["certify", "--instance", str(bad), "--out", out]) == cli.EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and "steps[1]: " in captured.err, captured.err
+        assert sorted(os.listdir(tmp_path)) == ["bad.json", "inst.json"]
 
     def test_instance_fields_exit_code(self, tmp_path, capsys):
         # params.n sizes the objective and offline_opt divides the true ratio
@@ -764,6 +798,8 @@ class TestRecordsJsonl:
                                 str(tmp_path / "run")]) == cli.EXIT_BAD_INPUT
                 captured = capsys.readouterr()
                 assert captured.out == "" and "not JSON compliant" in captured.err
+                # neither file, nor a temporary, is left behind
+                assert os.listdir(tmp_path) == ["inst.json"]
 
 
 class TestSweep:

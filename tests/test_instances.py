@@ -1,9 +1,12 @@
 import copy
 import json
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from smoothgreed.instances import (
     Instance,
@@ -11,7 +14,8 @@ from smoothgreed.instances import (
     gen_logdet_stream,
     gen_lp_random,
 )
-from smoothgreed.objectives import DiagMap, FeasibleSet, Step, l_bound_lp, theta_of_instance
+from smoothgreed.objectives import (DiagMap, FeasibleSet, Step, decode_array, encode_array,
+                                    l_bound_lp, theta_of_instance)
 from smoothgreed.online import run_simultaneous
 from smoothgreed.objectives import SeparableObjective
 from smoothgreed.scalar import Cap
@@ -117,7 +121,7 @@ class TestPersistence:
         with pytest.raises(ValueError):
             Instance.from_jsonable({"version": "v0", "family": "x", "steps": []})
 
-    def test_v2_runs_round_trip_byte_identical(self, tmp_path):
+    def test_v3_runs_round_trip_byte_identical(self, tmp_path):
         # a run of one Step object is written once; the loader shares it again
         inst = gen_adwords_triangular(4, 3)
         p = tmp_path / "inst.json"
@@ -125,7 +129,7 @@ class TestPersistence:
         text = p.read_text()
         assert text == json.dumps(inst.to_jsonable())
         d = json.loads(text)
-        assert d["version"] == "v2"
+        assert d["version"] == "v3"
         assert [s["repeat"] for s in d["steps"]] == [3, 3, 3, 3]
         back = Instance.load(str(p))
         assert len(back.steps) == 12 and len({id(s) for s in back.steps}) == 4
@@ -156,9 +160,87 @@ class TestPersistence:
             assert st.F.kind == "simplex" and st.F.k == 2
         assert inst.extras == {"offline_opt": 2.0}
 
+    def test_v2_decimal_file_loads_bit_identical(self, tmp_path):
+        # a v2 file holds decimal lists; it loads to the same bits and re-saves as v3
+        for inst in (gen_adwords_triangular(3, 2),
+                     gen_lp_random(3, 6, 2, 0.7, seed=1),
+                     gen_logdet_stream(4, 6, 2.0, seed=1)):
+            d = inst.to_jsonable()
+            d["version"] = "v2"
+            for step in d["steps"]:
+                A = step["A"]
+                for key in ("a", "c", "B"):
+                    if key in A:
+                        A[key] = decode_array(A[key]).tolist()
+            p = tmp_path / "v2.json"
+            p.write_text(json.dumps(d))
+            back = Instance.load(str(p))
+            for sa, sb in zip(inst.steps, back.steps, strict=True):
+                for key in ("a", "c", "B"):
+                    if hasattr(sa.A, key):
+                        a, b = getattr(sa.A, key), getattr(sb.A, key)
+                        assert b.dtype == np.float64 and a.tobytes() == b.tobytes()
+            back.save(str(p))
+            assert p.read_text() == json.dumps(inst.to_jsonable())
+            assert json.loads(p.read_text())["version"] == "v3"
+
+    def test_nonfinite_step_leaves_no_file(self, tmp_path):
+        # the encoder raises at the third step, part way through the file
+        steps = [Step(DiagMap(np.array([0.5, v])), FeasibleSet("simplex", 2))
+                 for v in (0.25, 0.5, math.nan, 1.0)]
+        p = tmp_path / "inst.json"
+        with pytest.raises(ValueError, match="non-finite"):
+            Instance("adwords_triangular", {"n": 2}, steps, {}).save(str(p))
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("edit, match", [
+        # each blob but the first two is the right length for its shape
+        (lambda A: A["a"].update(f64="*" + A["a"]["f64"]), r"steps\[1\]: "),
+        (lambda A: A["a"].update(f64=A["a"]["f64"][:-4]), r"steps\[1\]: .*bytes"),
+        (lambda A: A["a"].update(shape=[-1]), r"steps\[1\]: array shape must be"),
+        (lambda A: A["a"].update(shape=[True], f64=encode_array([0.5])["f64"]),
+         r"steps\[1\]: array shape must be"),
+        (lambda A: A["a"].update(shape=[2.0], f64=encode_array([0.5, 0.5])["f64"]),
+         r"steps\[1\]: array shape must be"),
+        (lambda A: A["a"].update(shape="3"), r"steps\[1\]: array shape must be"),
+        (lambda A: A["a"].pop("f64"), r"steps\[1\]: missing key 'f64'"),
+        (lambda A: A.update(kind="dense"), r"steps\[1\]: unknown step map kind"),
+        (lambda A: A.pop("kind"), r"steps\[1\]: missing key 'kind'"),
+    ])
+    def test_bad_step_descriptor_named(self, edit, match):
+        d = gen_adwords_triangular(3, 2).to_jsonable()
+        edit(d["steps"][1]["A"])
+        with pytest.raises(ValueError, match=match):
+            Instance.from_jsonable(d)
+
     @pytest.mark.parametrize("repeat", [0, -2, 1.5, 2.0, True, "3", None])
     def test_bad_repeat_rejected(self, repeat):
         d = gen_adwords_triangular(2, 2).to_jsonable()
         d["steps"][1]["repeat"] = repeat
         with pytest.raises(ValueError, match="repeat"):
             Instance.from_jsonable(d)
+
+
+_BITS = hs.integers(0, 2**64 - 1).map(lambda b: np.array([b], dtype="<u8").view("<f8")[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=hs.one_of(hs.just(()), hs.tuples(hs.integers(0, 6)),
+                       hs.tuples(hs.integers(0, 4), hs.integers(0, 4))),
+       data=hs.data())
+def test_array_round_trip_bit_exact(shape, data):
+    # any finite binary64, -0.0, subnormals and +-max included, survives the
+    # blob and a JSON round trip as the same bits in a fresh float64 array
+    size = math.prod(shape)
+    special = hs.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                               np.finfo(float).max, -np.finfo(float).max])
+    vals = data.draw(hs.lists(hs.one_of(special, _BITS.filter(np.isfinite)),
+                              min_size=size, max_size=size))
+    a = np.array(vals, dtype=float).reshape(shape)
+    back = decode_array(json.loads(json.dumps(encode_array(a))))
+    assert back.shape == a.shape and back.dtype == np.float64
+    assert back.tobytes() == a.tobytes()
+    assert back.flags.owndata and back.flags.writeable
+    if size:
+        with pytest.raises(ValueError, match="non-finite"):
+            encode_array(np.where(np.arange(size).reshape(shape) == size - 1, math.nan, a))
