@@ -8,7 +8,6 @@ carrying the version and the flags that produced it.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import operator
@@ -305,6 +304,8 @@ def cmd_sweep(args) -> int:
     phases = [int(v) for v in args.phase_list.split(",")]
     tasks = [(n, p, args.algo, args.smoothed) for n in ns for p in phases]
     if len(tasks) > 1 and _workers() > 1:
+        import concurrent.futures     # with logging, about 5 ms of every CLI start-up
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=_workers()) as ex:
             results = list(ex.map(_sweep_one, tasks))
     else:

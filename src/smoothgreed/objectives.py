@@ -127,6 +127,14 @@ def encode_array(a) -> dict:
 def decode_array(v) -> np.ndarray:
     """A fresh float64 array from encode_array's dict or from a list of numbers."""
     if not isinstance(v, dict):
+        # numpy would read "0.5" and true as numbers: only JSON numbers pass
+        entries = [v]
+        while entries:
+            e = entries.pop()
+            if type(e) is list:
+                entries.extend(e)
+            elif type(e) is not float and type(e) is not int:
+                raise ValueError(f"array entries must be numbers, got {e!r}")
         return np.asarray(v, dtype=float)
     shape, blob = v["shape"], v["f64"]
     if type(shape) is not list or not all(type(k) is int and k >= 0 for k in shape):

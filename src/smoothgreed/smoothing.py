@@ -445,20 +445,24 @@ class DesignResult:
             json.dump(self.summary(), fh, indent=1)
 
 
-def _min_feasible_y(conj, slope, lin_coeff, const, target, lo, c_lo, hi, c_hi, tol=1e-12):
+def _min_feasible_y(conj, slope, lin_coeff, const, target, lo, c_lo, hi, c_hi, tol=1e-12,
+                    guess=None):
     """Smallest y in [lo, hi] with g(y) = const + lin_coeff*y - conj(y) - target <= 0.
 
     ``conj``, ``slope`` are the base's ``conj1``, ``conj1_slope``, and ``c_lo``,
     ``c_hi`` are conj(lo), conj(hi).  The caller puts lo at the edge of the
     conjugate's domain and hi at or left of the minimizer of the convex g.
     Safeguarded Newton keeps g(lo) > 0 >= g(hi): on a convex g a Newton step
-    never passes the root, so steps go from lo (from hi while g(lo) is
-    infinite), one tolerance inside the bracket.  A midpoint replaces a step
-    that leaves the bracket or has no finite negative slope, and follows any
-    two steps that did not halve the bracket (Newton stalls where g is flat
-    at zero), which bounds the solve at three steps per halving.  Returns
-    (y, conj(y)): lo if feasible, else hi once hi - tol*max(1, hi) <= lo;
-    None when no y in the range is feasible.
+    from lo never passes the root, so steps go from lo (from hi while g(lo)
+    is infinite, after reading g at ``guess`` if lo + tol*max(1, lo) < guess
+    < hi), one tolerance inside the bracket.  The first Newton point is
+    followed by a probe one tolerance past it on the root's far side, which
+    ends the solve when the step was exact.  A midpoint replaces a step that
+    leaves the bracket or has no finite negative slope, and follows any two
+    later steps that did not halve the bracket (Newton stalls where g is
+    flat at zero), which bounds the solve at three steps per halving.
+    Returns (y, conj(y)): lo if feasible, else hi once hi - tol*max(1, hi)
+    <= lo; None when no y in the range is feasible.
 
     Unless y = lo, g was read > 0 somewhere in [y - tol*max(1, y), y]; g is
     nonincreasing, so at y - tol*max(1, y) it reads above minus the rounding
@@ -475,6 +479,32 @@ def _min_feasible_y(conj, slope, lin_coeff, const, target, lo, c_lo, hi, c_hi, t
         return lo, c_lo
     if ghi > 0.0:
         return hi, c_hi      # the minimum misses by rounding only
+    if glo == math.inf and guess is not None and lo + (tol * lo if lo > 1.0 else tol) < guess < hi:
+        cy = conj(guess)
+        gy = const + lin_coeff * guess - cy - target
+        if gy <= 0.0:
+            hi, ghi, c_hi = guess, gy, cy
+        else:
+            lo, glo = guess, gy
+    # the first Newton step and its probe, out of the loop: as its steps they lost 40% of the gain
+    y0, g0 = (lo, glo) if glo < math.inf else (hi, ghi)
+    dg = lin_coeff - slope(y0)
+    tol_hi = tol * hi if hi > 1.0 else tol
+    if -math.inf < dg < 0.0 and lo <= (y := y0 - g0 / dg) <= hi and hi - lo > tol_hi:
+        y_in = lo + (tol * lo if lo > 1.0 else tol)
+        y = y if y > y_in else y_in
+        y = y if y < hi - tol_hi else hi - tol_hi
+        for _ in (0, 1):       # the Newton point, then one tolerance past it
+            cy = conj(y)
+            gy = const + lin_coeff * y - cy - target
+            if gy <= 0.0:
+                hi, ghi, c_hi = y, gy, cy
+                y = hi - (tol * hi if hi > 1.0 else tol)
+            else:
+                lo, glo = y, gy
+                y = lo + (tol * lo if lo > 1.0 else tol)
+            if not lo < y < hi:
+                break
     w1 = w2 = math.inf     # bracket widths before the last two steps
     while hi - lo > (tol_hi := tol * hi if hi > 1.0 else tol):
         y = math.nan
@@ -523,6 +553,7 @@ def _greedy_construct(spec: DesignSpec, beta: float, psis: list):
     conj, slope = base.conj1, base.conj1_slope
     lo = max(0.0, base.conj_dom_lo())
     c_lo = conj(lo)
+    warm = c_lo == -math.inf     # g(lo) is infinite: the knot solve reads a guess first
     # every sample stays in [lo, y[0]], so y[t-1] bounds the next knot
     y = [SLOPE_CAP if inf_slope else s0] * (d + 1)
     cum = c_prev = 0.0
@@ -535,7 +566,8 @@ def _greedy_construct(spec: DesignSpec, beta: float, psis: list):
         # the knot that accepted y[t-1] has its conjugate; y[0] has none
         hi = y[t - 1] if y[t - 1] < am else am
         c_hi = c_prev if hi == y[t - 1] and t > 1 else conj(hi)
-        knot = _min_feasible_y(conj, slope, lc, const, beta * psis[t], lo, c_lo, hi, c_hi)
+        knot = _min_feasible_y(conj, slope, lc, const, beta * psis[t], lo, c_lo, hi, c_hi,
+                               guess=2.0 * y[t - 1] - y[t - 2] if warm and t > 2 else None)
         if knot is None:
             return None
         y[t], c_prev = knot

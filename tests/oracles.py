@@ -140,7 +140,8 @@ def sequential_fill_deficit(x, idx, x_min, x_max):
             break
 
 
-def min_feasible_y_reference(base, lin_coeff, const, target, y_hi, y_argmin, tol=1e-12):
+def min_feasible_y_reference(base, lin_coeff, const, target, y_hi, y_argmin, tol=1e-12,
+                             guess=None):
     """The designer's knot solve as it was before it took its bracket ends'
     conjugates from the caller; kept as the reference for bit identity.
 
@@ -150,13 +151,17 @@ def min_feasible_y_reference(base, lin_coeff, const, target, y_hi, y_argmin, tol
     base at u = lin_coeff, precomputed by the caller); its right derivative
     is lin_coeff - conj'(y+), with conj'(y+) the base's ``conj1_slope``.
     Safeguarded Newton on the bracket [lo, hi], g(lo) > 0 >= g(hi): on a
-    convex g a Newton step never passes the root, so steps are taken from
-    lo (from hi while g(lo) is infinite), kept one tolerance inside the
+    convex g a Newton step from lo never passes the root, so steps are taken
+    from lo (from hi while g(lo) is infinite), kept one tolerance inside the
     bracket, and replaced by the midpoint when they leave it or the slope
     is not finite and negative.  A midpoint is also taken whenever the last
     two steps did not halve the bracket: Newton stalls where g is flat at
     zero (from hi it then moves one tolerance per step) and crawls at
     multiple roots, and this bounds the solve at three steps per halving.
+    Before those steps, g is read at ``guess`` while g(lo) is infinite, if
+    lo + tol*max(1, lo) < guess < hi, and one Newton step is taken and
+    followed by a probe one tolerance past its point, on the root's far
+    side.
     Returns hi once hi - tol*max(1, hi) <= lo: feasible and within tol of
     the smallest feasible y.  Returns None when no feasible y exists in the
     range.
@@ -173,6 +178,26 @@ def min_feasible_y_reference(base, lin_coeff, const, target, y_hi, y_argmin, tol
         return lo
     if ghi > 0.0:
         return hi      # the minimum misses by rounding only
+    if glo == math.inf and guess is not None and lo + tol * max(1.0, lo) < guess < hi:
+        gy = const + lin_coeff * guess - conj(guess) - target
+        if gy <= 0.0:
+            hi, ghi = guess, gy
+        else:
+            lo, glo = guess, gy
+    y0, g0 = (lo, glo) if glo < math.inf else (hi, ghi)
+    dg = lin_coeff - slope(y0)
+    if -math.inf < dg < 0.0 and lo <= y0 - g0 / dg <= hi and hi - lo > tol * max(1.0, hi):
+        y = min(max(y0 - g0 / dg, lo + tol * max(1.0, lo)), hi - tol * max(1.0, hi))
+        for _ in range(2):      # the Newton point, then the probe
+            gy = const + lin_coeff * y - conj(y) - target
+            if gy <= 0.0:
+                hi, ghi = y, gy
+                y = hi - tol * max(1.0, hi)
+            else:
+                lo, glo = y, gy
+                y = lo + tol * max(1.0, lo)
+            if not lo < y < hi:
+                break
     w1 = w2 = math.inf     # bracket widths before the last two steps
     while hi - lo > tol * max(1.0, hi):
         y = math.nan
@@ -229,7 +254,10 @@ def greedy_construct_reference(spec, beta, psis):
         if c:
             const += c * s0
         target = beta * psis[t]
-        yt = min_feasible_y_reference(base, lc, const, target, min(y[t - 1], ycap), am)
+        # linear extrapolation of the last two knots; the solve reads it only
+        # while g is infinite at the bracket's low end
+        guess = 2.0 * y[t - 1] - y[t - 2] if t > 2 else None
+        yt = min_feasible_y_reference(base, lc, const, target, min(y[t - 1], ycap), am, guess=guess)
         if yt is None:
             return None
         y[t] = yt

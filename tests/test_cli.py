@@ -481,6 +481,30 @@ class TestRunCertify:
         assert captured.out == "" and "steps[1]: " in captured.err, captured.err
         assert sorted(os.listdir(tmp_path)) == ["bad.json", "inst.json"]
 
+    @pytest.mark.parametrize("family, key, edit", [
+        ("adwords_triangular", "a", lambda a: ["0.5", *a[1:]]),
+        ("adwords_triangular", "a", lambda a: [a[0], True, *a[2:]]),
+        ("lp_random", "B", lambda B: [B[0], [B[1][0], False], *B[2:]]),
+    ])
+    def test_decimal_step_array_entries_exit_code(self, tmp_path, capsys, family, key, edit):
+        # a v2 decimal list, nested or not, takes JSON numbers only
+        inst, bad = tmp_path / "inst.json", tmp_path / "bad.json"
+        gen = {"adwords_triangular": ["--n", "3", "--phase-len", "2"],
+               "lp_random": ["--n", "3", "--m", "4", "--k", "2", "--seed", "1"]}[family]
+        run_cli(["gen", "--family", family, *gen, "--out", str(inst)])
+        d = json.loads(inst.read_text())
+        d["version"] = "v2"
+        A = d["steps"][1]["A"]
+        A[key] = decode_array(A[key]).tolist()
+        bad.write_text(json.dumps(d))
+        assert run_cli(["certify", "--instance", str(bad)]) == cli.EXIT_OK
+        A[key] = edit(A[key])
+        bad.write_text(json.dumps(d))
+        capsys.readouterr()
+        assert run_cli(["certify", "--instance", str(bad)]) == cli.EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and "steps[1]: " in captured.err, captured.err
+
     def test_instance_fields_exit_code(self, tmp_path, capsys):
         # params.n sizes the objective and offline_opt divides the true ratio
         inst, bad = tmp_path / "inst.json", tmp_path / "bad.json"
@@ -823,6 +847,14 @@ class TestSweep:
                             "--smoothed", "--out", out]) == 0
             rows[workers] = Path(out).read_text().splitlines()[1:]
         assert len(rows[1]) == 10 and rows[1] == rows[2]
+
+    def test_import_leaves_process_pool_out(self):
+        # only a sweep with workers imports concurrent.futures
+        script = "import sys, smoothgreed.cli; print('concurrent.futures' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert res.returncode == 0 and res.stdout == "False\n", (res.stdout, res.stderr)
 
     def test_smoothed_sequential_trend(self, tmp_path):
         # the sequential engine approaches its limit from below as the

@@ -366,23 +366,26 @@ def _g_rounding(base, lc, const, target, y):
 class TestKnotSolver:
     @settings(max_examples=400, deadline=None)
     @given(st.integers(0, len(KNOT_BASES) - 1), st.floats(-1.0, 1.0), st.floats(0.0, 3.0),
-           st.floats(0.0, 3.0), st.one_of(st.floats(1e-6, 10.0), st.just(SLOPE_CAP)))
+           st.floats(0.0, 3.0), st.one_of(st.floats(1e-6, 10.0), st.just(SLOPE_CAP)),
+           st.one_of(st.none(), st.floats(-1.0, 12.0)))
     # g is exactly 0 on [1, y_hi]: Newton from hi moved one tolerance per step
-    @example(3, -5e-324, 3.0, 3.0, 1.5)
-    @example(3, -5e-324, 0.1, 0.1, SLOPE_CAP)
+    @example(3, -5e-324, 3.0, 3.0, 1.5, None)
+    @example(3, -5e-324, 0.1, 0.1, SLOPE_CAP, None)
     # a double root of g at hi = 1/2: g reads 0 over about 1e-8 left of it
-    @example(4, 1.0, 0.0, 1.0, 1e12)
-    @example(4, 1.0, 0.0, 1.0, 1.0)
+    @example(4, 1.0, 0.0, 1.0, 1e12, None)
+    @example(4, 1.0, 0.0, 1.0, 1.0, None)
     # a steep root near 16.5: a solve stopped short of tol leaves g(below) < 0
-    @example(3, -0.12346730144254847, 2.7529906992530004, 0.717198609277587, SLOPE_CAP)
-    def test_newton_matches_bisection_contract(self, idx, lc, const, target, y_hi):
+    @example(3, -0.12346730144254847, 2.7529906992530004, 0.717198609277587, SLOPE_CAP, None)
+    # a guess within a tolerance of lo = 0: Sqrt.conj1 overflows there
+    @example(4, 0.0, 0.0, 1.0, 1e12, 7.57e-297)
+    def test_newton_matches_bisection_contract(self, idx, lc, const, target, y_hi, guess):
         base = KNOT_BASES[idx]
         y_argmin = float(base.supergrad(lc).hi) if lc > 0 else SLOPE_CAP
         g = lambda y: const + lc * y - base.conj1(y) - target
         tol = 1e-12
         lo, hi = max(0.0, base.conj_dom_lo()), min(y_argmin, y_hi)
         knot = _min_feasible_y(base.conj1, base.conj1_slope, lc, const, target,
-                               lo, base.conj1(lo), hi, base.conj1(hi), tol)
+                               lo, base.conj1(lo), hi, base.conj1(hi), tol, guess=guess)
         y = None if knot is None else knot[0]
         ref = _bisect_min_feasible_y(base, lc, const, target, y_hi, y_argmin, tol)
         assert (y is None) == (ref is None), (y, ref)
@@ -409,6 +412,27 @@ class TestKnotSolver:
                 (DesignSpec(Sqrt(), 100.0, d=1000), 1.272247314453109)):
             res = design_sequential(spec) if spec.c > 0 else design_optimal(spec)
             assert res.beta == pytest.approx(beta, rel=1e-8), (spec.base, spec.c)
+
+    @pytest.mark.parametrize("spec, beta, at_most", [
+        (DesignSpec(Log1p(), 100.0, d=2000), 1.4237, 6.0),
+        (DesignSpec(Cap(1.0), 1.0, d=1000, plateau=True), 1.5824, 3.5)], ids=["log1p", "cap"])
+    def test_evaluations_per_knot(self, monkeypatch, spec, beta, at_most):
+        # conj1 + conj1_slope calls per knot of one construction near beta*;
+        # the counts repeat exactly (7.14 and 4.28 before the probe and the
+        # warm start)
+        calls = [0]
+        for name in ("conj1", "conj1_slope"):
+            method = getattr(type(spec.base), name)
+
+            def counted(self, y, method=method):
+                calls[0] += 1
+                return method(self, y)
+
+            monkeypatch.setattr(type(spec.base), name, counted)
+        h = spec.u_end / spec.d
+        psis = np.asarray(spec.base.value(h * np.arange(spec.d + 1)), dtype=float).tolist()
+        assert smoothing._greedy_construct(spec, beta, psis) is not None
+        assert calls[0] / spec.d <= at_most, calls[0] / spec.d
 
 
 class TestGreedyIdentity:
