@@ -39,9 +39,12 @@ def _provenance(args) -> str:
     return f"# smoothgreed {__version__} {flags}\n"
 
 
-def _load_json(path):
+def _load_json(path, flag):
     with open(path) as fh:
-        return json.load(fh)
+        d = json.load(fh)
+    if not isinstance(d, dict):
+        raise ValueError(f"{flag} {path}: the top level must be a JSON object, got {type(d).__name__}")
+    return d
 
 
 def _workers() -> int:
@@ -56,7 +59,7 @@ def _workers() -> int:
 def cmd_design(args) -> int:
     if args.horizon is None:
         raise ValueError("design needs --horizon (flag or config file)")
-    base = sc.from_descriptor(_load_json(args.objective))
+    base = sc.from_descriptor(_load_json(args.objective, "--objective"))
     plateau = args.plateau or (base.plateau_u() is not None
                                and abs(base.plateau_u() - args.horizon) < 1e-12)
     spec = sm.DesignSpec(base, args.horizon, d=args.grid, plateau=plateau,
@@ -91,7 +94,7 @@ def _objective_for(inst: Instance, smoothing_arg, objective_arg=None):
     if fam in ("adwords_triangular", "lp_random") and not (type(n) is int and n >= 1):
         raise ValueError(f"params.n must be a positive integer, got {n!r}")
     if fam == "adwords_triangular":
-        coord = (sc.from_descriptor(_load_json(objective_arg))
+        coord = (sc.from_descriptor(_load_json(objective_arg, "--objective"))
                  if objective_arg else sc.Cap(1.0))
         if smoothing_arg is None:
             return SeparableObjective([coord] * n)
@@ -130,7 +133,7 @@ def _objective_for(inst: Instance, smoothing_arg, objective_arg=None):
 
 def _design_from_file(path, coord):
     """A design file's grid and beta, the beta re-verified against ``coord``."""
-    d = _load_json(path)
+    d = _load_json(path, "--smoothing")
     sc.check_positive("design file", beta=d["beta"])
     c, y = d["c"], d["y"]
     if not (isinstance(c, (int, float)) and not isinstance(c, bool) and 0 <= c < math.inf):
@@ -408,7 +411,7 @@ def main(argv=None) -> int:
             i = argv.index("--config")
             cfg_path = argv[i + 1]
             del argv[i:i + 2]
-            cfg = _load_json(cfg_path)
+            cfg = _load_json(cfg_path, "--config")
             for subparser in parser.sub_choices.values():
                 subparser.set_defaults(**cfg)
         try:

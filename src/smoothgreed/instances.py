@@ -88,6 +88,11 @@ class Instance:
 
     @staticmethod
     def from_jsonable(d: dict) -> "Instance":
+        if not isinstance(d, dict):
+            raise ValueError(f"an instance must be a JSON object, got {type(d).__name__}")
+        for key, kind in (("steps", list), ("params", dict), ("extras", dict)):
+            if key in d and not isinstance(d[key], kind):
+                raise ValueError(f"{key} must be a {kind.__name__}, got {type(d[key]).__name__}")
         if d.get("version") not in _READABLE:
             raise ValueError(f"unsupported instance version {d.get('version')!r}")
         steps = []

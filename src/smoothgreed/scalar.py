@@ -11,6 +11,7 @@ so conj is concave and non-decreasing in y, with -inf outside its domain.
 
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
 from dataclasses import dataclass
@@ -336,6 +337,7 @@ class Power(ScalarConcave):
     kind = "power"
 
     def __init__(self, p: float):
+        check_positive(self.kind, p=p)
         if not 0.0 < p < 1.0:
             raise ValueError("power: p must lie in (0, 1)")
         self.p = float(p)
@@ -413,12 +415,17 @@ _KINDS = {
 
 
 def from_descriptor(desc: dict) -> ScalarConcave:
-    """Build a catalog member from a JSON descriptor {"kind", "params"}."""
-    try:
-        cls = _KINDS[desc["kind"]]
-    except KeyError:
-        raise ValueError(f"unknown scalar kind: {desc.get('kind')!r}") from None
-    return cls(**desc.get("params", {}))
+    """Build a catalog member from a JSON descriptor {"kind", "params"}; ``params``
+    holds the constructor's required keys and no others, whose values it checks."""
+    if not (isinstance(desc, dict) and isinstance(params := desc.get("params", {}), dict)):
+        raise ValueError("a scalar descriptor and its params must be JSON objects")
+    if not (isinstance(kind := desc.get("kind"), str) and kind in _KINDS):
+        raise ValueError(f"unknown scalar kind: {kind!r}")
+    sig = inspect.signature(_KINDS[kind]).parameters
+    for name in sorted(sig.keys() | params.keys()):
+        if name not in sig or name not in params and sig[name].default is sig[name].empty:
+            raise ValueError(f"{kind}: {name} is {'missing' if name in sig else 'not a parameter'}")
+    return _KINDS[kind](**params)
 
 
 def alpha_at(f: ScalarConcave, u: float) -> float:

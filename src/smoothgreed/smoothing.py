@@ -536,7 +536,9 @@ def _greedy_construct(spec: DesignSpec, beta: float, psis: list):
     keeps the accumulated integral (the only coupling across knots) as
     small as possible.  ``psis`` lists the base at the knots.  Returns the
     grid, its last sample unclamped, or None when a knot has no feasible
-    sample; ``_design`` applies the plateau check to the last sample.
+    sample, and the last knot's margin: the beta it needs at y = lo, less
+    beta (None if the construction stops earlier).  ``_design`` applies the
+    plateau check to the last sample.
     """
     base, d, c = spec.base, spec.d, spec.c
     h = spec.u_end / d
@@ -557,6 +559,7 @@ def _greedy_construct(spec: DesignSpec, beta: float, psis: list):
     # every sample stays in [lo, y[0]], so y[t-1] bounds the next knot
     y = [SLOPE_CAP if inf_slope else s0] * (d + 1)
     cum = c_prev = 0.0
+    guess = margin = None
     for t in range(1, d + 1):
         first_free = t == 1 and inf_slope
         if first_free:
@@ -566,50 +569,42 @@ def _greedy_construct(spec: DesignSpec, beta: float, psis: list):
         # the knot that accepted y[t-1] has its conjugate; y[0] has none
         hi = y[t - 1] if y[t - 1] < am else am
         c_hi = c_prev if hi == y[t - 1] and t > 1 else conj(hi)
+        if warm and t > 2:      # the cubic through the last four knots, the line while t <= 4
+            guess = (4.0 * (y[t - 1] + y[t - 3]) - 6.0 * y[t - 2] - y[t - 4] if t > 4
+                     else 2.0 * y[t - 1] - y[t - 2])
+        if t == d:
+            margin = (const + lc * lo - c_lo) / psis[d] - beta
         knot = _min_feasible_y(conj, slope, lc, const, beta * psis[t], lo, c_lo, hi, c_hi,
-                               guess=2.0 * y[t - 1] - y[t - 2] if warm and t > 2 else None)
+                               guess=guess)
         if knot is None:
-            return None
+            return None, margin
         y[t], c_prev = knot
         if first_free:
             y[0] = y[1]
             cum = h * y[1]
         else:
             cum += half_h * (y[t - 1] + y[t])
-    return np.array(y)
-
-
-def _miss_root(misses):
-    """Secant root of y[d](beta) = FEAS_TOL through the last two (beta, y[d]) misses.
-
-    None with fewer than two misses or when the last two do not fall in beta.
-    """
-    if len(misses) < 2:
-        return None
-    (b1, m1), (b2, m2) = misses[-2:]
-    return b2 + (FEAS_TOL - m2) * (b2 - b1) / (m2 - m1) if m2 < m1 else None
+    return np.array(y), margin
 
 
 def _design(spec: DesignSpec) -> DesignResult:
     """Smallest beta, to ``beta_tol``, at which the greedy construction succeeds.
 
     The search follows the bisection of beta over [1, beta_hi], its
-    midpoints and its stopping rule, but does not construct every midpoint.
-    Feasibility is taken to be monotone in beta: a midpoint at or above a
-    feasible construction is feasible, one at or below an infeasible one is
-    infeasible.  A plateau construction that fails only at the last knot
-    leaves its miss, the unclamped last sample y[d] > FEAS_TOL, which falls
-    almost linearly in beta.  Once two misses are known, the remaining
-    midpoints are decided by the secant root of y[d](beta) = FEAS_TOL, and
-    only the replayed path's final hi and lo are constructed to confirm it.
-    Where no estimate exists (horizon designs fail at a knot and leave no
-    miss) the midpoint is constructed, as in the plain bisection.  A failed
-    confirmation replays the path from the start, taking plain midpoints
-    until the midpoints it decides without a construction cover the
+    midpoints and its stopping rule, but constructs only the midpoints that
+    nothing known decides, taking feasibility to be monotone in beta.  Every
+    plateau construction that reaches the last knot, feasible or not,
+    leaves that knot's margin (_greedy_construct): negative when feasible,
+    positive on a miss and smooth through beta*.  Once two are known, the
+    secant root through the two of least |margin| decides the remaining
+    midpoints, and the final bracket's ends are constructed to confirm it.
+    Horizon designs fail at interior knots and construct every midpoint.  A
+    failed confirmation replays the path from the start, taking plain
+    midpoints until those it decides without a construction cover the
     constructions off its path; only then does it predict again.  So the
-    search constructs at most two betas more than the bisection.  The result
-    is the bisection's wherever feasibility is monotone in beta, and
-    ``verify_beta`` certifies the returned grid either way.  ``probes`` on
+    search constructs at most two betas more than the bisection, and its
+    result is the bisection's wherever feasibility is monotone in beta.
+    ``verify_beta`` certifies the returned grid either way; ``probes`` on
     the result records every construction.
     """
     if not spec.base.monotone or float(spec.base.value(spec.u_end)) <= 0:
@@ -626,14 +621,16 @@ def _design(spec: DesignSpec) -> DesignResult:
         raise ValueError("design: base must be positive on the grid interior")
     psis = psis.tolist()
     probes = []         # (beta, feasible, miss) of every construction, in order
-    misses = []         # (beta, y[d]) of the plateau constructions that missed zero
+    margins = []        # (beta, margin) of the plateau constructions that reached the last knot
     f_min, i_max, y_best = math.inf, 1.0, None    # the bisection's lo is 1.0
     tried = set()
 
     def construct(beta):
         nonlocal f_min, i_max, y_best
-        y = _greedy_construct(spec, beta, psis)
+        y, margin = _greedy_construct(spec, beta, psis)
         miss = float(y[-1]) if y is not None and spec.plateau else None
+        if spec.plateau and margin is not None:
+            margins.append((beta, margin))
         ok = y is not None and (miss is None or miss <= FEAS_TOL)
         probes.append((beta, ok, miss))
         tried.add(beta)
@@ -644,8 +641,6 @@ def _design(spec: DesignSpec) -> DesignResult:
                 f_min, y_best = beta, y
         else:
             i_max = max(i_max, beta)
-            if miss is not None:
-                misses.append((beta, miss))
         return ok
 
     tries = 0
@@ -669,9 +664,12 @@ def _design(spec: DesignSpec) -> DesignResult:
             else:
                 # predict once the midpoints skipped so far cover the
                 # constructions off this path (failed confirmations): a wrong
-                # prediction costs at most two more
-                if est is None and len(probes) - n_bracket - on_path <= free:
-                    est = _miss_root(misses)
+                # prediction costs at most two more; the secant runs through
+                # the two margins nearest zero, if they fall in beta
+                if est is None and len(probes) - n_bracket - on_path <= free and len(margins) > 1:
+                    (b1, m1), (b2, m2) = sorted(margins, key=lambda p: abs(p[1]))[:2]
+                    if (m2 - m1) * (b2 - b1) < 0:
+                        est = b1 - m1 * (b2 - b1) / (m2 - m1)
                 if est is None:
                     feasible = construct(mid)
                     on_path += 1

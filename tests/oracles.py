@@ -229,7 +229,8 @@ def greedy_construct_reference(spec, beta, psis):
     keeps the accumulated integral (the only coupling across knots) as
     small as possible.  ``psis`` lists the base at the knots.  Returns the
     grid, its last sample unclamped, or None when a knot has no feasible
-    sample.
+    sample, and the last knot's margin, (const + lc*lo - conj(lo))/psi_d -
+    beta, or None when the construction stops before the last knot.
     """
     base, d, c = spec.base, spec.d, spec.c
     h = spec.u_end / d
@@ -243,7 +244,8 @@ def greedy_construct_reference(spec, beta, psis):
     lin1 = h - c
     y_argmin1 = float(base.supergrad(lin1).hi) if lin1 > 0 else SLOPE_CAP
     y = [ycap] * (d + 1)
-    cum = 0.0
+    lo = max(0.0, base.conj_dom_lo())
+    cum, margin = 0.0, None
     for t in range(1, d + 1):
         first_free = t == 1 and inf_slope
         if first_free:
@@ -254,19 +256,26 @@ def greedy_construct_reference(spec, beta, psis):
         if c:
             const += c * s0
         target = beta * psis[t]
-        # linear extrapolation of the last two knots; the solve reads it only
-        # while g is infinite at the bracket's low end
-        guess = 2.0 * y[t - 1] - y[t - 2] if t > 2 else None
+        # the cubic through the last four knots (the line through two while
+        # t <= 4); the solve reads it only while g is infinite at the
+        # bracket's low end
+        guess = None
+        if t > 4:
+            guess = 4.0 * (y[t - 1] + y[t - 3]) - 6.0 * y[t - 2] - y[t - 4]
+        elif t > 2:
+            guess = 2.0 * y[t - 1] - y[t - 2]
+        if t == d:
+            margin = (const + lc * lo - base.conj1(lo)) / psis[d] - beta
         yt = min_feasible_y_reference(base, lc, const, target, min(y[t - 1], ycap), am, guess=guess)
         if yt is None:
-            return None
+            return None, margin
         y[t] = yt
         if first_free:
             y[0] = yt
             cum = h * yt
         else:
             cum += 0.5 * h * (y[t - 1] + yt)
-    return np.array(y)
+    return np.array(y), margin
 
 
 def design_bisection_reference(spec):
@@ -279,7 +288,7 @@ def design_bisection_reference(spec):
     ``DesignResult``.
     """
     def construct(beta):
-        y = smoothing._greedy_construct(spec, beta, psis)
+        y, _ = smoothing._greedy_construct(spec, beta, psis)
         if y is None or (spec.plateau and y[-1] > FEAS_TOL):
             return None
         if spec.plateau:

@@ -685,6 +685,51 @@ class TestBadInput:
         assert not out.exists()
 
 
+# case -> (argv, the field the message names, the content of {bad}); each raised a
+# TypeError or AttributeError, exit 1 with a traceback, before the structure was checked
+# (an instance's extras given as a list was read as empty)
+_DESIGN_ARGV = "design --objective {bad} --horizon 1 --out {out}"
+_UNCHECKED_STRUCTURE = {
+    "power without params": (_DESIGN_ARGV, "power: p is missing", {"kind": "power"}),
+    "string parameter": (_DESIGN_ARGV, "power: p must be finite",
+                         {"kind": "power", "params": {"p": "0.5"}}),
+    "unknown parameter": (_DESIGN_ARGV, "power: q is not a parameter",
+                          {"kind": "power", "params": {"p": 0.5, "q": 1}}),
+    "descriptor params a list": (_DESIGN_ARGV, "params", {"kind": "cap", "params": [1.0]}),
+    "kind a list": ("certify --instance {ad} --objective {bad}", "kind",
+                    {"kind": ["cap"], "params": {}}),
+    "objective a list": ("certify --instance {ad} --objective {bad}", "--objective",
+                         [{"kind": "cap", "params": {}}]),
+    "design file a list": ("certify --instance {ad} --smoothing {bad}", "--smoothing", [_DESIGN]),
+    "config a list": ("design --config {bad} --objective {cap} --horizon 1 --out {out}",
+                      "--config", [{"grid": 100}]),
+    "steps not a list": ("certify --instance {bad}", "steps", ("steps", 3)),
+    "instance params a list": ("certify --instance {bad}", "params", ("params", [])),
+    "instance extras a list": ("certify --instance {bad}", "extras", ("extras", [])),
+    "instance a list": ("certify --instance {bad}", "instance must be a JSON object", [{}]),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNCHECKED_STRUCTURE))
+def test_file_structure_exit_code(case, tmp_path, capsys):
+    argv, field, content = _UNCHECKED_STRUCTURE[case]
+    files = {k: str(tmp_path / f"{k}.json") for k in ("ad", "cap", "bad", "out")}
+    assert run_cli(["gen", "--family", "adwords_triangular", "--n", "3", "--phase-len", "2",
+                    "--out", files["ad"]]) == cli.EXIT_OK
+    Path(files["cap"]).write_text(json.dumps({"kind": "cap", "params": {"scale": 1.0}}))
+    if isinstance(content, tuple):      # one field of the adwords instance replaced
+        key, value = content
+        content = json.loads(Path(files["ad"]).read_text())
+        content[key] = value
+    Path(files["bad"]).write_text(json.dumps(content))
+    capsys.readouterr()
+    assert run_cli(argv.format(**files).split()) == cli.EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and field in captured.err, captured.err
+    assert "Traceback" not in captured.err
+    assert not any(Path(files["out"] + ext).exists() for ext in (".json", ".csv"))
+
+
 class TestWithoutScipy:
     def test_every_family_runs_without_scipy(self, tmp_path):
         # a None entry in sys.modules makes every scipy import fail
