@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import os
 import sys
 
@@ -22,7 +21,7 @@ from smoothgreed import smoothing as sm
 from smoothgreed.instances import (Instance, gen_adwords_triangular, gen_logdet_stream, gen_lp_random,
                                    replace_on_success)
 from smoothgreed.objectives import (LogDetObjective, PenaltyLPObjective, SeparableObjective,
-                                    theta_of_instance)
+                                    decode_array, theta_of_instance)
 from smoothgreed.online import certify, run_sequential, run_simultaneous
 
 EXIT_OK = 0
@@ -122,7 +121,7 @@ def _objective_for(inst: Instance, smoothing_arg, objective_arg=None):
             raise ValueError(f"extras.theta = {theta!r} differs from the steps' theta {want!r}")
         return obj
     if fam == "logdet_stream":
-        A0 = np.asarray(inst.extras["A0"], dtype=float)
+        A0 = decode_array(inst.extras["A0"], "extras.A0")
         b, l = inst.params["b"], inst.extras["l"]
         if smoothing_arg is None:
             return LogDetObjective(A0, b, l=l)
@@ -190,42 +189,42 @@ def _do_run(args, check: bool) -> int:
 def _record_lines(records):
     """Records JSONL: one line per step with t, the dense x, sigma, inner and gain.
 
-    Each line is the strict (no NaN or inf) JSON of that dict.  The text is
-    built _RECORD_CHUNK records at a time and yielded as one string, so memory
-    is bounded by the chunk.  Runs repeat few distinct x, so each is encoded
-    once, keyed by its bytes (which keep -0.0 apart from 0.0); the memo is
-    emptied when full, and a record sharing the x array of the one before
-    reuses its text.  The floats are written by ``float.__repr__``, as the
+    ``records`` is a run's ``Records`` columns.  Each line is the strict (no
+    NaN or inf) JSON of that dict.  The text is built _RECORD_CHUNK records
+    at a time and yielded as one string, so memory is bounded by the chunk.
+    Runs repeat few distinct x, so each is encoded once: its text is found by
+    the array object, then by its bytes (which keep -0.0 apart from 0.0), and
+    either memo is emptied when it holds _X_MEMO entries.  The floats are read
+    from the run's one (m, 3) array and written by ``float.__repr__``, as the
     json encoder writes them, once per distinct bit pattern in the chunk.
     """
-    fields = operator.attrgetter("t", "x", "sigma", "inner", "gain")
     line = ['{"t": ', None, ', "x": ', None, ', "sigma": ', None, ', "inner": ', None,
             ', "gain": ', None, '}\n']
-    memo = {}
-    prev_x = xs = None
+    by_id, memo = {}, {}
     for lo in range(0, len(records), _RECORD_CHUNK):
-        ts, xcol, *floats = zip(*map(fields, records[lo:lo + _RECORD_CHUNK]))
-        xcol = list(xcol)
+        xcol = records.x[lo:lo + _RECORD_CHUNK]
         for j, x in enumerate(xcol):
-            if x is not prev_x:
-                prev_x = x
-                x = np.atleast_1d(x)
-                key = x.tobytes()
+            xs = by_id.get(id(x))
+            if xs is None:
+                key = np.atleast_1d(x).tobytes()
                 xs = memo.get(key)
                 if xs is None:
                     if len(memo) >= _X_MEMO:
                         memo.clear()
-                    xs = memo[key] = _STRICT_JSON.encode(x.tolist())
+                    xs = memo[key] = _STRICT_JSON.encode(np.atleast_1d(x).tolist())
+                if len(by_id) >= _X_MEMO:
+                    by_id.clear()
+                by_id[id(x)] = xs
             xcol[j] = xs
-        floats = np.array(floats, dtype=float)
+        floats = records.values[lo:lo + _RECORD_CHUNK]
         if not np.isfinite(floats).all():       # the encoder names a non-finite one
             _STRICT_JSON.encode(floats.tolist())
         bits, inverse = np.unique(floats.view(np.int64), return_inverse=True)
         text = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
-        parts = line * len(ts)
-        parts[1::11] = map(str, ts)
+        parts = line * len(xcol)
+        parts[1::11] = map(str, range(lo + 1, lo + len(xcol) + 1))
         parts[3::11] = xcol
-        parts[5::11], parts[7::11], parts[9::11] = text[inverse.reshape(floats.shape)].tolist()
+        parts[5::11], parts[7::11], parts[9::11] = text[inverse.reshape(floats.shape).T].tolist()
         yield "".join(parts)
 
 
@@ -412,6 +411,9 @@ def main(argv=None) -> int:
             cfg_path = argv[i + 1]
             del argv[i:i + 2]
             cfg = _load_json(cfg_path, "--config")
+            unknown = set(cfg) - {a.dest for s in parser.sub_choices.values() for a in s._actions} - {"help"}
+            if unknown:
+                raise ValueError(f"--config {cfg_path}: {min(unknown)!r} is not an option of any command")
             for subparser in parser.sub_choices.values():
                 subparser.set_defaults(**cfg)
         try:

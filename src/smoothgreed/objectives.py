@@ -124,8 +124,8 @@ def encode_array(a) -> dict:
     return {"shape": list(a.shape), "f64": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
-def decode_array(v) -> np.ndarray:
-    """A fresh float64 array from encode_array's dict or from a list of numbers."""
+def decode_array(v, name="array") -> np.ndarray:
+    """A fresh float64 array, called ``name`` in errors, from encode_array's dict or a list."""
     if not isinstance(v, dict):
         # numpy would read "0.5" and true as numbers: only JSON numbers pass
         entries = [v]
@@ -134,14 +134,14 @@ def decode_array(v) -> np.ndarray:
             if type(e) is list:
                 entries.extend(e)
             elif type(e) is not float and type(e) is not int:
-                raise ValueError(f"array entries must be numbers, got {e!r}")
+                raise ValueError(f"{name} entries must be numbers, got {e!r}")
         return np.asarray(v, dtype=float)
     shape, blob = v["shape"], v["f64"]
     if type(shape) is not list or not all(type(k) is int and k >= 0 for k in shape):
-        raise ValueError(f"array shape must be a list of integers >= 0, got {shape!r}")
+        raise ValueError(f"{name} shape must be a list of integers >= 0, got {shape!r}")
     data, need = base64.b64decode(blob, validate=True), 8 * math.prod(shape)
     if len(data) != need:
-        raise ValueError(f"array f64 holds {len(data)} bytes, shape {shape} needs {need}")
+        raise ValueError(f"{name} f64 holds {len(data)} bytes, shape {shape} needs {need}")
     return np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
 
 

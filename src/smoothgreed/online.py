@@ -19,9 +19,10 @@ budget penalty and safeguarded scalar Newton for a smoothed one.
 Each cone has one loop serving both engines (the orthant loop covers
 allocation and packing); the engines differ only in how a step's point is
 chosen and whether the loop tracks the saddle residual or the correction.
-A step's ``StepRecord`` holds x, sigma, the inner product and the gain in
-the engine objective; an orthant step with A x = 0 moves neither the state
-nor the dual, so it records a gain of exactly 0.0.  The orthant loop solves
+A run's ``Records`` hold each step's x, sigma, inner product and gain in the
+engine objective as columns, which the loops extend once per solve, block
+or replayed run; an orthant step with A x = 0 moves neither the state nor
+the dual, so it records a gain of exactly 0.0.  The orthant loop solves
 an arrival of the Step object before it only where x may change, with
 every output that of solving each arrival: after a zero image the run
 repeats x, and on simultaneous allocation with one shared coordinate
@@ -39,6 +40,7 @@ the run in one pass.  Runs with ``keep_records=False`` make neither pass.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -74,6 +76,27 @@ class StepRecord:
     gain: float
 
 
+class Records:
+    """A run's per-step trail as columns: ``x`` holds each step's array (steps
+    that repeat a decision share it), and ``values`` the (m, 3) float64 array
+    of sigma, inner and gain, which ``sigma``, ``inner`` and ``gain`` view.
+    Step t sits at index t - 1; indexing and iteration yield StepRecord rows."""
+
+    def __init__(self, x=(), sigma=(), inner=(), gain=()):
+        self.x = list(x)
+        self.values = np.column_stack((sigma, inner, gain)).astype(float, copy=False)
+        self.sigma, self.inner, self.gain = self.values.T
+
+    def __len__(self):
+        return len(self.x)
+
+    def __getitem__(self, i):
+        return StepRecord(range(1, len(self.x) + 1)[i], self.x[i], *self.values[i].tolist())
+
+    def __iter__(self):
+        return map(StepRecord, itertools.count(1), self.x, *self.values.T.tolist())
+
+
 @dataclass
 class RunTrace:
     algo: str
@@ -85,7 +108,7 @@ class RunTrace:
     conj_final: float   # obj.conj(y_final), the one pricing of the final dual
     sigma_sum: float
     corr: float
-    records: list = field(default_factory=list)
+    records: Records = field(default_factory=Records)
     interior_shift: bool = False
     saddle_residual: float = 0.0
 
@@ -816,9 +839,11 @@ def _check_steps(obj, steps):
 
     Errors name the offending step by its record index t (from 1).  A Step
     object is checked once, at its first t: generated streams repeat one
-    object per phase.  Rank-one streams, whose arrivals are distinct, are
-    checked in one pass over their stacked (m, n) rows, which are returned;
-    only a stream failing it is walked step by step, for the first bad t.
+    object per phase.  One pass checks the distinct objects' map kinds and
+    shapes, then one isfinite and (on the orthant) one sign check run over
+    all their entries at once; rank-one streams stack their (m, n) rows,
+    which are returned.  Only a stream failing these is walked, object by
+    object, for the first bad t.
     """
     if isinstance(obj, SeparableObjective):
         want, kind, what = DiagMap, "simplex", "separable objectives take diagonal simplex steps"
@@ -830,29 +855,38 @@ def _check_steps(obj, steps):
     else:
         raise TypeError(f"unsupported objective {type(obj).__name__}")
     n = obj.n
-    if want is RankOneMap and all(isinstance(st.A, RankOneMap) and st.F.kind == kind for st in steps):
-        try:
-            rows = np.array([st.A.a for st in steps], dtype=float)
-        except ValueError:      # rows of unequal shapes
-            rows = None
-        if rows is not None and rows.shape == (len(steps), n) and np.isfinite(rows).all():
-            return rows
+    names = ("c", "B") if want is StackedMap else ("a",)     # the map's entry arrays
+
+    def sized(st):
+        A = st.A
+        if want is StackedMap:
+            return (np.ndim(A.B) == 2 and np.shape(A.B)[0] == n
+                    and np.shape(A.c) == (np.shape(A.B)[1],) == (st.F.k,))
+        return np.shape(A.a) == (n,) and (want is RankOneMap or st.F.k == n)
+
+    distinct = steps if want is RankOneMap else dict(zip(map(id, steps), steps)).values()
+    if all(isinstance(st.A, want) and st.F.kind == kind for st in distinct):
+        if want is RankOneMap:
+            try:
+                rows = np.array([st.A.a for st in steps], dtype=float)
+            except ValueError:      # rows of unequal shapes
+                rows = None
+            if rows is not None and rows.shape == (len(steps), n) and np.isfinite(rows).all():
+                return rows
+        elif all(map(sized, distinct)):
+            flat = np.concatenate([np.ravel(getattr(st.A, f)) for st in distinct for f in names] or [()])
+            if np.isfinite(flat).all() and not (flat < 0).any():
+                return None
+
     def first_t(st):
         return next(t for t, other in enumerate(steps, 1) if other is st)
 
     for st in dict(zip(map(id, steps), steps)).values():    # each object once, in order
-        A = st.A
-        if not isinstance(A, want) or st.F.kind != kind:
+        if not isinstance(st.A, want) or st.F.kind != kind:
             raise ValueError(f"step {first_t(st)}: {what}")
-        if want is StackedMap:
-            entries = (A.c, A.B)
-            sized = (np.ndim(A.B) == 2 and np.shape(A.B)[0] == n
-                     and np.shape(A.c) == (np.shape(A.B)[1],) == (st.F.k,))
-        else:
-            entries = (A.a,)
-            sized = np.shape(A.a) == (n,) and (want is RankOneMap or st.F.k == n)
-        if not sized:
+        if not sized(st):
             raise ValueError(f"step {first_t(st)}: map size does not match the objective (n={n})")
+        entries = [getattr(st.A, f) for f in names]
         if not all(np.isfinite(v).all() for v in entries):
             raise ValueError(f"step {first_t(st)}: non-finite map entries")
         if want is not RankOneMap and any((v < 0).any() for v in entries):
@@ -918,16 +952,21 @@ def _run_orthant(obj, steps, algo, keep_records):
              else None)
     sigma_sum = corr = resid = 0.0
     y_low = np.inf      # running minimum of the sim steps' duals
-    records = []
-    rows, pending = [u], []     # states since the last gain pass, and their moving records
+    xcol, scol, icol = [], [], []     # the record columns x, sigma and inner
+    moving, gains = [], []      # the indices of the records that moved, and their gains
+    rows = [u]      # states since the last gain pass
 
-    def stage(states, recs):
-        """Queue moving records and their states for the gain passes."""
+    def record(x, sigma, inner, states=()):
+        """Extend the columns by records of one length; ``states``, given when
+        they moved, are the states after them, for the gain passes."""
+        moving.extend(range(len(xcol), len(xcol) + len(states)))
+        xcol.extend(x)
+        scol.extend(sigma)
+        icol.extend(inner)
         rows.extend(states)
-        pending.extend(recs)
-        while len(pending) >= _GAIN_CHUNK:
-            _set_gains(eng, rows[:_GAIN_CHUNK + 1], pending[:_GAIN_CHUNK])
-            del rows[:_GAIN_CHUNK], pending[:_GAIN_CHUNK]
+        while len(rows) > _GAIN_CHUNK:
+            gains.append(np.diff(eng.row_values(np.array(rows[:_GAIN_CHUNK + 1]))))
+            del rows[:_GAIN_CHUNK]
 
     run = [None, 0]     # a Step object and the end of its run, as run_left last found them
     # the x of each coordinate that _seq_block picks, shared by its records
@@ -954,10 +993,7 @@ def _run_orthant(obj, steps, algo, keep_records):
                     sigma_sum += s
                     corr += c
                 if keep_records:
-                    recs = [StepRecord(t + k, one_hot(j), s, s, 0.0)
-                            for k, j, s in zip(range(1, len(picks) + 1), picks, sigmas)]
-                    records.extend(recs)
-                    stage(U, recs)
+                    record(map(one_hot, picks), sigmas, sigmas, U)
                 t, u = t + len(picks), U[-1]
                 if len(picks) == r:
                     continue
@@ -984,16 +1020,13 @@ def _run_orthant(obj, steps, algo, keep_records):
                 y = y_next
         sigma_sum += sigma
         t += 1
+        k = 0 if moved else run_left(st)    # after a zero image the run's arrivals repeat x
+        for _ in range(k):
+            sigma_sum += sigma
+        t += k
         if keep_records:
-            records.append(StepRecord(t, x, sigma, inner, 0.0))
-            if moved:
-                stage([u], records[-1:])
+            record([x] * (k + 1), [sigma] * (k + 1), [inner] * (k + 1), [u] if moved else ())
         if not moved:
-            while t < len(steps) and steps[t] is st:
-                t += 1
-                sigma_sum += sigma
-                if keep_records:
-                    records.append(StepRecord(t, x, sigma, inner, 0.0))
             continue
         while points is not None:
             r = min(run_left(st), _BLOCK_CAP)
@@ -1009,27 +1042,21 @@ def _run_orthant(obj, steps, algo, keep_records):
                 resid = max(resid, abs(s * x_sum - i))
                 sigma_sum += s
             if keep_records:
-                recs = [StepRecord(t + k, x, s, i, 0.0) for k, s, i in zip(range(1, L + 1), sigmas, inners)]
-                records.extend(recs)
-                stage(U[2:L + 2], recs)
+                record([x] * L, sigmas, inners, U[2:L + 2])
             t += L
             w, u = U[L], U[L + 1]
             if L < len(U) - 2:
                 break
-    if pending:
-        _set_gains(eng, rows, pending)
+    if len(rows) > 1:
+        gains.append(np.diff(eng.row_values(np.array(rows))))
+    gain = np.zeros(len(xcol))
+    gain[moving] = np.concatenate(gains or [()])
     if algo == "sim":
         # D bounds OPT only if y lies below every step's dual: the LP step can
         # hold a kink that w + Bx misses by rounding, where the slope reads above
         y = np.minimum(eng.grad_lo(u), y_low)
     return RunTrace(algo, len(steps), u, y, obj.value(u), eng.value(u), obj.conj(y),
-                    sigma_sum, corr, records, shift, resid)
-
-
-def _set_gains(eng, rows, records):
-    """Each record's gain: the engine value of its state minus that of the one before."""
-    for rec, gain in zip(records, np.diff(eng.row_values(np.array(rows))).tolist()):
-        rec.gain = gain
+                    sigma_sum, corr, Records(xcol, scol, icol, gain), shift, resid)
 
 
 def _run_psd(obj, steps, algo, keep_records, rows):
@@ -1051,7 +1078,7 @@ def _run_psd(obj, steps, algo, keep_records, rows):
     pen = obj.engine.pen
     used = reward = sigma_sum = corr = resid = 0.0
     yb = float(pen.deriv_right(0.0))
-    records, useds = [], [0.0]
+    xcol, scol, icol, gcol, useds = [], [], [], [], [0.0]     # record columns, budget use
     t, size = 0, 1
     while t < len(steps):
         a = steps[t].A.a
@@ -1079,7 +1106,10 @@ def _run_psd(obj, steps, algo, keep_records, rows):
             yb = yb_next
         sigma_sum += sigma
         if keep_records:     # the gain holds the log-det part until the penalty pass
-            records.append(StepRecord(t, np.array([x]), sigma, x * z, gain_logdet))
+            xcol.append(np.array([x]))
+            scol.append(sigma)
+            icol.append(x * z)
+            gcol.append(gain_logdet)
             useds.append(used)
         if x > 0.0:
             continue
@@ -1099,24 +1129,22 @@ def _run_psd(obj, steps, algo, keep_records, rows):
             clear = ok & (qs < top * (1.0 - _CLEAR)) & (below | (qs > kink * (1.0 + _CLEAR)))
             L = len(qs) if clear.all() else int(np.argmin(clear))
             if keep_records:
-                zero = np.zeros(1)
-                records.extend(StepRecord(s, zero, 0.0, i, 0.0) for s, i in
-                               zip(range(t + 1, t + L + 1), np.where(below[:L], -0.0, 0.0).tolist()))
+                xcol.extend([np.zeros(1)] * L)
+                scol.extend([0.0] * L)
+                icol.extend(np.where(below[:L], -0.0, 0.0).tolist())
+                gcol.extend([0.0] * L)
                 useds.extend([used] * L)
             t += L
             if L < len(qs):
                 size = size if L else 0
                 break
             size = min(2 * size, _BLOCK_CAP)
-    if keep_records:
-        pens = np.asarray(pen.value(np.array(useds)), dtype=float)
-        gains = np.array([rec.gain for rec in records]) + pens[1:] - pens[:-1]
-        for rec, gain in zip(records, gains.tolist()):
-            rec.gain = gain
+    pens = np.asarray(pen.value(np.array(useds)), dtype=float) if keep_records else np.zeros(1)
     y_final = (state.Y, float(pen.deriv_right(used)))
     return RunTrace(algo, len(steps), (state.U, used), y_final,
                     reward + float(obj.pen.value(used)), reward + float(pen.value(used)),
-                    obj.conj(y_final), sigma_sum, corr, records, False, resid)
+                    obj.conj(y_final), sigma_sum, corr,
+                    Records(xcol, scol, icol, np.array(gcol) + pens[1:] - pens[:-1]), False, resid)
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ from hypothesis import strategies as hs
 from smoothgreed import cli
 from smoothgreed.instances import gen_logdet_stream
 from smoothgreed.objectives import decode_array
-from smoothgreed.online import StepRecord
+from smoothgreed.online import Records
 
 from oracles import records_jsonl
 
@@ -687,7 +687,8 @@ class TestBadInput:
 
 # case -> (argv, the field the message names, the content of {bad}); each raised a
 # TypeError or AttributeError, exit 1 with a traceback, before the structure was checked
-# (an instance's extras given as a list was read as empty)
+# (an instance's extras given as a list was read as empty, and an A0 entry "1" or true
+# as 1.0, so those runs went on)
 _DESIGN_ARGV = "design --objective {bad} --horizon 1 --out {out}"
 _UNCHECKED_STRUCTURE = {
     "power without params": (_DESIGN_ARGV, "power: p is missing", {"kind": "power"}),
@@ -703,9 +704,15 @@ _UNCHECKED_STRUCTURE = {
     "design file a list": ("certify --instance {ad} --smoothing {bad}", "--smoothing", [_DESIGN]),
     "config a list": ("design --config {bad} --objective {cap} --horizon 1 --out {out}",
                       "--config", [{"grid": 100}]),
-    "steps not a list": ("certify --instance {bad}", "steps", ("steps", 3)),
-    "instance params a list": ("certify --instance {bad}", "params", ("params", [])),
-    "instance extras a list": ("certify --instance {bad}", "extras", ("extras", [])),
+    "config func key": ("design --config {bad} --objective {cap} --horizon 1 --out {out}",
+                        "'func' is not an option", {"func": 3}),
+    "steps not a list": ("certify --instance {bad}", "steps", ("ad", ["steps"], 3)),
+    "instance params a list": ("certify --instance {bad}", "params", ("ad", ["params"], [])),
+    "instance extras a list": ("certify --instance {bad}", "extras", ("ad", ["extras"], [])),
+    "A0 entry a string": ("certify --instance {bad} --algo seq --out {out}", "extras.A0",
+                          ("ld", ["extras", "A0", 0, 0], "1")),
+    "A0 entry true": ("certify --instance {bad} --algo seq --out {out}", "extras.A0",
+                      ("ld", ["extras", "A0", 1, 1], True)),
     "instance a list": ("certify --instance {bad}", "instance must be a JSON object", [{}]),
 }
 
@@ -713,14 +720,19 @@ _UNCHECKED_STRUCTURE = {
 @pytest.mark.parametrize("case", list(_UNCHECKED_STRUCTURE))
 def test_file_structure_exit_code(case, tmp_path, capsys):
     argv, field, content = _UNCHECKED_STRUCTURE[case]
-    files = {k: str(tmp_path / f"{k}.json") for k in ("ad", "cap", "bad", "out")}
+    files = {k: str(tmp_path / f"{k}.json") for k in ("ad", "ld", "cap", "bad", "out")}
     assert run_cli(["gen", "--family", "adwords_triangular", "--n", "3", "--phase-len", "2",
                     "--out", files["ad"]]) == cli.EXIT_OK
+    assert run_cli(["gen", "--family", "logdet_stream", "--n", "3", "--m", "8", "--b", "2.0",
+                    "--out", files["ld"]]) == cli.EXIT_OK
     Path(files["cap"]).write_text(json.dumps({"kind": "cap", "params": {"scale": 1.0}}))
-    if isinstance(content, tuple):      # one field of the adwords instance replaced
-        key, value = content
-        content = json.loads(Path(files["ad"]).read_text())
-        content[key] = value
+    if isinstance(content, tuple):      # one node of a generated instance replaced
+        base, path, value = content
+        content = json.loads(Path(files[base]).read_text())
+        node = content
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
     Path(files["bad"]).write_text(json.dumps(content))
     capsys.readouterr()
     assert run_cli(argv.format(**files).split()) == cli.EXIT_BAD_INPUT
@@ -785,22 +797,23 @@ class TestRecordsJsonl:
 
     def test_signed_zeros_and_equal_arrays(self):
         x = np.array([0.0, 0.25, 0.75])
-        records = [StepRecord(1, x, 0.5, 0.5, 0.5),
-                   StepRecord(2, np.array([-0.0, 0.25, 0.75]), 0.0, -0.0, 0.0),
-                   StepRecord(3, x.copy(), 0.5, 0.5, 0.0),
-                   StepRecord(4, np.array([-0.0, 0.25, 0.75]), -0.0, 0.0, -0.0),
-                   StepRecord(5, np.array([0.5]), 1.0, 0.5, np.float64(0.125))]
+        records = Records([x, np.array([-0.0, 0.25, 0.75]), x.copy(), np.array([-0.0, 0.25, 0.75]),
+                           np.array([0.5])],
+                          sigma=[0.5, 0.0, 0.5, -0.0, 1.0], inner=[0.5, -0.0, 0.5, 0.0, 0.5],
+                          gain=[0.5, 0.0, 0.0, -0.0, np.float64(0.125)])
         text = "".join(cli._record_lines(records))
         assert text == records_jsonl(records)
         assert text.count("[-0.0, 0.25, 0.75]") == 2 and text.count("[0.0, 0.25, 0.75]") == 2
 
     def test_runs_longer_than_the_memo(self, monkeypatch):
+        # shared arrays and equal copies, then more distinct arrays than
+        # either memo holds; again with memos of three
         rng = np.random.default_rng(np.random.Philox(key=3))
         pool = [rng.uniform(0.0, 1.0, 4) for _ in range(7)]
-        records = [StepRecord(t, pool[int(rng.integers(0, 7))].copy(), 1.0, 0.5, 0.25)
-                   for t in range(1, 400)]
-        records += [StepRecord(t, rng.uniform(0.0, 1.0, 4), 1.0, 0.5, 0.25)
-                    for t in range(400, 400 + cli._X_MEMO + 50)]
+        xs = [pool[int(rng.integers(0, 7))] for _ in range(1, 400)]
+        xs = [x.copy() if rng.random() < 0.5 else x for x in xs]
+        xs += [rng.uniform(0.0, 1.0, 4) for _ in range(cli._X_MEMO + 50)]
+        records = Records(xs, [1.0] * len(xs), [0.5] * len(xs), [0.25] * len(xs))
         assert "".join(cli._record_lines(records)) == records_jsonl(records)
         monkeypatch.setattr(cli, "_X_MEMO", 3)
         assert "".join(cli._record_lines(records)) == records_jsonl(records)
@@ -818,10 +831,12 @@ class TestRecordsJsonl:
         rng = np.random.default_rng(seed)
         pick = lambda: (np.float64 if rng.random() < 0.3 else float)(pool[rng.integers(len(pool))])
         xs = [np.array([pick() for _ in range(rng.integers(1, 4))]) for _ in range(3)]
-        records = []
-        for t in range(1, count + 1):
+        columns = [], [], [], []
+        for _ in range(count):
             x = xs[rng.integers(len(xs))]
-            records.append(StepRecord(t, x.copy() if rng.random() < 0.3 else x, pick(), pick(), pick()))
+            for column, value in zip(columns, (x.copy() if rng.random() < 0.3 else x, pick(), pick(), pick())):
+                column.append(value)
+        records = Records(*columns)
         assert "".join(cli._record_lines(records)) == records_jsonl(records)
 
     def test_memory_is_bounded_by_the_chunk(self):
@@ -830,7 +845,8 @@ class TestRecordsJsonl:
         # the x memo small and the encoding off the test's time.
         rng = np.random.default_rng(np.random.Philox(key=5))
         pool = rng.uniform(0.0, 1.0, (16, 100))
-        records = [StepRecord(t, pool[t % 16].copy(), 1.0, 0.5, 0.25) for t in range(1, 20001)]
+        records = Records([pool[t % 16].copy() for t in range(1, 20001)],
+                          [1.0] * 20000, [0.5] * 20000, [0.25] * 20000)
         size = biggest = 0
         tracemalloc.start()
         try:
@@ -847,18 +863,20 @@ class TestRecordsJsonl:
                  "--out", inst])
         run = cli.run_simultaneous
 
-        def edit_x(rec):
-            rec.x = rec.x.copy()
-            rec.x[1] = math.nan
+        def edit(records, at, column, value):
+            if column == "x":
+                records.x[at] = records.x[at].copy()
+                records.x[at][1] = value
+            else:
+                getattr(records, column)[at] = value
 
-        edits = [edit_x] + [lambda rec, f=f: setattr(rec, f, math.nan) for f in ("sigma", "inner")]
-        edits.append(lambda rec: setattr(rec, "gain", -math.inf))
         # the third record, in the first chunk, and the last of 900, in the last chunk
         for at in (2, -1):
-            for edit in edits:
-                def broken(obj, steps, edit=edit):
+            for column, value in (("x", math.nan), ("sigma", math.nan), ("inner", math.nan),
+                                  ("gain", -math.inf)):
+                def broken(obj, steps, column=column, value=value):
                     tr = run(obj, steps)
-                    edit(tr.records[at])
+                    edit(tr.records, at, column, value)
                     return tr
 
                 monkeypatch.setattr(cli, "run_simultaneous", broken)

@@ -544,6 +544,31 @@ class TestEngineInvariants:
         with pytest.raises(ValueError, match=r"^step 561: determinant objectives take"):
             run_sequential(obj, inst.steps[:560] + [flat])
 
+    def test_check_steps_names_first_bad_packing_step(self):
+        # a packing stream is checked in one stacked pass over its distinct
+        # objects' entries, yet every error names its first bad step
+        inst = gen_lp_random(6, 600, 3, 0.7, seed=0)
+        obj = PenaltyLPObjective(6, inst.extras["l"], inst.extras["theta"])
+        c, B = inst.steps[0].A.c, inst.steps[0].A.B
+        simplex = FeasibleSet("simplex", 3)
+        B_nan, c_neg = B.copy(), c.copy()
+        B_nan[2, 1], c_neg[1] = math.nan, -0.5
+        late = Step(StackedMap(c, -B), simplex)
+        for bad, message in ((Step(StackedMap(c, B_nan), simplex), "non-finite map entries"),
+                             (Step(StackedMap(c_neg, B), simplex), "step map must keep the orthant"),
+                             (Step(StackedMap(c, B[:5]), simplex), "map size does not match"),
+                             (Step(DiagMap(np.ones(6)), simplex), "packing objectives take"),
+                             (Step(StackedMap(c[:1], B[:, :1]), FeasibleSet("unit_interval")),
+                              "packing objectives take")):
+            steps = list(inst.steps)
+            steps[536] = bad
+            for later in ([], [late]):
+                for run in (run_simultaneous, run_sequential):
+                    with pytest.raises(ValueError, match=rf"^step 537: {message}"):
+                        run(obj, steps + later)
+        with pytest.raises(ValueError, match=r"^step 601: step map must keep the orthant"):
+            run_sequential(obj, inst.steps + [late])
+
 
 def _orthant_runs():
     """Allocation and packing objectives, plain and smoothed, with their instances."""
@@ -624,7 +649,7 @@ class TestZeroSteps:
                 passes = self.count_values(monkeypatch, obj.engine, "row_values")
             tr = run(obj, inst.steps, keep_records=False)
             assert len(calls) == finals, name
-            assert passes == [] and tr.records == []
+            assert passes == [] and len(tr.records) == 0
             assert (tr.P_orig, tr.D_alg, tr.corr) == (ref.P_orig, ref.D_alg, ref.corr), name
 
     @pytest.mark.parametrize("algo", ["sim", "seq"])
@@ -825,7 +850,7 @@ class TestBlockSteps:
         assert _bit_equal(tr.saddle_residual, resid)
         assert tr.y_final.tobytes() == y_final.tobytes()
         if not keep_records:
-            assert tr.records == [] and passes.call_count == 0
+            assert len(tr.records) == 0 and passes.call_count == 0
             return
         assert passes.call_count == -(-int(moves[cut - 1]) // online._GAIN_CHUNK)
         assert len(tr.records) == cut
@@ -883,7 +908,7 @@ class TestSeqBlocks:
         assert _bit_equal(tr.corr, corr)
         assert tr.y_final.tobytes() == y_final.tobytes()
         if not keep_records:
-            assert tr.records == [] and passes.call_count == 0
+            assert len(tr.records) == 0 and passes.call_count == 0
             return
         assert passes.call_count == -(-int(moves[cut - 1]) // online._GAIN_CHUNK)
         assert len(tr.records) == cut
