@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from smoothgreed.scalar import NegPlusPenalty, alpha_bar, check_positive
+from smoothgreed.smoothing import EntropyPenaltySmoothing
 
 # ----------------------------------------------------------------------
 # Feasible sets and step maps
@@ -164,6 +165,17 @@ def step_from_descriptor(d: dict) -> Step:
 # ----------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Floor:
+    """A run's ratio floor and its theorem's short name, or None and why no theorem applies."""
+    value: float | None
+    theorem: str | None = None
+    reason: str = ""
+
+
+_NO_SEQ_FLOOR = Floor(None, reason="seq engine on a non-monotone objective")
+
+
 def coordwise(coords, uniform, method, u):
     """Apply one scalar method coordinatewise; a single call when shared."""
     if uniform:
@@ -181,6 +193,7 @@ class SeparableObjective:
     """
 
     cone = "orthant"
+    step_shape = (DiagMap, "simplex", "separable objectives take diagonal simplex steps")
 
     def __init__(self, coords, smoothed=None, certified_beta=None):
         self.coords = list(coords)
@@ -212,14 +225,14 @@ class SeparableObjective:
         y = np.asarray(y, dtype=float)
         return float(np.sum(coordwise(self.coords, self._uniform, "conjugate", y)))
 
-    def ratio_bound(self) -> float:
-        """Certified ratio floor of the simultaneous engine: 1/beta, or 1/(1 - alpha_bar)."""
+    def floor(self, trace, steps) -> Floor:
+        """1/beta ("smoothed-beta") or 1/(1 - alpha_bar) ("greedy-alpha"), on either engine."""
         if self.engine is not self:
             if self.certified_beta is None:
                 raise ValueError("smoothed objective without a certified beta")
-            return 1.0 / self.certified_beta
+            return Floor(1.0 / self.certified_beta, "smoothed-beta")
         distinct = {id(c): c for c in self.coords}.values()    # a shared list is one function
-        return 1.0 / (1.0 - min(alpha_bar(c, 1e4) for c in distinct))
+        return Floor(1.0 / (1.0 - min(alpha_bar(c, 1e4) for c in distinct)), "greedy-alpha")
 
 
 def _twin(obj, pen):
@@ -240,6 +253,7 @@ class PenaltyLPObjective:
     """
 
     cone = "orthant"
+    step_shape = (StackedMap, "simplex", "packing objectives take stacked simplex steps")
 
     def __init__(self, n, l, theta, smoothed_penalty=None):
         check_positive("PenaltyLPObjective", l=l, theta=theta)
@@ -270,9 +284,9 @@ class PenaltyLPObjective:
             return -math.inf
         return float(np.sum(self.pen.conjugate(y[1:])))
 
-    def ratio_bound(self) -> float:
-        """Certified competitive-ratio lower bound for the simultaneous engine."""
-        return 1.0 / (1.0 + self.l / self.theta)
+    def floor(self, trace, steps) -> Floor:
+        """1/(1 + l/theta) on the sim engine ("packing-hinge"), smoothed or not."""
+        return _NO_SEQ_FLOOR if trace.algo == "seq" else Floor(1 / (1 + self.l / self.theta), "packing-hinge")
 
 
 class LogDetObjective:
@@ -286,6 +300,7 @@ class LogDetObjective:
     """
 
     cone = "psd"
+    step_shape = (RankOneMap, "unit_interval", "determinant objectives take rank-one interval steps")
 
     def __init__(self, A0, b, l=None, smoothed_budget=None):
         A0 = np.asarray(A0, dtype=float)
@@ -310,7 +325,6 @@ class LogDetObjective:
         if self.l <= self.l_floor:
             raise ValueError(f"LogDetObjective: need l > {self.l_floor:.6g}")
         self.pen = NegPlusPenalty(self.l, self.b)
-        self.theta = math.log1p(1.0 / self.n)
         sign, self._logdet_A0 = np.linalg.slogdet(A0)
         if sign <= 0:
             raise ValueError("LogDetObjective: A0 has nonpositive determinant")
@@ -336,9 +350,17 @@ class LogDetObjective:
         Y, yb = dual
         return self.hstar(Y) + float(self.pen.conjugate(float(yb)))
 
-    def ratio_bound(self) -> float:
-        # 0.5 unless the budget smoothing certifies one (the reward's alpha is -1)
-        return getattr(self.engine.pen, "ratio_bound", None) or 0.5
+    def floor(self, trace, steps) -> Floor:
+        """On the sim engine, the entropy budget smoothing's floor ("logdet-entropy"), else
+        0.5 ("logdet-half"), the reward's alpha = -1 alone.  That 0.5 is refuted (ROADMAP.md
+        item 1: b copies of one direction keep P/OPT <= log(1 + b)/(b log 2)); it stays
+        only until a floor that depends on the budget replaces it."""
+        if trace.algo == "seq":
+            return _NO_SEQ_FLOOR
+        pen = self.engine.pen
+        if isinstance(pen, EntropyPenaltySmoothing) and pen.ratio_bound is not None:
+            return Floor(pen.ratio_bound, "logdet-entropy")
+        return Floor(0.5, "logdet-half")
 
 
 # ----------------------------------------------------------------------
@@ -562,11 +584,6 @@ class LogDetState:
     def Asum(self):
         self.flush()
         return self._Asum
-
-    @Asum.setter
-    def Asum(self, value):
-        self.flush()
-        self._Asum = value
 
     @property
     def U(self):

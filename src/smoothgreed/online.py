@@ -48,8 +48,6 @@ import numpy as np
 
 from smoothgreed.objectives import (
     PROBE_TOL,
-    DiagMap,
-    LogDetObjective,
     LogDetState,
     PenaltyLPObjective,
     RankOneMap,
@@ -845,15 +843,7 @@ def _check_steps(obj, steps):
     which are returned.  Only a stream failing these is walked, object by
     object, for the first bad t.
     """
-    if isinstance(obj, SeparableObjective):
-        want, kind, what = DiagMap, "simplex", "separable objectives take diagonal simplex steps"
-    elif isinstance(obj, PenaltyLPObjective):
-        want, kind, what = StackedMap, "simplex", "packing objectives take stacked simplex steps"
-    elif isinstance(obj, LogDetObjective):
-        want, kind, what = (RankOneMap, "unit_interval",
-                            "determinant objectives take rank-one interval steps")
-    else:
-        raise TypeError(f"unsupported objective {type(obj).__name__}")
+    want, kind, what = obj.step_shape     # the map class and set kind obj's steps take
     n = obj.n
     names = ("c", "B") if want is StackedMap else ("a",)     # the map's entry arrays
 
@@ -899,7 +889,7 @@ def run_simultaneous(obj, steps, keep_records: bool = True) -> RunTrace:
         if obj.smoothed_penalty is not None and not hasattr(obj.smoothed_penalty, "deriv2"):
             # projected Newton needs the penalty's second derivative
             raise ValueError("run_simultaneous: a smoothed penalty must be a SmoothedScalar")
-    if isinstance(obj, LogDetObjective):
+    if obj.cone == "psd":
         pen = obj.engine.pen
         if not (isinstance(pen, PiecewiseLinear) or hasattr(pen, "deriv2")):
             # the exact step is closed form or Newton on the second derivative
@@ -1160,7 +1150,8 @@ class CertificateReport:
     identity_ok: bool
     structural_ok: bool
     alpha_realized: float | None = None
-    reasons: tuple = ()     # one line per failed inequality, with its margin
+    reasons: tuple = ()     # one line per failed inequality, with its margin, or "not applicable"
+    floor_theorem: str | None = None    # the short name of the floor's theorem
 
     @property
     def passed(self) -> bool:
@@ -1172,22 +1163,20 @@ def certify(trace: RunTrace, obj, steps) -> CertificateReport:
 
     ``ratio_lb = P / D`` is a sound per-run lower bound on the competitive
     ratio because D upper-bounds the offline optimum for any antitone dual
-    stream.  Three checks:
+    stream.  Three checks, each failed one named with its margin in ``reasons``:
 
     * identity: D never exceeds the surrogate value at the realized point
       minus the original conjugate (minus the dual-movement correction for
       sequential runs); the conjugates cancel, leaving ``slack >= -CERT_TOL``;
     * realized bound: the identity restated as a ratio floor, defined when
       the primal value is positive;
-    * structural bound: the a-priori floor (1 over one-minus-alpha, or the
-      certified 1/beta), applicable to simultaneous runs always, and to
-      sequential runs on monotone objectives with the dual-lag rescaling.
-      A sequential run on a non-monotone objective carries no ratio
-      theorem, so only the identity is enforced there.
+    * structural bound: ``obj.floor(trace, steps)``, which names its theorem,
+      scaled on sequential runs by the dual lag 1 + corr/D.  Where no theorem
+      covers the run only the identity is enforced, and ``reasons`` carries
+      the floor's reason as a "not applicable" line, never as a breach.
 
-    The realized bound and alpha read the final dual's conjugate from
-    ``trace.conj_final``, priced once by the engine: no conjugate is
-    evaluated here.  The report's ``reasons`` name each failed inequality.
+    The realized bound and alpha read ``trace.conj_final``, the engine's one
+    pricing of the final dual: no conjugate is evaluated here.
     """
     P, D = trace.P_orig, trace.D_alg
     denom = trace.P_engine - trace.conj_final - trace.corr     # corr is 0.0 on sim runs
@@ -1197,20 +1186,21 @@ def certify(trace: RunTrace, obj, steps) -> CertificateReport:
         alpha_real = trace.conj_final / P
     identity_ok = trace.slack >= -CERT_TOL
     reasons = [] if identity_ok else [f"identity: slack {trace.slack:.4g} < -CERT_TOL {-CERT_TOL:g}"]
-    structural, structural_ok = None, True
-    if trace.algo == "sim" or isinstance(obj, SeparableObjective):
-        structural = floor = obj.ratio_bound()
-        lag = None
+    floor = obj.floor(trace, steps)
+    structural, structural_ok, lag = floor.value, True, None
+    if structural is None:
+        reasons.append(f"not applicable: {floor.reason}")
+    else:
         if trace.algo == "seq" and D > 0:
             lag = max(0.0, 1.0 + trace.corr / D)
             structural = structural * lag
         structural_ok = trace.ratio_lb >= structural - CERT_TOL
         if not structural_ok:
             lagged = "" if lag is None else f" * lag 1 + corr/D {lag:.4g} = {structural:.4g}"
-            reasons.append(f"floor: ratio_lb {trace.ratio_lb:.4g} < floor {floor:.4g}{lagged}"
+            reasons.append(f"floor: ratio_lb {trace.ratio_lb:.4g} < floor {floor.value:.4g}{lagged}"
                            f" by {structural - trace.ratio_lb:.4g}")
     return CertificateReport(trace.ratio_lb, structural, realized, identity_ok,
-                             structural_ok, alpha_real, tuple(reasons))
+                             structural_ok, alpha_real, tuple(reasons), floor.theorem)
 
 
 @dataclass

@@ -170,8 +170,8 @@ class EntropyPenaltySmoothing(SmoothedScalar):
 
     The derivative is y(u) = (theta/(e-1)) * (1 - exp(gamma*u/budget))
     clipped to [-l, 0]; it reaches -l at ``u_clip``, where the grid ends
-    and the last slope is held.  ``ratio_bound`` is the certified
-    ratio when the construction carries one (the log-det form), else None.
+    and the last slope is held.  ``ratio_bound`` is the certified ratio floor
+    of the log-det form, else None; ``LogDetObjective.floor`` reads it.
     """
 
     def __init__(self, l, theta, gamma, budget, u_clip, ratio_bound=None):

@@ -148,13 +148,14 @@ def test_criterion_4_certificate_soundness():
             n, l = A0.shape[0], inst.extras["l"]
             pen = nesterov_logdet_smoothing(n, l, 2.0)
             obj = LogDetObjective(A0, 2.0, l=l, smoothed_budget=pen)
-            floor = pen.ratio_bound
             for algo, run in (("sim", run_simultaneous), ("seq", run_sequential)):
                 tr = run(obj, inst.steps)
                 rep = certify(tr, obj, inst.steps)
                 assert rep.passed, (inst.params, algo, rep)
                 if algo == "sim":
-                    assert rep.ratio_lb >= floor - tol
+                    floor = obj.floor(tr, inst.steps)
+                    assert floor.theorem == "logdet-entropy"
+                    assert rep.ratio_lb >= floor.value - tol
                 assert duality_gap_diagnostics(tr, obj).passed
             count += 1
 

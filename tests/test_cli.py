@@ -306,6 +306,32 @@ class TestRunCertify:
             # gap_ok is certify's identity verdict
             assert printed["gap_ok"] is reports[-1].identity_ok is True, extra
 
+    def test_floor_not_applicable(self, tmp_path, monkeypatch):
+        # no theorem covers the seq engine on packing or log-det: the run
+        # passes on its identity, its report says why no floor was checked,
+        # and the summary names no theorem; sim runs name theirs
+        reports, certify = [], cli.certify
+
+        def recorded(*args):
+            reports.append(certify(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "certify", recorded)
+        for family, gen, sim_theorem in (
+                ("lp_random", ["--n", "3", "--m", "10", "--k", "2"], "packing-hinge"),
+                ("logdet_stream", ["--n", "3", "--m", "8", "--b", "2.0"], "logdet-entropy")):
+            inst, out = str(tmp_path / f"{family}.json"), str(tmp_path / f"{family}_run")
+            assert run_cli(["gen", "--family", family, *gen, "--seed", "1", "--out", inst]) == 0
+            assert run_cli(["certify", "--instance", inst, "--algo", "seq", "--out", out]) == cli.EXIT_OK
+            summary = json.loads(Path(out + ".json").read_text())
+            assert summary["floor_theorem"] is None and summary["structural_bound"] is None
+            assert reports[-1].passed, family
+            assert reports[-1].reasons == ("not applicable: seq engine on a non-monotone objective",)
+            assert run_cli(["certify", "--instance", inst, "--algo", "sim", "--smoothing", "nesterov",
+                            "--out", out]) == cli.EXIT_OK
+            summary = json.loads(Path(out + ".json").read_text())
+            assert summary["floor_theorem"] == sim_theorem and reports[-1].reasons == (), family
+
     def test_bad_instance_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

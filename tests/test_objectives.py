@@ -10,6 +10,7 @@ from smoothgreed import objectives
 from smoothgreed.objectives import (
     DiagMap,
     FeasibleSet,
+    Floor,
     LogDetObjective,
     PROBE_TOL,
     _PENDING,
@@ -28,7 +29,9 @@ from smoothgreed.instances import gen_adwords_triangular, gen_logdet_stream, gen
 from smoothgreed.online import certify, run_sequential, run_simultaneous
 from smoothgreed.scalar import Cap, Linear, Log1p, Power, alpha_bar
 from smoothgreed.smoothing import (
+    DesignSpec,
     adwords_closed_form_smoothing,
+    design_optimal,
     nesterov_logdet_smoothing,
     nesterov_penalty_smoothing,
 )
@@ -396,9 +399,57 @@ class TestRatioBound:
         log1p = Log1p()
         for coords, want in (([log1p] * 100, 1), ([Cap(1.0), Log1p(), Power(0.4)], 3)):
             calls.clear()
-            floor = SeparableObjective(coords).ratio_bound()
+            obj = SeparableObjective(coords)
+            floor = obj.floor(run_simultaneous(obj, []), [])
             assert len(calls) == want
-            assert floor == 1.0 / (1.0 - min(alpha_bar(c, 1e4) for c in coords))
+            assert floor.value == 1.0 / (1.0 - min(alpha_bar(c, 1e4) for c in coords))
+
+    @staticmethod
+    def floor_cases():
+        """(case, objective, steps, the floor's value, its theorem) for every family,
+        plain and smoothed; ``value`` is the formula each floor has always had."""
+        adv = gen_adwords_triangular(3, 2)
+        cap, log1p = Cap(1.0), Log1p()
+        closed = adwords_closed_form_smoothing()
+        designed = design_optimal(DesignSpec(cap, 1.0, d=50, plateau=True))
+        yield ("cap", SeparableObjective([cap] * 3), adv.steps,
+               1.0 / (1.0 - alpha_bar(cap, 1e4)), "greedy-alpha")
+        yield ("mixed", SeparableObjective([cap, log1p, Power(0.4)]), adv.steps,
+               1.0 / (1.0 - min(alpha_bar(c, 1e4) for c in (cap, log1p, Power(0.4)))), "greedy-alpha")
+        yield ("designed", SeparableObjective([cap] * 3, smoothed=designed.smoothed,
+                                              certified_beta=designed.beta), adv.steps,
+               1.0 / designed.beta, "smoothed-beta")
+        yield ("closed_form", SeparableObjective([cap] * 3, smoothed=closed,
+                                                 certified_beta=closed.beta_exact), adv.steps,
+               1.0 / closed.beta_exact, "smoothed-beta")
+        lp = gen_lp_random(3, 10, 2, 0.7, seed=1)
+        l, theta = lp.extras["l"], lp.extras["theta"]
+        for case, pen in (("packing", None), ("packing_nesterov", nesterov_penalty_smoothing(l, theta))):
+            yield (case, PenaltyLPObjective(3, l, theta, smoothed_penalty=pen), lp.steps,
+                   1.0 / (1.0 + l / theta), "packing-hinge")
+        det = gen_logdet_stream(3, 10, 2.0, seed=1)
+        A0, l = np.asarray(det.extras["A0"]), det.extras["l"]
+        gamma = math.log1p(l / math.log1p(1.0 / 3))
+        yield ("logdet", LogDetObjective(A0, 2.0, l=l), det.steps, 0.5, "logdet-half")
+        yield ("logdet_nesterov",
+               LogDetObjective(A0, 2.0, l=l, smoothed_budget=nesterov_logdet_smoothing(3, l, 2.0)),
+               det.steps, 1.0 / (1.0 + (1.0 + 1.0 / (math.e - 1.0)) * gamma), "logdet-entropy")
+        # an entropy smoothing that stores no floor leaves the plain one
+        yield ("logdet_entropy_unrated",
+               LogDetObjective(A0, 2.0, l=l, smoothed_budget=nesterov_penalty_smoothing(l, 1.0, 2.0)),
+               det.steps, 0.5, "logdet-half")
+
+    @pytest.mark.parametrize("algo", ["sim", "seq"])
+    def test_floor_table(self, algo):
+        # each floor's value, bit for bit, and the theorem it names; no
+        # theorem covers the seq engine on packing and log-det
+        run = run_simultaneous if algo == "sim" else run_sequential
+        for case, obj, steps, value, theorem in self.floor_cases():
+            floor = obj.floor(run(obj, steps), steps)
+            if algo == "seq" and not isinstance(obj, SeparableObjective):
+                assert floor == Floor(None, None, "seq engine on a non-monotone objective"), case
+            else:
+                assert (floor.value, floor.theorem, floor.reason) == (value, theorem, ""), case
 
 
 class TestEngineTwin:
